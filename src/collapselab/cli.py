@@ -13,6 +13,7 @@ grid-adequacy error, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -194,6 +195,7 @@ def _merge(command: str, args: argparse.Namespace) -> dict[str, Any]:
             values[key] = flag_value
     if command in _NEEDS_SEED and values.get("seed") is None:
         raise ConfigError("seed is required (reports record it for reproducibility)")
+    _require_non_negative(values, "seed")
     return values
 
 
@@ -223,14 +225,16 @@ def _parse_peaks(text: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
 def _require_positive(values: dict[str, Any], *keys: str) -> None:
     for key in keys:
-        if values.get(key) is not None and values[key] <= 0:
-            raise ConfigError(f"key '{key}' must be positive, got {values[key]}")
+        v = values.get(key)
+        if v is not None and not (math.isfinite(v) and v > 0):
+            raise ConfigError(f"key '{key}' must be finite and positive, got {v}")
 
 
 def _require_non_negative(values: dict[str, Any], *keys: str) -> None:
     for key in keys:
-        if values.get(key) is not None and values[key] < 0:
-            raise ConfigError(f"key '{key}' must be non-negative, got {values[key]}")
+        v = values.get(key)
+        if v is not None and not (math.isfinite(v) and v >= 0):
+            raise ConfigError(f"key '{key}' must be finite and non-negative, got {v}")
 
 
 def _grw_config(values: dict[str, Any]) -> OracleComparisonConfig:

@@ -16,6 +16,28 @@ in position, the centre sum acts entrywise: on a single grid factor
 which for an adequate grid matches the closed form
 exp(-alpha (x_q - x_p)^2 / 4); tests pin both routes against each
 other and against the literal operator sum.
+
+The whole dissipator is therefore one elementwise product lam R * rho
+with the real, symmetric rate array R = sum_n C_n - n (each C_n
+broadcast along the other factors).  R is built once per integration.
+
+The commutator costs one matrix product.  With K = H rho,
+
+    [H, rho] = H rho - rho H = K - K^dagger,
+
+because rho H = (H rho)^dagger when both H and rho are Hermitian.  H is
+Hermitian by contract (``integrate_with_snapshots`` rejects one that
+is not), and every RK4 stage rho stays Hermitian to the last bit: K - K^dagger
+is exactly anti-Hermitian and R is exactly symmetric, so each stage
+adds a Hermitian increment to a Hermitian state.  Callers of
+``lindblad_rhs`` must pass a Hermitian rho for the same reason.
+
+H has real entries whenever it is a real symmetric matrix, as the free
+Hamiltonian always is.  K is then one real GEMM, H.real applied to
+rho viewed as a (d, 2d) float64 array (real and imaginary parts
+interleaved along each row), and the result is viewed back as complex.
+A second real GEMM with H.imag is added only when H has an imaginary
+part.
 """
 from __future__ import annotations
 
@@ -34,6 +56,7 @@ STEP_BUDGET = 0.05
 TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-8
 POSITIVITY_FLOOR = -1e-6
+MIXTURE_CHUNK = 256  # trials stacked per GEMM in ensemble_compare; bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -69,43 +92,56 @@ def dephasing_rate(params: GrwParams, x: float, xp: float) -> float:
     return params.lam * (1.0 - math.exp(-params.alpha * (x - xp) ** 2 / 4.0))
 
 
-def _kernel_views(
+def _rate_array(
     shape: SubsystemShape, grids: Mapping[int, Grid], alpha: float
-) -> list[np.ndarray]:
-    """Per-particle overlap kernels broadcast to the reshaped rho layout."""
+) -> np.ndarray:
+    """R = sum_n C_n - n as a real (d, d) array, each C_n on its own factor."""
     dims = shape.dims
     n = len(dims)
-    views = []
+    rate = np.zeros(dims + dims)
     for k in sorted(grids):
         shape.validate_index(k)
         grid = grids[k]
         if dims[k] != grid.points:
             raise ValueError(f"grid for subsystem {k} does not match its dimension")
-        c = overlap_kernel(grid, alpha)
         full = [1] * (2 * n)
         full[k] = dims[k]
         full[n + k] = dims[k]
-        views.append(c.reshape(full))
-    return views
+        rate += overlap_kernel(grid, alpha).reshape(full)
+    rate -= len(grids)
+    d = shape.total_dim
+    return rate.reshape(d, d)
+
+
+def _hamiltonian_parts(hamiltonian: Operator | None) -> tuple[np.ndarray, ...]:
+    """H.real, plus H.imag when it is nonzero, as contiguous float64 arrays."""
+    if hamiltonian is None:
+        return ()
+    h = hamiltonian.entries
+    if np.any(h.imag):
+        return np.ascontiguousarray(h.real), np.ascontiguousarray(h.imag)
+    return (np.ascontiguousarray(h.real),)
 
 
 def _rhs(
     rho: np.ndarray,
-    h: np.ndarray | None,
-    lam: float,
+    h_parts: tuple[np.ndarray, ...],
     hbar: float,
-    kernels: list[np.ndarray],
-    dims: tuple[int, ...],
+    rates: np.ndarray,
 ) -> np.ndarray:
-    out = np.zeros_like(rho)
-    if h is not None:
-        out += (-1j / hbar) * (h @ rho - rho @ h)
-    if lam != 0.0 and kernels:
-        r = rho.reshape(dims + dims)
-        damp = np.zeros_like(r)
-        for c in kernels:
-            damp += r * c
-        out += lam * (damp.reshape(rho.shape) - len(kernels) * rho)
+    """lam R * rho - (i/hbar)(K - K^dagger) with K = H rho; rho C-contiguous."""
+    out = rates * rho
+    if h_parts:
+        d = rho.shape[0]
+        flat = rho.view(np.float64).reshape(d, 2 * d)
+        k = (h_parts[0] @ flat).view(complex)
+        if len(h_parts) == 2:
+            k += 1j * (h_parts[1] @ flat).view(complex)
+        comm = np.ascontiguousarray(k.T)  # a contiguous copy transposes faster than a strided read
+        np.conjugate(comm, out=comm)
+        np.subtract(k, comm, out=comm)
+        comm *= -1j / hbar
+        out += comm
     return out
 
 
@@ -115,10 +151,17 @@ def lindblad_rhs(
     params: GrwParams,
     grids: Mapping[int, Grid],
 ) -> np.ndarray:
-    """Time derivative of the statistical operator (Hermitian, traceless)."""
-    kernels = _kernel_views(rho.shape, grids, params.alpha)
-    h = hamiltonian.entries if hamiltonian is not None else None
-    return _rhs(rho.entries, h, params.lam, params.hbar, kernels, rho.shape.dims)
+    """Time derivative of the statistical operator (Hermitian, traceless).
+
+    ``hamiltonian`` must be Hermitian (see the module docstring).
+    """
+    rates = params.lam * _rate_array(rho.shape, grids, params.alpha)
+    return _rhs(
+        np.ascontiguousarray(rho.entries),
+        _hamiltonian_parts(hamiltonian),
+        params.hbar,
+        rates,
+    )
 
 
 def _check_step(
@@ -129,6 +172,8 @@ def _check_step(
 ) -> None:
     h_scale = 0.0
     if hamiltonian is not None:
+        if not hamiltonian.is_hermitian():
+            raise ConfigError("the Hamiltonian must be Hermitian")
         h_scale = float(np.max(np.abs(np.linalg.eigvalsh(hamiltonian.entries)))) / params.hbar
     budget = config.dt * (params.lam * n_particles + h_scale)
     if budget > STEP_BUDGET * (1 + 1e-12):
@@ -163,19 +208,19 @@ def integrate_with_snapshots(
             )
         wanted[int(round(steps))] = float(t)
 
-    kernels = _kernel_views(rho0.shape, grids, params.alpha)
-    h = hamiltonian.entries if hamiltonian is not None else None
-    dims = rho0.shape.dims
-    rho = np.array(rho0.entries, dtype=complex)
+    rates = params.lam * _rate_array(rho0.shape, grids, params.alpha)
+    h_parts = _hamiltonian_parts(hamiltonian)
+    hbar = params.hbar
+    rho = np.array(rho0.entries, dtype=complex, order="C")  # _rhs views it as float rows
     snapshots: dict[float, DensityMatrix] = {}
     if 0 in wanted:
         snapshots[wanted[0]] = DensityMatrix(rho0.shape, rho)
 
     for step in range(1, n_steps + 1):
-        k1 = _rhs(rho, h, params.lam, params.hbar, kernels, dims)
-        k2 = _rhs(rho + 0.5 * h_step * k1, h, params.lam, params.hbar, kernels, dims)
-        k3 = _rhs(rho + 0.5 * h_step * k2, h, params.lam, params.hbar, kernels, dims)
-        k4 = _rhs(rho + h_step * k3, h, params.lam, params.hbar, kernels, dims)
+        k1 = _rhs(rho, h_parts, hbar, rates)
+        k2 = _rhs(rho + 0.5 * h_step * k1, h_parts, hbar, rates)
+        k3 = _rhs(rho + 0.5 * h_step * k2, h_parts, hbar, rates)
+        k4 = _rhs(rho + h_step * k3, h_parts, hbar, rates)
         rho = rho + (h_step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if step in wanted:
             snapshots[wanted[step]] = DensityMatrix(rho0.shape, rho)
@@ -235,9 +280,10 @@ def ensemble_compare(
         raise ValueError("ensemble is empty")
     d = rho_oracle.shape.total_dim
     acc = np.zeros((d, d), dtype=complex)
-    for traj in trajectories:
-        psi = traj.state_at(at)
-        acc += np.outer(psi.amplitudes, psi.amplitudes.conj())
+    for start in range(0, len(trajectories), MIXTURE_CHUNK):
+        chunk = trajectories[start:start + MIXTURE_CHUNK]
+        states = np.stack([traj.state_at(at).amplitudes for traj in chunk])
+        acc += states.T @ states.conj()  # sum of psi psi^dagger over the chunk
     acc /= len(trajectories)
     rho_mc = DensityMatrix(rho_oracle.shape, acc)
     return EnsembleComparison(

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from collapselab.cli import build_parser, main
+from collapselab.cli import _require_non_negative, _require_positive, build_parser, main
+from collapselab.errors import ConfigError
 
 
 def run_cli(args):
@@ -79,6 +80,45 @@ def test_minimal_config_defaults_applied(tmp_path):
     assert report["config"]["triple_b"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_require_positive_rejects_non_finite_and_non_positive(bad):
+    with pytest.raises(ConfigError, match="horizon"):
+        _require_positive({"horizon": bad}, "horizon")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0, -1])
+def test_require_non_negative_rejects_non_finite_and_negative(bad):
+    with pytest.raises(ConfigError, match="lambda"):
+        _require_non_negative({"lambda": bad}, "lambda")
+
+
+# tiny sizes: each run would finish quickly even if validation let it through
+_TINY_ORACLE = ["oracle-compare", "--points", "16", "--peaks", "4:0.5,10:0.5",
+                "--packet-width", "1.0", "--k", "100", "--horizon", "0.1",
+                "--checkpoints", "1"]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--alpha", "nan"), ("--dt", "nan"), ("--mass", "inf"),
+])
+def test_non_finite_flags_are_config_errors(flag, value, capsys):
+    args = _TINY_ORACLE + ["--seed", "1", flag, value]
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err
+    assert flag.lstrip("-") in err and "internal" not in err
+
+
+def test_epr_non_finite_pointer_alpha_is_config_error(capsys):
+    assert run_cli(["epr", "--seed", "1", "--trials", "2", "--pointer-alpha", "nan"]) == 2
+    assert "pointer_alpha" in capsys.readouterr().err
+
+
+def test_negative_seed_rejected_for_every_seeded_command(capsys):
+    for command in ("singlet", "epr", "grw-run", "oracle-compare"):
+        assert run_cli([command, "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
+
 def test_malformed_triple_rejected(capsys):
     assert run_cli(["singlet", "--seed", "1", "--triple-b", "1,0,0;1,1,0;0,0,1"]) == 2
     assert "triple_b" in capsys.readouterr().err
@@ -100,6 +140,18 @@ def test_byte_identical_reports_and_csv(tmp_path):
     report = json.loads(o1.read_text())
     assert report["aggregates"]["agreement_frequency"] == 1.0
     assert report["schema_version"] == 1
+
+
+def test_oracle_compare_reports_identical_across_worker_counts(tmp_path):
+    # no Hamiltonian: the forked workers then make no BLAS calls
+    args = ["oracle-compare", "--hamiltonian", "none", "--k", "150", "--seed", "11"]
+    paths = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}.json"
+        assert run_cli(args + ["--workers", str(workers), "--out", str(out)]) == 0
+        paths.append(out)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert all(json.loads(paths[0].read_text())["aggregates"]["within_threshold"])
 
 
 def test_stdout_when_no_out_path(capsys):

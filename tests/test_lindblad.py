@@ -22,7 +22,9 @@ from collapselab.hilbert import (
     tensor_product,
 )
 from collapselab.lindblad import (
+    MIXTURE_CHUNK,
     LindbladConfig,
+    _hamiltonian_parts,
     dephasing_rate,
     ensemble_compare,
     integrate,
@@ -136,6 +138,93 @@ def test_rhs_matches_operator_sum_oracle_two_particles():
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
+def random_hermitian(rng, d):
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return Operator(0.5 * (m + m.conj().T))
+
+
+def literal_rhs(rho, h, grids, params):
+    """-(i/hbar)(H rho - rho H) plus the operator-sum dissipator."""
+    out = dissipator_by_operator_sum(rho, grids, params)
+    if h is not None:
+        out = out + (-1j / params.hbar) * (h.entries @ rho.entries - rho.entries @ h.entries)
+    return out
+
+
+@pytest.mark.parametrize("layout", ["single", "pointer"])
+@pytest.mark.parametrize("h_kind", ["free", "complex"])
+def test_rhs_matches_literal_commutator_and_operator_sum(layout, h_kind):
+    rng = np.random.default_rng(10)
+    params = GrwParams(alpha=0.3, lam=0.7, hbar=0.8, mass=2.0)
+    grid = Grid(16, 0.9)
+    if layout == "single":
+        dims, grids = (16,), {0: grid}
+    else:  # two region qubits and a pointer grid on factor 2, as in the EPR scenario
+        dims, grids = (2, 2, 16), {2: grid}
+    rho = random_density(rng, dims)
+    d = rho.shape.total_dim
+    if h_kind == "free":
+        h = embed(free_hamiltonian(grid, params.mass, params.hbar), len(dims) - 1, rho.shape)
+    else:
+        h = random_hermitian(rng, d)
+    assert len(_hamiltonian_parts(h)) == (1 if h_kind == "free" else 2)
+    got = lindblad_rhs(rho, h, params, grids)
+    expected = literal_rhs(rho, h, grids, params)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_integrate_matches_dense_rk4_reference():
+    # in-test reference: literal commutator and kernel built from the
+    # localization operators, stepped with the textbook RK4 update
+    grid = Grid(32, 1.0)
+    params = GrwParams(alpha=0.25, lam=1.0, mass=10.0)
+    h = free_hamiltonian(grid, params.mass, params.hbar)
+    psi = two_peak_state(grid, (10.0, 20.0), (0.5, 0.5), 1.5)
+    # Fortran-ordered entries: the integrator must not depend on the layout
+    rho0 = DensityMatrix(
+        SubsystemShape((grid.points,)), np.asfortranarray(psi.density_matrix().entries)
+    )
+    assert not rho0.entries.flags.c_contiguous
+    config = LindbladConfig(dt=0.01, horizon=1.0)
+    times = [0.5, 1.0]
+    final, snaps = integrate_with_snapshots(
+        rho0, h, params, {0: grid}, config, snapshot_times=times
+    )
+
+    g = np.stack([
+        np.real(np.diag(localization_operator(grid, params.alpha, k * grid.spacing).entries))
+        for k in range(grid.points)
+    ])  # g[k, q]
+    c = (g.T @ g) * grid.spacing
+    hm = h.entries
+
+    def f(rho):
+        return (-1j / params.hbar) * (hm @ rho - rho @ hm) + params.lam * (c * rho - rho)
+
+    rho = np.array(rho0.entries)
+    reference = {}
+    for step in range(1, 101):
+        k1 = f(rho)
+        k2 = f(rho + 0.005 * k1)
+        k3 = f(rho + 0.005 * k2)
+        k4 = f(rho + 0.01 * k3)
+        rho = rho + (0.01 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step in (50, 100):
+            reference[step / 100] = rho
+    for t in times:
+        assert np.max(np.abs(snaps[t].entries - reference[t])) <= 1e-12
+    assert np.max(np.abs(final.entries - reference[1.0])) <= 1e-12
+
+
+def test_integrate_rejects_non_hermitian_hamiltonian():
+    rng = np.random.default_rng(11)
+    rho0 = random_density(rng, (8,))
+    h = Operator(np.triu(rng.normal(size=(8, 8))).astype(complex))
+    with pytest.raises(ConfigError):
+        integrate(rho0, h, GrwParams(alpha=0.25, lam=0.1), {0: Grid(8, 1.0)},
+                  LindbladConfig(dt=0.01, horizon=0.1))
+
+
 # -- integration ----------------------------------------------------------------
 
 
@@ -235,6 +324,29 @@ def test_compare_rejects_empty_and_missing_times():
     )
     with pytest.raises(ValueError):
         ensemble_compare([traj], psi.density_matrix(), at=0.5)
+
+
+def test_compare_chunked_mixture_matches_outer_product_sum():
+    grid = Grid(32, 1.0)
+    params = GrwParams(alpha=0.25, lam=1.0)
+    psi = two_peak_state(grid, (10.0, 20.0), (0.5, 0.5), 1.5)
+    k = 300
+    assert k % MIXTURE_CHUNK != 0
+    trajectories = [
+        evolve_trajectory(psi, None, params, {0: grid}, 0.5, 0.05, stream(3, i),
+                          sample_times=[0.5])
+        for i in range(k)
+    ]
+    oracle = integrate(psi.density_matrix(), None, params, {0: grid},
+                       LindbladConfig(dt=0.01, horizon=0.5))
+    acc = np.zeros((32, 32), dtype=complex)
+    for traj in trajectories:
+        amps = traj.state_at(0.5).amplitudes
+        acc += np.outer(amps, amps.conj())
+    expected = trace_distance(DensityMatrix(oracle.shape, acc / k), oracle)
+    got = ensemble_compare(trajectories, oracle, at=0.5)
+    assert got.size == k
+    assert abs(got.distance - expected) <= 1e-13
 
 
 def test_distance_decreases_with_ensemble_size():
