@@ -13,16 +13,14 @@ grid-adequacy error, 4 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Any, Callable
 
 from .errors import ConfigError, InvariantViolationError, NumericalError
 from .ks import RaySet, build_structure, ck_argument_trace, search_coloring
-from .report import ExperimentReport, canonical_json
+from .report import ExperimentReport
 from .scenarios import (
     EprConfig,
     OracleComparisonConfig,
@@ -31,85 +29,44 @@ from .scenarios import (
     run_oracle_comparison,
     run_singlet_spacetime,
 )
+from .schema import COUNT, FINITE, NON_NEGATIVE, POSITIVE, Key, check_value, from_values, keys_of
 from .spin import OrthoTriple
 
 _AXES = "1,0,0;0,1,0;0,0,1"
 
-
-@dataclass(frozen=True)
-class Key:
-    type: type
-    default: Any
-    help: str
-
-
 _SCENARIO_COMMON = {
-    "seed": Key(int, None, "master seed (required; drives every random stream)"),
+    "seed": Key(int, None, "master seed (required; drives every random stream)", NON_NEGATIVE),
     "out": Key(str, None, "path for the JSON report (stdout when omitted)"),
     "csv": Key(str, None, "optional path for the per-trial CSV table"),
-    "workers": Key(int, 1, "worker processes for trial execution"),
+    "workers": Key(int, 1, "worker processes for trial execution", COUNT),
 }
 
-_GRW_SETUP = {
-    "points": Key(int, 64, "grid points"),
-    "spacing": Key(float, 1.0, "grid spacing"),
-    "alpha": Key(float, 0.0625, "inverse squared localization width"),
-    "lambda": Key(float, 1.0, "jump rate per particle"),
-    "hbar": Key(float, 1.0, "action unit"),
-    "mass": Key(float, 10.0, "particle mass for the free Hamiltonian"),
-    "hamiltonian": Key(str, "none", "free Hamiltonian choice: 'none' or 'free'"),
-    "peaks": Key(str, "24:0.5,40:0.5", "initial packets as center:weight,..."),
-    "packet_width": Key(float, 2.0, "initial packet position spread"),
-    "horizon": Key(float, 5.0, "total evolution time"),
-    "dt": Key(float, 0.01, "step bound / sampling resolution"),
-    "checkpoints": Key(int, 4, "number of equally spaced comparison times"),
+_RAY_KEYS = {
+    "rays": Key(str, None, "ray-set file ('builtin:ks33' for the bundled set)"),
+    "tolerance": Key(float, 1e-9, "orthogonality tolerance for float rays", POSITIVE),
+    "out": _SCENARIO_COMMON["out"],
+    "csv": Key(str, None, "rejected: these commands emit no per-trial table"),
 }
 
+# Keys of epr, grw-run and oracle-compare come from their config
+# dataclasses (see schema.py); the literals here belong to no dataclass.
 KEY_SPECS: dict[str, dict[str, Key]] = {
     "singlet": {
         **_SCENARIO_COMMON,
-        "trials": Key(int, 10000, "number of sampled trials"),
+        "trials": Key(int, 10000, "number of sampled trials", COUNT),
         "triple_a": Key(str, "none", "A's triple: 'none', 'axes' or x;y;z vectors"),
         "triple_b": Key(str, "axes", "B's triple: 'axes' or x1,x2,x3;y1,...;z1,..."),
         "same_triples": Key(bool, False, "measure the same triple on both wings"),
         "measure_b": Key(bool, True, "set false for the no-B control run"),
     },
-    "epr": {
-        **_SCENARIO_COMMON,
-        "trials": Key(int, 1000, "number of measurement trials"),
-        "delta1": Key(float, -30.0, "region label for particle a, branch 1"),
-        "delta2": Key(float, -10.0, "region label for particle b, branch 1"),
-        "delta3": Key(float, 10.0, "region label for particle a, branch 2"),
-        "delta4": Key(float, 30.0, "region label for particle b, branch 2"),
-        "packet_width": Key(float, 1.0, "pointer packet spread"),
-        "pointer_points": Key(int, 64, "pointer grid points"),
-        "pointer_spacing": Key(float, 1.0, "pointer grid spacing"),
-        "pointer_alpha": Key(float, 0.25, "pointer localization parameter"),
-        "lambda": Key(float, 0.2, "base jump rate"),
-        "amplification": Key(int, 25, "pointer rate amplification factor"),
-        "coupling": Key(int, 24, "pointer displacement in sites (0 = no measurement)"),
-        "horizon": Key(float, 5.0, "measurement duration"),
-        "dt": Key(float, 0.05, "step bound"),
-    },
-    "grw-run": {**_SCENARIO_COMMON, **_GRW_SETUP,
-                "trajectories": Key(int, 1000, "ensemble size")},
-    "oracle-compare": {**_SCENARIO_COMMON, **_GRW_SETUP,
-                       "k": Key(int, 10000, "trajectory ensemble size")},
-    "ks-check": {
-        "rays": Key(str, None, "ray-set file ('builtin:ks33' for the bundled set)"),
-        "tolerance": Key(float, 1e-9, "orthogonality tolerance for float rays"),
-        "out": Key(str, None, "path for the JSON report (stdout when omitted)"),
-        "csv": Key(str, None, "rejected: these commands emit no per-trial table"),
-    },
-    "ck-trace": {
-        "rays": Key(str, None, "ray-set file ('builtin:ks33' for the bundled set)"),
-        "tolerance": Key(float, 1e-9, "orthogonality tolerance for float rays"),
-        "out": Key(str, None, "path for the JSON report (stdout when omitted)"),
-        "csv": Key(str, None, "rejected: these commands emit no per-trial table"),
-    },
+    "epr": {**_SCENARIO_COMMON, **keys_of(EprConfig)},
+    "grw-run": {**_SCENARIO_COMMON, **keys_of(OracleComparisonConfig),
+                "trajectories": Key(int, 1000, "ensemble size", COUNT)},
+    "oracle-compare": {**_SCENARIO_COMMON, **keys_of(OracleComparisonConfig),
+                       "k": Key(int, 10000, "trajectory ensemble size", COUNT)},
+    "ks-check": _RAY_KEYS,
+    "ck-trace": _RAY_KEYS,
 }
-
-_NEEDS_SEED = {"singlet", "epr", "grw-run", "oracle-compare"}
 
 
 def _edit_distance(a: str, b: str) -> int:
@@ -152,10 +109,7 @@ def _read_config_file(path: str, spec: dict[str, Key]) -> dict[str, Any]:
                 raise ConfigError(f"unknown key '{key}'{_suggest(key, spec)}")
             k = spec[key]
             try:
-                if k.type is bool:
-                    values[key] = _parse_bool(raw, key)
-                else:
-                    values[key] = k.type(raw)
+                values[key] = _parse_bool(raw, key) if k.type is bool else k.type(raw)
             except ConfigError:
                 raise
             except (TypeError, ValueError):
@@ -171,17 +125,9 @@ def _dest(key: str) -> str:
 def _add_spec_args(parser: argparse.ArgumentParser, spec: dict[str, Key]) -> None:
     parser.add_argument("--config", help="key = value config file (flags override it)")
     for key, k in spec.items():
-        flag = "--" + key.replace("_", "-")
-        if k.type is bool:
-            parser.add_argument(
-                flag, dest=_dest(key), action=argparse.BooleanOptionalAction,
-                default=None, help=f"{k.help} (default {k.default})",
-            )
-        else:
-            parser.add_argument(
-                flag, dest=_dest(key), type=k.type, default=None,
-                help=f"{k.help} (default {k.default})",
-            )
+        kind = {"action": argparse.BooleanOptionalAction} if k.type is bool else {"type": k.type}
+        parser.add_argument("--" + key.replace("_", "-"), dest=_dest(key), default=None,
+                            help=f"{k.help} (default {k.default})", **kind)
 
 
 def _merge(command: str, args: argparse.Namespace) -> dict[str, Any]:
@@ -193,9 +139,11 @@ def _merge(command: str, args: argparse.Namespace) -> dict[str, Any]:
         flag_value = getattr(args, _dest(key), None)
         if flag_value is not None:
             values[key] = flag_value
-    if command in _NEEDS_SEED and values.get("seed") is None:
+    if "seed" in spec and values["seed"] is None:
         raise ConfigError("seed is required (reports record it for reproducibility)")
-    _require_non_negative(values, "seed")
+    for key, k in spec.items():
+        if values[key] is not None:
+            check_value(key, values[key], k.check)
     return values
 
 
@@ -203,63 +151,14 @@ def _parse_triple(text: str, key: str) -> OrthoTriple:
     if text.strip().lower() == "axes":
         text = _AXES
     try:
-        vectors = [[float(x) for x in part.split(",")] for part in text.split(";")]
+        vectors = [tuple(float(x) for x in part.split(",")) for part in text.split(";")]
         if len(vectors) != 3 or any(len(v) != 3 for v in vectors):
             raise ValueError
+        for v in vectors:
+            check_value(key, v, FINITE)
         return OrthoTriple.from_vectors(*vectors)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"key '{key}': not an orthonormal triple ({exc or text!r})")
-
-
-def _parse_peaks(text: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    centers, weights = [], []
-    try:
-        for part in text.split(","):
-            c, w = part.split(":")
-            centers.append(float(c))
-            weights.append(float(w))
-    except ValueError:
-        raise ConfigError("key 'peaks': expected center:weight,center:weight,...")
-    return tuple(centers), tuple(weights)
-
-
-def _require_positive(values: dict[str, Any], *keys: str) -> None:
-    for key in keys:
-        v = values.get(key)
-        if v is not None and not (math.isfinite(v) and v > 0):
-            raise ConfigError(f"key '{key}' must be finite and positive, got {v}")
-
-
-def _require_non_negative(values: dict[str, Any], *keys: str) -> None:
-    for key in keys:
-        v = values.get(key)
-        if v is not None and not (math.isfinite(v) and v >= 0):
-            raise ConfigError(f"key '{key}' must be finite and non-negative, got {v}")
-
-
-def _grw_config(values: dict[str, Any]) -> OracleComparisonConfig:
-    _require_positive(values, "points", "spacing", "alpha", "hbar", "mass",
-                      "horizon", "dt", "packet_width", "checkpoints")
-    _require_non_negative(values, "lambda")
-    centers, weights = _parse_peaks(values["peaks"])
-    try:
-        return OracleComparisonConfig(
-            grid_points=values["points"],
-            grid_spacing=values["spacing"],
-            alpha=values["alpha"],
-            rate=values["lambda"],
-            hbar=values["hbar"],
-            mass=values["mass"],
-            hamiltonian=values["hamiltonian"],
-            peak_centers=centers,
-            peak_weights=weights,
-            packet_width=values["packet_width"],
-            horizon=values["horizon"],
-            dt=values["dt"],
-            checkpoints=values["checkpoints"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
 
 
 def _rays_path(values: dict[str, Any]) -> str:
@@ -278,7 +177,6 @@ def _rays_path(values: dict[str, Any]) -> str:
 
 
 def _cmd_singlet(values: dict[str, Any]) -> ExperimentReport:
-    _require_positive(values, "trials", "workers")
     triple_b = _parse_triple(values["triple_b"], "triple_b")
     if values["same_triples"]:
         triple_a: OrthoTriple | None = triple_b
@@ -293,38 +191,19 @@ def _cmd_singlet(values: dict[str, Any]) -> ExperimentReport:
 
 
 def _cmd_epr(values: dict[str, Any]) -> ExperimentReport:
-    _require_positive(values, "trials", "workers", "packet_width", "pointer_points",
-                      "pointer_spacing", "pointer_alpha", "horizon", "dt", "amplification")
-    _require_non_negative(values, "lambda", "coupling")
-    config = EprConfig(
-        delta1=values["delta1"], delta2=values["delta2"],
-        delta3=values["delta3"], delta4=values["delta4"],
-        packet_width=values["packet_width"],
-        pointer_points=values["pointer_points"],
-        pointer_spacing=values["pointer_spacing"],
-        pointer_alpha=values["pointer_alpha"],
-        base_rate=values["lambda"],
-        amplification=values["amplification"],
-        coupling_sites=values["coupling"],
-        horizon=values["horizon"], dt=values["dt"],
-        trials=values["trials"], master_seed=values["seed"],
-        workers=values["workers"],
-    )
+    config = from_values(EprConfig, values, master_seed=values["seed"],
+                         workers=values["workers"])
     return run_epr_position(config)
 
 
 def _cmd_grw_run(values: dict[str, Any]) -> ExperimentReport:
-    _require_positive(values, "trajectories", "workers")
-    config = _grw_config(values)
+    config = from_values(OracleComparisonConfig, values)
     return run_grw_ensemble(config, values["trajectories"], values["seed"],
                             workers=values["workers"])
 
 
 def _cmd_oracle_compare(values: dict[str, Any]) -> ExperimentReport:
-    _require_positive(values, "k", "workers")
-    config = _grw_config(values)
-    if values.get("csv"):
-        config = replace(config, record_trials=True)
+    config = from_values(OracleComparisonConfig, values, record_trials=bool(values["csv"]))
     return run_oracle_comparison(config, values["k"], values["seed"],
                                  workers=values["workers"])
 

@@ -5,7 +5,7 @@ class CollapseLabError(Exception):
     """Base class for package-specific failures."""
 
 
-class ConfigError(CollapseLabError):
+class ConfigError(CollapseLabError, ValueError):
     """Invalid or inconsistent run configuration."""
 
 

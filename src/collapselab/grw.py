@@ -33,11 +33,13 @@ import numpy as np
 import scipy.linalg
 
 from .errors import GridAdequacyError, StepConditionError, ZeroNormError
-from .hilbert import Operator, StateVector, SubsystemShape, hermitian_eig
+from .hilbert import MAX_TOTAL_DIM, Operator, StateVector, SubsystemShape, hermitian_eig
+from .schema import NON_NEGATIVE, POSITIVE, check_fields, checked, integer
 
 TRAJECTORY_NORM_TOL = 1e-9
 JUMP_MASS_HARD_LIMIT = 1e-3
 ZERO_NORM_FLOOR = 1e-14
+GRID_POINTS = integer(8, MAX_TOTAL_DIM)
 
 
 @dataclass(frozen=True)
@@ -51,35 +53,25 @@ class GrwParams:
     mass  : particle mass for the free kinetic Hamiltonian
     """
 
-    alpha: float
-    lam: float
-    hbar: float = 1.0
-    mass: float = 1.0
+    alpha: float = checked(POSITIVE)
+    lam: float = checked(NON_NEGATIVE)
+    hbar: float = checked(POSITIVE, default=1.0)
+    mass: float = checked(POSITIVE, default=1.0)
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
-        if not self.hbar > 0:
-            raise ValueError("hbar must be positive")
-        if not self.mass > 0:
-            raise ValueError("mass must be positive")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic 1D grid (period = points * spacing)."""
 
-    points: int
-    spacing: float
+    points: int = checked(GRID_POINTS)
+    spacing: float = checked(POSITIVE)
     origin: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.points < 8:
-            raise ValueError("grid needs at least 8 points")
-        if not self.spacing > 0:
-            raise ValueError("grid spacing must be positive")
+        check_fields(self)
 
     @property
     def length(self) -> float:
@@ -272,24 +264,25 @@ def apply_jump(
 
 
 def sample_jump_times(
-    lam: float, n_particles: int, horizon: float, rng: np.random.Generator
+    rates: Mapping[int, float], horizon: float, rng: np.random.Generator
 ) -> list[tuple[float, int]]:
     """Merged per-particle Poisson arrivals, sorted by time.
 
-    Each particle's arrivals are an independent Poisson process of rate
-    lam (exponential inter-arrival times); the streams are consumed in
-    particle order, so the schedule is a deterministic function of the
-    generator state.
+    Particle p's arrivals are an independent Poisson process of rate
+    ``rates[p]`` (exponential inter-arrival times; a zero rate draws
+    nothing).  The streams are consumed in ascending particle order and
+    simultaneous arrivals keep that order, so the schedule is a
+    deterministic function of the generator state.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     events: list[tuple[float, int]] = []
-    if lam == 0:
-        return events
-    for p in range(n_particles):
+    for p in sorted(rates):
+        if rates[p] == 0.0:
+            continue
         t = 0.0
         while True:
-            t += rng.exponential(1.0 / lam)
+            t += rng.exponential(1.0 / rates[p])
             if t >= horizon:
                 break
             events.append((t, p))
@@ -378,8 +371,6 @@ def evolve_trajectory(
     """
     if abs(psi0.norm() - 1.0) > TRAJECTORY_NORM_TOL:
         raise ValueError("initial state must be normalized")
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
     for k, grid in grid_map.items():
         psi0.shape.validate_index(k)
         if psi0.shape.dims[k] != grid.points:
@@ -396,21 +387,11 @@ def evolve_trajectory(
         if any(t < -1e-12 or t > horizon + 1e-12 for t in times) or sorted(times) != times:
             raise ValueError("sample times must be ascending within [0, horizon]")
 
-    factors = dict(rate_factors or {})
-    particles = sorted(grid_map)
-    schedule: list[tuple[float, int, int]] = []  # (time, kind 0=sample/1=jump, payload)
-    for p in particles:
-        rate = params.lam * float(factors.get(p, 1.0))
-        if rate == 0.0:
-            continue
-        t = 0.0
-        while True:
-            t += rng.exponential(1.0 / rate)
-            if t >= horizon:
-                break
-            schedule.append((t, 1, p))
-    for t in times:
-        schedule.append((t, 0, -1))
+    factors = rate_factors or {}
+    rates = {p: params.lam * float(factors.get(p, 1.0)) for p in grid_map}
+    # (time, kind 0=sample/1=jump, payload); samples go first at equal times
+    schedule = [(t, 1, p) for t, p in sample_jump_times(rates, horizon, rng)]
+    schedule += [(t, 0, -1) for t in times]
     schedule.sort(key=lambda e: (e[0], e[1]))
 
     single_factor = len(psi0.shape.dims) == 1
@@ -458,8 +439,11 @@ def gaussian_packet(grid: Grid, center: float, width: float) -> StateVector:
     x = grid.coordinates()
     d = x - center
     d -= grid.length * np.round(d / grid.length)
-    amps = np.exp(-(d**2) / (4.0 * width**2)).astype(complex)
-    return StateVector(SubsystemShape((grid.points,)), amps).normalize()
+    amps = np.exp(-(d**2) / (4.0 * (width * width))).astype(complex)
+    norm = float(np.linalg.norm(amps))
+    if not norm >= ZERO_NORM_FLOOR:  # zero, or NaN from a width that squares to 0
+        raise GridAdequacyError(f"the grid cannot resolve a packet of width {width} at {center}")
+    return StateVector(SubsystemShape((grid.points,)), amps / norm)
 
 
 def superpose(states: Sequence[StateVector], amplitudes: Sequence[complex]) -> StateVector:

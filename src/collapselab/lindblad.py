@@ -48,29 +48,31 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvariantViolationError, StepConditionError
+from .errors import ConfigError, GridAdequacyError, InvariantViolationError, StepConditionError
 from .grw import Grid, GrwParams, gaussian_template
-from .hilbert import DensityMatrix, Operator, SubsystemShape
+from .hilbert import SPECTRAL_TOL, DensityMatrix, Operator, SubsystemShape
+from .schema import POSITIVE, check_fields, checked
 
 STEP_BUDGET = 0.05
 TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-8
 POSITIVITY_FLOOR = -1e-6
 MIXTURE_CHUNK = 256  # trials stacked per GEMM in ensemble_compare; bounds peak memory
+MAX_RK4_STEPS = 10**5  # work budget; the largest shipped integrations take 500 steps
 
 
 @dataclass(frozen=True)
 class LindbladConfig:
     """Fixed-step integration window: step dt, final time horizon."""
 
-    dt: float
-    horizon: float
+    dt: float = checked(POSITIVE)
+    horizon: float = checked(POSITIVE)
 
     def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        check_fields(self)
+        if not self.horizon / self.dt <= MAX_RK4_STEPS:
+            raise ConfigError(f"horizon / dt = {self.horizon / self.dt:.3g} RK4 steps exceed "
+                              f"the work budget of {MAX_RK4_STEPS:.3g}")
 
 
 @lru_cache(maxsize=128)
@@ -209,6 +211,12 @@ def integrate_with_snapshots(
         wanted[int(round(steps))] = float(t)
 
     rates = params.lam * _rate_array(rho0.shape, grids, params.alpha)
+    # d tr(rho)/dt = sum_q rates[q, q] rho[q, q] vanishes only where each grid's
+    # completeness sum is 1; every returned state must keep its trace to SPECTRAL_TOL
+    drift = float(np.max(np.abs(np.diagonal(rates)))) * config.horizon
+    if not drift <= SPECTRAL_TOL:
+        raise GridAdequacyError(f"the grid's completeness defect drifts the trace by "
+                                f"{drift:.3e}; it cannot resolve the localization width")
     h_parts = _hamiltonian_parts(hamiltonian)
     hbar = params.hbar
     rho = np.array(rho0.entries, dtype=complex, order="C")  # _rhs views it as float rows

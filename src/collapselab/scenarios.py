@@ -8,16 +8,19 @@ trials are distributed over workers.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InvariantViolationError
 from .grw import (
+    GRID_POINTS,
     Grid,
     GrwParams,
     Propagator,
@@ -28,10 +31,12 @@ from .grw import (
     two_peak_state,
     window_mass,
 )
-from .hilbert import StateVector, SubsystemShape, partial_trace, tensor_product
+from .hilbert import MAX_TOTAL_DIM, StateVector, SubsystemShape, partial_trace, tensor_product
 from .lindblad import LindbladConfig, ensemble_compare, integrate_with_snapshots
 from .report import ExperimentReport
 from .rng import stream
+from .schema import COUNT, FINITE, NON_NEGATIVE, POSITIVE, Check, check_fields, checked, integer
+from .schema import report_config, setting
 from .spin import (
     OrthoTriple,
     joint_probability_table,
@@ -42,8 +47,31 @@ from .spin import (
 
 POINTER_BRANCH_THRESHOLD = 0.99  # below this on both branches a trial is inconclusive
 
+# Work budgets, checked before a run starts: ten times the largest tier-1
+# or benchmark run (3*10^4 trials; 1.04*10^5 trajectory events, epr at 4000
+# trials).  Grid sizes are bounded by hilbert.MAX_TOTAL_DIM instead.
+MAX_TRIALS = 10**6  # every trial's record stays in memory until the report is written
+MAX_EVENTS = 10**6  # trials * (lambda * rate factor * horizon + checkpoints)
+
+
+def _check_budget(trials: int, trials_key: str, events_per_trial: float = 0.0) -> None:
+    """Reject a run whose expected size would exhaust time or memory."""
+    if trials > MAX_TRIALS:
+        raise ConfigError(f"key '{trials_key}' = {trials} exceeds the work budget of {MAX_TRIALS}")
+    events = trials * events_per_trial
+    if not events <= MAX_EVENTS:
+        raise ConfigError(f"{events:.3g} expected trajectory events, {trials_key} * (lambda * "
+                          f"rate factor * horizon + checkpoints), exceed the work budget of "
+                          f"{MAX_EVENTS}")
+
+
+def pool_size(workers: int, n: int) -> int:
+    """Worker processes worth starting for n trials: no more than the cores or the trials."""
+    return min(workers, os.cpu_count() or 1, n)
+
 
 def _map_indexed(fn: Callable[[int], dict], n: int, workers: int) -> list[dict]:
+    workers = pool_size(workers, n)
     if workers <= 1:
         return [fn(i) for i in range(n)]
     with ProcessPoolExecutor(max_workers=workers) as ex:
@@ -66,40 +94,35 @@ class EprConfig:
     amplified rate ``amplification * base_rate``.
     """
 
-    delta1: float = -30.0
-    delta2: float = -10.0
-    delta3: float = 10.0
-    delta4: float = 30.0
-    packet_width: float = 1.0
-    pointer_points: int = 64
-    pointer_spacing: float = 1.0
-    pointer_alpha: float = 0.25
-    base_rate: float = 0.2
-    amplification: int = 25
-    coupling_sites: int = 24
-    horizon: float = 5.0
-    dt: float = 0.05
-    trials: int = 1000
-    master_seed: int = 0
-    workers: int = 1
+    trials: int = setting(1000, "number of measurement trials", COUNT)
+    delta1: float = setting(-30.0, "region label for particle a, branch 1", FINITE)
+    delta2: float = setting(-10.0, "region label for particle b, branch 1", FINITE)
+    delta3: float = setting(10.0, "region label for particle a, branch 2", FINITE)
+    delta4: float = setting(30.0, "region label for particle b, branch 2", FINITE)
+    packet_width: float = setting(1.0, "pointer packet spread", POSITIVE)
+    # the (2, 2, points) state stays within the dense-storage cap
+    pointer_points: int = setting(64, "pointer grid points", integer(8, MAX_TOTAL_DIM // 4))
+    pointer_spacing: float = setting(1.0, "pointer grid spacing", POSITIVE)
+    pointer_alpha: float = setting(0.25, "pointer localization parameter", POSITIVE)
+    base_rate: float = setting(0.2, "base jump rate", NON_NEGATIVE, key="lambda", report="lambda")
+    amplification: int = setting(25, "pointer rate amplification factor", COUNT)
+    coupling_sites: int = setting(24, "pointer displacement in sites (0 = no measurement)",
+                                  integer(0), key="coupling")
+    horizon: float = setting(5.0, "measurement duration", POSITIVE)
+    dt: float = setting(0.05, "step bound", POSITIVE)
+    master_seed: int = checked(NON_NEGATIVE, default=0)
+    workers: int = checked(COUNT, default=1)
 
     def __post_init__(self) -> None:
+        check_fields(self)
         regions = (self.delta1, self.delta2, self.delta3, self.delta4)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if abs(regions[i] - regions[j]) < 10.0 * self.packet_width:
-                    raise ConfigError(
-                        "regions must be pairwise separated by at least 10 packet widths"
-                    )
-        if self.amplification < 1:
-            raise ConfigError("amplification must be at least 1")
+        if any(abs(a - b) < 10.0 * self.packet_width for a, b in combinations(regions, 2)):
+            raise ConfigError("regions must be pairwise separated by at least 10 packet widths")
         if self.amplification * self.base_rate * self.horizon < 20.0:
             raise ConfigError(
                 "amplification * lambda * horizon must be >= 20 so the pointer "
                 "collapses within the run"
             )
-        if self.trials < 1:
-            raise ConfigError("trials must be positive")
         if self.coupling_sites:
             shift = abs(self.coupling_sites) * self.pointer_spacing
             length = self.pointer_points * self.pointer_spacing
@@ -109,24 +132,6 @@ class EprConfig:
                 )
             if shift < 10.0 * self.packet_width or shift > length / 2.0:
                 raise ConfigError("pointer displacement must resolve the two packets")
-
-    def to_dict(self) -> dict:
-        return {
-            "delta1": self.delta1,
-            "delta2": self.delta2,
-            "delta3": self.delta3,
-            "delta4": self.delta4,
-            "packet_width": self.packet_width,
-            "pointer_points": self.pointer_points,
-            "pointer_spacing": self.pointer_spacing,
-            "pointer_alpha": self.pointer_alpha,
-            "lambda": self.base_rate,
-            "amplification": self.amplification,
-            "coupling_sites": self.coupling_sites,
-            "horizon": self.horizon,
-            "dt": self.dt,
-            "trials": self.trials,
-        }
 
 
 def _epr_initial_state(config: EprConfig) -> tuple[StateVector, Grid]:
@@ -184,14 +189,13 @@ def _epr_trial(config: EprConfig, index: int) -> dict:
     }
 
 
-def _epr_oracle_b_marginal(config: EprConfig) -> tuple[float, float]:
+def _epr_oracle_b_marginal(config: EprConfig, lconf: LindbladConfig) -> tuple[float, float]:
     """Particle-b region populations from the deterministic ensemble law,
     on the identical discretization (pointer jumps at the amplified rate)."""
     psi, grid = _epr_initial_state(config)
     params = GrwParams(
         alpha=config.pointer_alpha, lam=config.base_rate * config.amplification
     )
-    lconf = LindbladConfig(dt=min(config.dt, 0.05 / params.lam), horizon=config.horizon)
     rho_t, _ = integrate_with_snapshots(psi.density_matrix(), None, params, {2: grid}, lconf)
     rho_b = partial_trace(rho_t, keep=(1,))
     diag = np.real(np.diag(rho_b.entries))
@@ -202,6 +206,9 @@ def run_epr_position(config: EprConfig) -> ExperimentReport:
     """Measure particle a's region via the collapsing pointer; record the
     selected branch and the conditional location of particle b."""
     t0 = time.perf_counter()
+    pointer_rate = config.base_rate * config.amplification
+    _check_budget(config.trials, "trials", pointer_rate * config.horizon + 1)
+    lconf = LindbladConfig(dt=min(config.dt, 0.05 / pointer_rate), horizon=config.horizon)
     trials = _map_indexed(partial(_epr_trial, config), config.trials, config.workers)
 
     conclusive = [t for t in trials if t["conclusive"]]
@@ -212,7 +219,7 @@ def run_epr_position(config: EprConfig) -> ExperimentReport:
     cond_34 = [t for t in conclusive if t["outcome_a"] == "delta3"]
     good_12 = sum(1 for t in cond_12 if t["outcome_b"] == "delta2")
     good_34 = sum(1 for t in cond_34 if t["outcome_b"] == "delta4")
-    oracle_b = _epr_oracle_b_marginal(config)
+    oracle_b = _epr_oracle_b_marginal(config, lconf)
 
     aggregates = {
         "trials": config.trials,
@@ -230,7 +237,7 @@ def run_epr_position(config: EprConfig) -> ExperimentReport:
     }
     return ExperimentReport(
         scenario="epr_position",
-        config=config.to_dict(),
+        config=report_config(config),
         master_seed=config.master_seed,
         aggregates=aggregates,
         trials=trials,
@@ -292,6 +299,7 @@ def run_singlet_spacetime(
     trial.  Disable ``measure_b`` for the no-B control used by the
     parameter-independence comparison."""
     t0 = time.perf_counter()
+    _check_budget(trials, "trials")
     rows = _map_indexed(
         partial(_singlet_trial, triple_b, triple_a, measure_b, seed), trials, workers
     )
@@ -338,47 +346,33 @@ class OracleComparisonConfig:
     """Grid, localization parameters and initial packet layout shared by
     the trajectory ensemble and the deterministic oracle."""
 
-    grid_points: int = 64
-    grid_spacing: float = 1.0
-    alpha: float = 0.0625  # localization width = 4 grid spacings
-    rate: float = 1.0
-    hbar: float = 1.0
-    mass: float = 10.0
-    hamiltonian: str = "none"  # "none" or "free"
-    peak_centers: tuple[float, ...] = (24.0, 40.0)
-    peak_weights: tuple[float, ...] = (0.5, 0.5)
-    packet_width: float = 2.0
-    horizon: float = 5.0
-    dt: float = 0.01
-    checkpoints: int = 4
+    grid_points: int = setting(64, "grid points", GRID_POINTS, key="points")
+    grid_spacing: float = setting(1.0, "grid spacing", POSITIVE, key="spacing")
+    # localization width = 4 grid spacings
+    alpha: float = setting(0.0625, "inverse squared localization width", POSITIVE)
+    rate: float = setting(1.0, "jump rate per particle", NON_NEGATIVE, key="lambda",
+                          report="lambda")
+    hbar: float = setting(1.0, "action unit", POSITIVE)
+    mass: float = setting(10.0, "particle mass for the free Hamiltonian", POSITIVE)
+    hamiltonian: str = setting("none", "free Hamiltonian choice: 'none' or 'free'",
+                               Check("'none' or 'free'", ("none", "free").__contains__))
+    peak_centers: tuple[float, ...] = setting((24.0, 40.0), "initial packets as center:weight,...",
+                                              FINITE, key="peaks")
+    peak_weights: tuple[float, ...] = setting((0.5, 0.5), "", POSITIVE, key="peaks")
+    packet_width: float = setting(2.0, "initial packet position spread", POSITIVE)
+    horizon: float = setting(5.0, "total evolution time", POSITIVE)
+    dt: float = setting(0.01, "step bound / sampling resolution", POSITIVE)
+    checkpoints: int = setting(4, "number of equally spaced comparison times", COUNT)
     record_trials: bool = False
 
     def __post_init__(self) -> None:
-        if self.hamiltonian not in ("none", "free"):
-            raise ConfigError("hamiltonian must be 'none' or 'free'")
+        check_fields(self)
         if len(self.peak_centers) != len(self.peak_weights) or not self.peak_centers:
             raise ConfigError("peak centers and weights must match and be non-empty")
+        if len(set(self.peak_centers)) < len(self.peak_centers):
+            raise ConfigError("key 'peaks': packet centers must be distinct")
         if abs(sum(self.peak_weights) - 1.0) > 1e-9:
             raise ConfigError("peak weights must sum to 1")
-        if self.checkpoints < 1:
-            raise ConfigError("need at least one checkpoint")
-
-    def to_dict(self) -> dict:
-        return {
-            "grid_points": self.grid_points,
-            "grid_spacing": self.grid_spacing,
-            "alpha": self.alpha,
-            "lambda": self.rate,
-            "hbar": self.hbar,
-            "mass": self.mass,
-            "hamiltonian": self.hamiltonian,
-            "peak_centers": list(self.peak_centers),
-            "peak_weights": list(self.peak_weights),
-            "packet_width": self.packet_width,
-            "horizon": self.horizon,
-            "dt": self.dt,
-            "checkpoints": self.checkpoints,
-        }
 
     def grid(self) -> Grid:
         return Grid(self.grid_points, self.grid_spacing)
@@ -435,6 +429,8 @@ def run_oracle_comparison(
     if ensemble_size < 100:
         raise ConfigError("ensemble size must be at least 100")
     t0 = time.perf_counter()
+    _check_budget(ensemble_size, "k", config.rate * config.horizon + config.checkpoints)
+    lconf = LindbladConfig(dt=config.dt, horizon=config.horizon)
     grid = config.grid()
     params = config.params()
     hamiltonian = (
@@ -449,7 +445,6 @@ def run_oracle_comparison(
     )
 
     rho0 = config.initial_state().density_matrix()
-    lconf = LindbladConfig(dt=config.dt, horizon=config.horizon)
     _, snapshots = integrate_with_snapshots(
         rho0, hamiltonian, params, {0: grid}, lconf, snapshot_times=times
     )
@@ -475,7 +470,7 @@ def run_oracle_comparison(
         ]
     return ExperimentReport(
         scenario="oracle_comparison",
-        config=config.to_dict(),
+        config=report_config(config),
         master_seed=master_seed,
         aggregates=aggregates,
         trials=rows,
@@ -495,6 +490,7 @@ def run_grw_ensemble(
     """Trajectory ensemble summary: jump counts, branch selection and
     single-peak localization statistics for a multi-packet start."""
     t0 = time.perf_counter()
+    _check_budget(ensemble_size, "trajectories", config.rate * config.horizon + config.checkpoints)
     grid = config.grid()
     trials = _map_indexed(
         partial(_grw_trial, config, master_seed), ensemble_size, workers
@@ -515,7 +511,7 @@ def run_grw_ensemble(
     }
     return ExperimentReport(
         scenario="grw_run",
-        config=config.to_dict(),
+        config=report_config(config),
         master_seed=master_seed,
         aggregates=aggregates,
         trials=trials,

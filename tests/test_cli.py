@@ -1,9 +1,15 @@
 import json
+import os
+import re
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from collapselab.cli import _require_non_negative, _require_positive, build_parser, main
+from collapselab.cli import KEY_SPECS, build_parser, main
 from collapselab.errors import ConfigError
+from collapselab.schema import NON_NEGATIVE, POSITIVE, check_value
 
 
 def run_cli(args):
@@ -83,13 +89,13 @@ def test_minimal_config_defaults_applied(tmp_path):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
 def test_require_positive_rejects_non_finite_and_non_positive(bad):
     with pytest.raises(ConfigError, match="horizon"):
-        _require_positive({"horizon": bad}, "horizon")
+        check_value("horizon", bad, POSITIVE)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -1.0, -1])
 def test_require_non_negative_rejects_non_finite_and_negative(bad):
     with pytest.raises(ConfigError, match="lambda"):
-        _require_non_negative({"lambda": bad}, "lambda")
+        check_value("lambda", bad, NON_NEGATIVE)
 
 
 # tiny sizes: each run would finish quickly even if validation let it through
@@ -117,6 +123,36 @@ def test_negative_seed_rejected_for_every_seeded_command(capsys):
     for command in ("singlet", "epr", "grw-run", "oracle-compare"):
         assert run_cli([command, "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args,key", [
+    (["epr", "--trials", "2", "--delta1", "nan"], "delta1"),
+    (["ks-check", "--rays", "builtin:ks33", "--tolerance", "nan"], "tolerance"),
+    (["ks-check", "--rays", "builtin:axes", "--tolerance", "-1"], "tolerance"),
+    (["grw-run", "--trajectories", "2", "--peaks", "nan:1.0"], "peaks"),
+    (["grw-run", "--trajectories", "2", "--peaks", "24:0.5,40:0.5,24:0"], "peaks"),
+    (["grw-run", "--trajectories", "2", "--points", "4"], "points"),
+    (["singlet", "--trials", "2", "--triple-b", "1,0,0;0,1,0;0,0,nan"], "triple_b"),
+])
+def test_invalid_inputs_are_config_errors_naming_the_key(args, key, capsys):
+    seed = ["--seed", "1"] if args[0] not in ("ks-check", "ck-trace") else []
+    assert run_cli(args + seed) == 2
+    err = capsys.readouterr().err
+    assert key in err and "internal" not in err
+
+
+@pytest.mark.parametrize("args,key", [
+    (["oracle-compare", "--k", "100", "--dt", "1e-9"], "dt"),
+    (["grw-run", "--trajectories", "2", "--lambda", "1e8"], "lambda"),
+    (["grw-run", "--points", "100000000"], "points"),
+    (["grw-run", "--trajectories", "2", "--checkpoints", "100000000"], "checkpoints"),
+    (["epr", "--pointer-points", "2000"], "pointer_points"),
+    (["singlet", "--trials", "1000000000"], "trials"),
+])
+def test_oversized_runs_are_rejected_before_they_start(args, key, capsys):
+    assert run_cli(args + ["--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "internal" not in err
 
 
 def test_malformed_triple_rejected(capsys):
@@ -238,3 +274,126 @@ def test_internal_invariant_violation_exit_code(tmp_path, monkeypatch, capsys):
     assert cli.main(["singlet", "--seed", "1", "--out", str(out)]) == 4
     assert "invariant" in capsys.readouterr().err
     assert not out.exists()
+
+
+# -- pinned key lists and report config blocks ------------------------------------
+
+_BASE_KEYS = [("--config", None), ("--seed", "None"), ("--out", "None"),
+              ("--csv", "None"), ("--workers", "1")]
+_GRW_KEYS = [("--points", "64"), ("--spacing", "1.0"), ("--alpha", "0.0625"),
+             ("--lambda", "1.0"), ("--hbar", "1.0"), ("--mass", "10.0"),
+             ("--hamiltonian", "none"), ("--peaks", "24:0.5,40:0.5"),
+             ("--packet-width", "2.0"), ("--horizon", "5.0"), ("--dt", "0.01"),
+             ("--checkpoints", "4")]
+_RAYS_KEYS = [("--config", None), ("--rays", "None"), ("--tolerance", "1e-09"),
+              ("--out", "None"), ("--csv", "None")]
+
+HELP_KEYS = {
+    "singlet": _BASE_KEYS + [
+        ("--trials", "10000"), ("--triple-a", "none"), ("--triple-b", "axes"),
+        ("--same-triples", "False"), ("--measure-b", "True")],
+    "epr": _BASE_KEYS + [
+        ("--trials", "1000"), ("--delta1", "-30.0"), ("--delta2", "-10.0"),
+        ("--delta3", "10.0"), ("--delta4", "30.0"), ("--packet-width", "1.0"),
+        ("--pointer-points", "64"), ("--pointer-spacing", "1.0"),
+        ("--pointer-alpha", "0.25"), ("--lambda", "0.2"), ("--amplification", "25"),
+        ("--coupling", "24"), ("--horizon", "5.0"), ("--dt", "0.05")],
+    "grw-run": _BASE_KEYS + _GRW_KEYS + [("--trajectories", "1000")],
+    "oracle-compare": _BASE_KEYS + _GRW_KEYS + [("--k", "10000")],
+    "ks-check": _RAYS_KEYS,
+    "ck-trace": _RAYS_KEYS,
+}
+
+
+def _help_keys(command, capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    body = capsys.readouterr().out.split("options:", 1)[1]
+    pairs = []
+    for segment in re.split(r"\n  (?=--)", body)[1:]:
+        text = " ".join(segment.split())
+        default = re.search(r"\(default ([^)]*)\)$", text)
+        pairs.append((text.split()[0].rstrip(","), default and default.group(1)))
+    return pairs
+
+
+@pytest.mark.parametrize("command", sorted(HELP_KEYS))
+def test_help_pins_every_key_and_default(command, capsys):
+    assert _help_keys(command, capsys) == HELP_KEYS[command]
+
+
+_AXES_LISTS = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+_GRW_CONFIG = {
+    "alpha": 0.0625, "checkpoints": 1, "dt": 0.01, "grid_points": 64,
+    "grid_spacing": 1.0, "hamiltonian": "none", "hbar": 1.0, "horizon": 0.1,
+    "lambda": 1.0, "mass": 10.0, "packet_width": 2.0,
+    "peak_centers": [24.0, 40.0], "peak_weights": [0.5, 0.5],
+}
+_GRW_TINY = ["--horizon", "0.1", "--checkpoints", "1"]
+
+REPORT_CONFIGS = {
+    "singlet": (["--same-triples", "--trials", "5"], {
+        "measure_b": True, "trials": 5, "triple_a": _AXES_LISTS, "triple_b": _AXES_LISTS}),
+    "epr": (["--trials", "2"], {
+        "amplification": 25, "coupling_sites": 24, "delta1": -30.0, "delta2": -10.0,
+        "delta3": 10.0, "delta4": 30.0, "dt": 0.05, "horizon": 5.0, "lambda": 0.2,
+        "packet_width": 1.0, "pointer_alpha": 0.25, "pointer_points": 64,
+        "pointer_spacing": 1.0, "trials": 2}),
+    "grw-run": (["--trajectories", "2"] + _GRW_TINY, _GRW_CONFIG),
+    "oracle-compare": (["--k", "100"] + _GRW_TINY, _GRW_CONFIG),
+    "ks-check": (["--rays", "builtin:ks33"], {"rays": "ks33.rays", "tolerance": 1e-09}),
+    "ck-trace": (["--rays", "builtin:ks33"], {"rays": "ks33.rays", "tolerance": 1e-09}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_CONFIGS))
+def test_report_config_block_is_pinned(command, tmp_path):
+    args, expected = REPORT_CONFIGS[command]
+    seed = ["--seed", "3"] if command not in ("ks-check", "ck-trace") else []
+    out = tmp_path / "r.json"
+    assert run_cli([command, *args, *seed, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"] == expected
+
+
+# -- property: malformed values never reach "internal error" ------------------------
+
+_PROPERTY_BASE = {
+    "singlet": ["--seed", "1", "--workers", "1", "--trials", "3"],
+    "epr": ["--seed", "1", "--workers", "1", "--trials", "2"],
+    "grw-run": ["--seed", "1", "--workers", "1", "--trajectories", "2"] + _GRW_TINY,
+    "oracle-compare": ["--seed", "1", "--workers", "1", "--k", "100"] + _GRW_TINY,
+    "ks-check": ["--rays", "builtin:axes"],
+    "ck-trace": ["--rays", "builtin:ks33"],
+}
+_BAD_NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1e300", "1000000000000"]
+_BAD_TRIPLES = ["1,0,0;1,0,0;0,0,1", "nan,0,0;0,1,0;0,0,1", "inf,0,0;0,1,0;0,0,1",
+                "1,0,0;0,1,0", "1e300,0,0;0,1e300,0;0,0,1e300", "0,0,0;0,1,0;0,0,1"]
+_BAD_LISTS = {
+    "peaks": ["24:0.5,24:0.5", "24:nan", "nan:1", "24:inf,40:-inf", "24:0.5,40:0.5,24:0",
+              "24:-0.5,40:1.5", "1e300:1", "24:1:2", ""],
+    "triple_a": _BAD_TRIPLES,
+    "triple_b": _BAD_TRIPLES,
+}
+_MUTATIONS = {
+    command: [
+        (key, value)
+        for key, k in spec.items()
+        for value in _BAD_LISTS.get(key, _BAD_NUMBERS if k.type in (int, float) else [])
+    ]
+    for command, spec in KEY_SPECS.items()
+}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(_MUTATIONS)).flatmap(lambda command: st.tuples(
+    st.just(command), st.lists(st.sampled_from(_MUTATIONS[command]), min_size=1, max_size=2))))
+def test_malformed_values_exit_cleanly(case):
+    command, mutations = case
+    args = [command, *_PROPERTY_BASE[command]]
+    args += [f"--{key.replace('_', '-')}={value}" for key, value in mutations]
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            code = main(args + ["--out", os.path.join(tmp, "r.json")])
+        except SystemExit as exc:  # argparse rejects a value it cannot parse
+            code = exc.code
+    assert code in (0, 2, 3), args

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from collapselab.errors import GridAdequacyError, StepConditionError, ZeroNormError
+from collapselab.errors import ConfigError, GridAdequacyError, StepConditionError, ZeroNormError
 from collapselab.grw import (
     Grid,
     GrwParams,
@@ -171,13 +171,13 @@ def test_jump_zero_probability_center_rejected():
 
 
 def test_zero_rate_gives_no_jumps():
-    assert sample_jump_times(0.0, 3, 10.0, stream(0)) == []
+    assert sample_jump_times(dict.fromkeys(range(3), 0.0), 10.0, stream(0)) == []
 
 
 def test_poisson_mean_count():
     rng = stream(100)
     runs = 10_000
-    counts = [len(sample_jump_times(2.0, 1, 5.0, rng)) for _ in range(runs)]
+    counts = [len(sample_jump_times({0: 2.0}, 5.0, rng)) for _ in range(runs)]
     mean = np.mean(counts)
     sigma = math.sqrt(10.0) / math.sqrt(runs)
     assert abs(mean - 10.0) <= 3 * sigma
@@ -186,7 +186,8 @@ def test_poisson_mean_count():
 def test_merged_two_particle_counts_are_poisson():
     rng = stream(101)
     lam, horizon, runs = 1.5, 2.0, 4000
-    counts = np.array([len(sample_jump_times(lam, 2, horizon, rng)) for _ in range(runs)])
+    rates = {0: lam, 1: lam}
+    counts = np.array([len(sample_jump_times(rates, horizon, rng)) for _ in range(runs)])
     mu = 2 * lam * horizon
     top = int(counts.max())
     observed = np.bincount(counts, minlength=top + 1).astype(float)
@@ -199,8 +200,27 @@ def test_merged_two_particle_counts_are_poisson():
     assert p >= 0.01
 
 
+def test_jump_times_follow_per_particle_rates():
+    # particles are keyed by factor index; a zero rate consumes no draws
+    events = sample_jump_times({2: 3.0, 0: 0.0}, 2.0, stream(103))
+    assert events == sample_jump_times({2: 3.0}, 2.0, stream(103))
+    assert events and all(p == 2 for _, p in events)
+
+
+def test_trajectory_jumps_follow_the_sampled_schedule():
+    # two grid factors at different rate factors, as the EPR pointer uses them
+    small = Grid(16, 1.0)
+    psi = tensor_product(gaussian_packet(small, 8.0, 2.0), gaussian_packet(small, 4.0, 2.0))
+    params = GrwParams(alpha=0.25, lam=0.5)
+    traj = evolve_trajectory(psi, None, params, {0: small, 1: small}, 4.0, 0.1, stream(104),
+                             rate_factors={1: 3.0})
+    schedule = sample_jump_times({0: 0.5, 1: 1.5}, 4.0, stream(104))
+    assert [(j.time, j.particle) for j in traj.jumps] == schedule
+    assert {p for _, p in schedule} == {0, 1}
+
+
 def test_jump_times_sorted_within_horizon():
-    events = sample_jump_times(3.0, 4, 2.0, stream(102))
+    events = sample_jump_times(dict.fromkeys(range(4), 3.0), 2.0, stream(102))
     times = [t for t, _ in events]
     assert times == sorted(times)
     assert all(0.0 < t < 2.0 for t in times)
@@ -347,6 +367,8 @@ def test_params_validation():
         GrwParams(alpha=1.0, lam=0.0, hbar=0.0)
     with pytest.raises(ValueError):
         GrwParams(alpha=1.0, lam=0.0, mass=-1.0)
+    with pytest.raises(ConfigError, match="lam"):
+        GrwParams(alpha=1.0, lam=float("nan"))
 
 
 def test_grid_validation():

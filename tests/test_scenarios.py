@@ -1,12 +1,15 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from collapselab.errors import ConfigError
+from collapselab.lindblad import LindbladConfig
 from collapselab.scenarios import (
     EprConfig,
     OracleComparisonConfig,
+    pool_size,
     run_epr_position,
     run_grw_ensemble,
     run_oracle_comparison,
@@ -66,6 +69,8 @@ def test_epr_config_invariants():
         EprConfig(horizon=1.0)  # amplification * lambda * T < 20
     with pytest.raises(ConfigError):
         EprConfig(coupling_sites=4)  # displacement below localization width
+    with pytest.raises(ConfigError, match="delta1"):
+        EprConfig(delta1=float("nan"))  # field constraints hold for library callers too
 
 
 def test_epr_outcomes_and_conditionals():
@@ -132,3 +137,25 @@ def test_grw_ensemble_localization_summary():
     sigma = math.sqrt(0.6 * 0.4 / 150)
     assert abs(a["branch_frequencies"][0] - 0.6) <= 3 * sigma
     assert abs(sum(a["branch_frequencies"]) - a["localized_fraction"]) <= 1e-12
+
+
+@pytest.mark.parametrize("build,key", [
+    (lambda: OracleComparisonConfig(rate=float("nan")), "lambda"),
+    (lambda: OracleComparisonConfig(grid_points=64.0), "points"),
+    (lambda: OracleComparisonConfig(hamiltonian="kinetic"), "hamiltonian"),
+    (lambda: OracleComparisonConfig(peak_centers=(24.0, 24.0)), "peaks"),
+    (lambda: OracleComparisonConfig(peak_weights=(1.0, 0.0)), "peaks"),
+    (lambda: LindbladConfig(dt=1e-9, horizon=5.0), "dt"),
+    (lambda: run_grw_ensemble(OracleComparisonConfig(rate=1e8), 2, 1), "lambda"),
+    (lambda: run_singlet_spacetime(AXES, AXES, 10**7, 1), "trials"),
+])
+def test_library_callers_get_the_command_line_checks(build, key):
+    with pytest.raises(ConfigError, match=key):
+        build()
+
+
+def test_pool_size_is_capped_by_cores_and_trials():
+    cores = os.cpu_count() or 1
+    assert pool_size(100_000, 10**6) == cores
+    assert pool_size(100_000, 1) == 1
+    assert pool_size(1, 10**6) == 1
