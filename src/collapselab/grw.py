@@ -20,7 +20,9 @@ applied as an fsum circulant matvec, and jump centres come from a
 cumulative table anchored at its argmax.  Translating the initial
 state by s sites then reproduces the original trajectory translated by
 s, for the same random stream.  The default mode uses fast vectorized
-kernels with identical statistics.
+kernels with identical statistics and draws centres with the plain
+inverse CDF of ``rng.draw_index``, which starts at site 0, so a tie
+between maxima cannot move the centre drawn for a given uniform.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ import scipy.linalg
 
 from .errors import GridAdequacyError, StepConditionError, ZeroNormError
 from .hilbert import MAX_TOTAL_DIM, Operator, StateVector, SubsystemShape, hermitian_eig
+from .rng import draw_index
 from .schema import NON_NEGATIVE, POSITIVE, check_fields, checked, integer
 
 TRAJECTORY_NORM_TOL = 1e-9
@@ -228,19 +231,6 @@ def jump_density(
     return raw / total
 
 
-def _draw_index(table: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw with the cumulative sum anchored at the argmax.
-
-    Anchoring makes the draw commute with cyclic translations of the
-    table (for the same uniform u) whenever the maximum is unique.
-    """
-    anchor = int(np.argmax(table))
-    order = (anchor + np.arange(table.size)) % table.size
-    c = np.cumsum(table[order])
-    pos = int(np.searchsorted(c, u * c[-1], side="right"))
-    return int(order[min(pos, table.size - 1)])
-
-
 def apply_jump(
     psi: StateVector,
     particle: int,
@@ -419,7 +409,14 @@ def evolve_trajectory(
             grid = grid_map[payload]
             state = StateVector(psi0.shape, amps)
             table = jump_density(state, payload, grid, params, equivariant=equivariant)
-            k = _draw_index(table, rng.random())
+            u = rng.random()
+            if equivariant:
+                # a cumulative sum anchored at the argmax commutes with cyclic
+                # translations of the table whenever the maximum is unique
+                anchor = int(np.argmax(table))
+                k = (anchor + draw_index(np.roll(table, -anchor), u)) % grid.points
+            else:
+                k = draw_index(table, u)
             center = grid.origin + k * grid.spacing
             amps = np.array(
                 apply_jump(

@@ -14,3 +14,11 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
     """Generator for the stream addressed by (master seed, index path)."""
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def draw_index(weights: np.ndarray, u: float) -> int:
+    """Inverse-CDF draw of an index from non-negative ``weights`` (any
+    total) for a uniform ``u`` in [0, 1); the cumulative sum starts at
+    index 0."""
+    c = np.cumsum(weights)
+    return min(int(np.searchsorted(c, u * c[-1], side="right")), weights.size - 1)

@@ -28,8 +28,8 @@ from .hilbert import (
     SubsystemShape,
     apply_on_subsystem,
     expm_hermitian,
-    hermitian_eig,
 )
+from .rng import draw_index
 
 _SQ2I = 1.0 / math.sqrt(2.0)
 
@@ -226,11 +226,6 @@ def _triple_projectors(triple: OrthoTriple) -> list[Operator]:
     return [zero_projector(d) for d in triple.axes]
 
 
-def _categorical(probs: np.ndarray, rng: np.random.Generator) -> int:
-    c = np.cumsum(probs)
-    return int(np.searchsorted(c, rng.random() * c[-1], side="right").clip(0, probs.size - 1))
-
-
 def triple_measurement(
     psi: StateVector, particle: int, triple: OrthoTriple, rng: np.random.Generator
 ) -> tuple[TripleOutcome, StateVector]:
@@ -249,7 +244,7 @@ def triple_measurement(
         raise InvariantViolationError(
             f"triple outcome probabilities sum to {float(probs.sum())}, expected 1"
         )
-    k = _categorical(probs, rng)
+    k = draw_index(probs, rng.random())
     return TripleOutcome.with_zero_at(k), branches[k].normalize()
 
 

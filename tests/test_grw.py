@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
+from collapselab import grw
 from collapselab.errors import ConfigError, GridAdequacyError, StepConditionError, ZeroNormError
 from collapselab.grw import (
     Grid,
@@ -126,6 +127,22 @@ def test_equivariant_and_fast_tables_agree():
     fast = jump_density(psi, 0, GRID, PARAMS)
     slow = jump_density(psi, 0, GRID, PARAMS, equivariant=True)
     np.testing.assert_allclose(fast, slow, atol=1e-14)
+
+
+@pytest.mark.parametrize("nudged", [24, 40])
+def test_tied_maxima_nudged_by_an_ulp_draw_the_same_centre(monkeypatch, nudged):
+    # two equal maxima: which one is larger by an ulp must not move the centre
+    psi = two_peak_state(GRID, (24.0, 40.0), (0.5, 0.5), 2.0)
+    tied = np.zeros(GRID.points)
+    tied[[24, 40]] = 0.5
+    ulp = tied.copy()
+    ulp[nudged] = np.nextafter(0.5, 1.0)
+    centres = []
+    for table in (tied, ulp):
+        monkeypatch.setattr(grw, "jump_density", lambda *args, table=table, **kwargs: table)
+        traj = evolve_trajectory(psi, None, PARAMS, {0: GRID}, 5.0, 0.05, stream(9))
+        centres.append([j.center for j in traj.jumps])
+    assert centres[0] and centres[0] == centres[1]
 
 
 # -- applying jumps ---------------------------------------------------------------
