@@ -13,6 +13,12 @@ the completeness sum  sum_k L(x_k)^2 dx = 1  hold on an adequate grid
 Jump centres are drawn from p(x_k) = ||L(x_k) psi||^2 dx, renormalized;
 pre-normalization mass off by more than 1e-3 raises GridAdequacyError.
 
+Between events the state evolves under the free kinetic Hamiltonian,
+which is circulant on the periodic grid and therefore diagonal in the
+discrete Fourier basis.  ``Propagator`` reads its spectrum off the FFT
+of the first column and advances a state by one FFT, a phase multiply
+and one inverse FFT; it keeps no eigenvector matrices.
+
 The engine has an ``equivariant`` mode where all state updates commute
 bit-exactly with cyclic grid translations: norms and inner sums use
 math.fsum (order-independent, correctly rounded), the propagator is
@@ -35,7 +41,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import GridAdequacyError, StepConditionError, ZeroNormError
-from .hilbert import MAX_TOTAL_DIM, Operator, StateVector, SubsystemShape, hermitian_eig
+from .hilbert import MAX_TOTAL_DIM, SPECTRAL_TOL, Operator, StateVector, SubsystemShape
 from .rng import draw_index
 from .schema import NON_NEGATIVE, POSITIVE, check_fields, checked, integer
 
@@ -294,27 +300,39 @@ def free_hamiltonian(grid: Grid, mass: float, hbar: float = 1.0) -> Operator:
 
 
 class Propagator:
-    """Exact unitary advance exp(-i H tau / hbar) for arbitrary gaps tau.
+    """Exact unitary advance exp(-i H tau / hbar) for a circulant Hermitian H.
 
-    The eigendecomposition is computed once; each advance costs two
-    matrix-vector products.  ``advance_equivariant`` instead applies the
-    propagator as an fsum circulant matvec (valid for circulant H on a
-    single-factor state), which commutes bit-exactly with translations.
+    A circulant H is diagonal in the discrete Fourier basis: its
+    eigenvalues are the FFT of its first column, so each advance is
+    ``ifft(phases * fft(psi))`` in O(M log M), and the propagator keeps
+    only the M real eigenvalues (in FFT order, not sorted).
+    ``advance_equivariant`` instead applies the propagator as an fsum
+    circulant matvec with first column ``column(tau)``, which commutes
+    bit-exactly with translations.  Raises ValueError for an H that is
+    not Hermitian and circulant.
     """
 
     def __init__(self, hamiltonian: Operator, hbar: float = 1.0):
+        h = hamiltonian.entries
+        row = h[0]  # circulant: h[i, j] = row[(j - i) % M]
+        defect = max(float(np.max(np.abs(h[i] - np.roll(row, i)))) for i in range(h.shape[0]))
+        if defect > SPECTRAL_TOL:
+            raise ValueError(f"Hamiltonian is not circulant (defect {defect:.3e})")
+        defect = float(np.max(np.abs(row - np.roll(row[::-1], 1).conj())))
+        if defect > SPECTRAL_TOL:
+            raise ValueError(f"Hamiltonian is not Hermitian (defect {defect:.3e})")
         self.hbar = hbar
-        self.eigenvalues, self._v = hermitian_eig(hamiltonian)
-        self._vh = self._v.conj().T
+        self.eigenvalues = np.fft.fft(h[:, 0]).real
         self.max_energy = float(np.max(np.abs(self.eigenvalues)))
 
+    def _phases(self, tau: float) -> np.ndarray:
+        return np.exp(self.eigenvalues * (-1j * tau / self.hbar))
+
     def advance(self, amplitudes: np.ndarray, tau: float) -> np.ndarray:
-        phases = np.exp(-1j * self.eigenvalues * tau / self.hbar)
-        return self._v @ (phases * (self._vh @ amplitudes))
+        return np.fft.ifft(self._phases(tau) * np.fft.fft(amplitudes))
 
     def column(self, tau: float) -> np.ndarray:
-        phases = np.exp(-1j * self.eigenvalues * tau / self.hbar)
-        return self._v @ (phases * self._vh[:, 0])
+        return np.fft.ifft(self._phases(tau))
 
     def advance_equivariant(self, amplitudes: np.ndarray, tau: float) -> np.ndarray:
         return _circulant_matvec_fsum(self.column(tau), amplitudes)
@@ -349,12 +367,12 @@ def evolve_trajectory(
     """Run one stochastic realization up to ``horizon``.
 
     Between events the state is advanced by the exact unitary
-    propagator (eigendecomposition built once, reusable across calls
-    via ``propagator``).  At each Poisson jump time a centre is drawn
-    from the jump density of the affected particle and the localization
-    applied.  Jumps occur only on subsystems present in ``grid_map``;
-    ``rate_factors`` scales the base rate per particle (used for
-    pointer amplification, always explicit).
+    propagator of the circulant ``hamiltonian`` (pass a ``propagator``
+    built once to reuse it across calls).  At each Poisson jump time a
+    centre is drawn from the jump density of the affected particle and
+    the localization applied.  Jumps occur only on subsystems present
+    in ``grid_map``; ``rate_factors`` scales the base rate per particle
+    (used for pointer amplification, always explicit).
 
     Random stream consumption order: all jump times first (particles in
     ascending index order), then one uniform per jump in time order.

@@ -26,7 +26,7 @@ from collapselab.grw import (
     two_peak_state,
     window_mass,
 )
-from collapselab.hilbert import StateVector, SubsystemShape, partial_trace, tensor_product
+from collapselab.hilbert import Operator, StateVector, SubsystemShape, partial_trace, tensor_product
 from collapselab.rng import stream
 
 GRID = Grid(64, 1.0)
@@ -266,6 +266,19 @@ def test_propagator_matches_expm_oracle():
         got = prop.advance(psi, tau)
         assert np.max(np.abs(got - expected)) <= 1e-9
         assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
+        first = scipy.linalg.expm(-1j * h.entries * tau)[:, 0]
+        assert np.max(np.abs(prop.column(tau) - first)) <= 1e-9
+
+
+def test_propagator_rejects_non_circulant_or_non_hermitian_h():
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    with pytest.raises(ValueError, match="circulant"):
+        Propagator(Operator(a + a.conj().T))  # Hermitian, not circulant
+    with pytest.raises(ValueError, match="Hermitian"):
+        Propagator(Operator(scipy.linalg.circulant(np.arange(8.0))))  # circulant, not symmetric
+    with pytest.raises(ValueError, match="Hermitian"):
+        Propagator(Operator(1j * free_hamiltonian(Grid(8, 1.0), mass=1.0).entries))
 
 
 # -- trajectories -------------------------------------------------------------------
