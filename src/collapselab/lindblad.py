@@ -130,21 +130,32 @@ def _rhs(
     h_parts: tuple[np.ndarray, ...],
     hbar: float,
     rates: np.ndarray,
+    out: np.ndarray,
+    work: tuple[np.ndarray, np.ndarray] | None,
 ) -> np.ndarray:
-    """lam R * rho - (i/hbar)(K - K^dagger) with K = H rho; rho C-contiguous."""
-    out = rates * rho
+    """lam R * rho - (i/hbar)(K - K^dagger) with K = H rho, written to ``out``.
+
+    rho, ``out`` and the two ``work`` arrays (for K and its transpose,
+    needed only when there is an H) are C-contiguous complex (d, d).
+    """
+    np.multiply(rates, rho, out=out)
     if h_parts:
         d = rho.shape[0]
+        k, comm = work
         flat = rho.view(np.float64).reshape(d, 2 * d)
-        k = (h_parts[0] @ flat).view(complex)
+        np.matmul(h_parts[0], flat, out=k.view(np.float64).reshape(d, 2 * d))
         if len(h_parts) == 2:
             k += 1j * (h_parts[1] @ flat).view(complex)
-        comm = np.ascontiguousarray(k.T)  # a contiguous copy transposes faster than a strided read
+        np.copyto(comm, k.T)  # a contiguous copy transposes faster than a strided read
         np.conjugate(comm, out=comm)
         np.subtract(k, comm, out=comm)
         comm *= -1j / hbar
         out += comm
     return out
+
+
+def _work(rho: np.ndarray, h_parts: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray] | None:
+    return (np.empty_like(rho), np.empty_like(rho)) if h_parts else None
 
 
 def lindblad_rhs(
@@ -158,12 +169,10 @@ def lindblad_rhs(
     ``hamiltonian`` must be Hermitian (see the module docstring).
     """
     rates = params.lam * _rate_array(rho.shape, grids, params.alpha)
-    return _rhs(
-        np.ascontiguousarray(rho.entries),
-        _hamiltonian_parts(hamiltonian),
-        params.hbar,
-        rates,
-    )
+    entries = np.ascontiguousarray(rho.entries)
+    h_parts = _hamiltonian_parts(hamiltonian)
+    return _rhs(entries, h_parts, params.hbar, rates, np.empty_like(entries),
+                _work(entries, h_parts))
 
 
 def _check_step(
@@ -224,12 +233,27 @@ def integrate_with_snapshots(
     if 0 in wanted:
         snapshots[wanted[0]] = DensityMatrix(rho0.shape, rho)
 
+    # Stages and their inputs live in buffers allocated once: ~10^4 fresh
+    # d x d temporaries per run otherwise churn the heap.  The arithmetic
+    # is that of rho + (h/6) (k1 + 2 k2 + 2 k3 + k4), in the same order.
+    k1, k2, k3, k4, stage = (np.empty_like(rho) for _ in range(5))
+    work = _work(rho, h_parts)
+    half = 0.5 * h_step
     for step in range(1, n_steps + 1):
-        k1 = _rhs(rho, h_parts, hbar, rates)
-        k2 = _rhs(rho + 0.5 * h_step * k1, h_parts, hbar, rates)
-        k3 = _rhs(rho + 0.5 * h_step * k2, h_parts, hbar, rates)
-        k4 = _rhs(rho + h_step * k3, h_parts, hbar, rates)
-        rho = rho + (h_step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        _rhs(rho, h_parts, hbar, rates, k1, work)
+        np.add(rho, np.multiply(half, k1, out=stage), out=stage)
+        _rhs(stage, h_parts, hbar, rates, k2, work)
+        np.add(rho, np.multiply(half, k2, out=stage), out=stage)
+        _rhs(stage, h_parts, hbar, rates, k3, work)
+        np.add(rho, np.multiply(h_step, k3, out=stage), out=stage)
+        _rhs(stage, h_parts, hbar, rates, k4, work)
+        np.multiply(2.0, k2, out=k2)
+        np.add(k1, k2, out=k1)
+        np.multiply(2.0, k3, out=k3)
+        np.add(k1, k3, out=k1)
+        np.add(k1, k4, out=k1)
+        np.multiply(h_step / 6.0, k1, out=k1)
+        np.add(rho, k1, out=rho)
         if step in wanted:
             snapshots[wanted[step]] = DensityMatrix(rho0.shape, rho)
 

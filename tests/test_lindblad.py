@@ -216,6 +216,36 @@ def test_integrate_matches_dense_rk4_reference():
     assert np.max(np.abs(final.entries - reference[1.0])) <= 1e-12
 
 
+@pytest.mark.parametrize("layout", ["free", "none", "pointer"])
+def test_buffered_rk4_equals_the_textbook_update_bit_for_bit(layout):
+    grid = Grid(32, 1.0)
+    params = GrwParams(alpha=0.25, lam=1.0, mass=10.0)
+    psi = two_peak_state(grid, (10.0, 20.0), (0.5, 0.5), 1.5)
+    h = free_hamiltonian(grid, params.mass) if layout == "free" else None
+    grids = {0: grid}
+    if layout == "pointer":
+        region = StateVector(SubsystemShape((2,)), np.array([0.6, 0.8], dtype=complex))
+        psi, grids = tensor_product(region, psi), {1: grid}
+    rho0 = psi.density_matrix()
+    final, snaps = integrate_with_snapshots(
+        rho0, h, params, grids, LindbladConfig(dt=0.01, horizon=0.2), snapshot_times=[0.1]
+    )
+
+    def f(rho):
+        return lindblad_rhs(DensityMatrix(rho0.shape, rho), h, params, grids)
+
+    rho = np.array(rho0.entries)
+    for step in range(1, 21):
+        k1 = f(rho)
+        k2 = f(rho + 0.5 * 0.01 * k1)
+        k3 = f(rho + 0.5 * 0.01 * k2)
+        k4 = f(rho + 0.01 * k3)
+        rho = rho + (0.01 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step == 10:
+            assert np.array_equal(snaps[0.1].entries, rho)
+    assert np.array_equal(final.entries, rho)
+
+
 def test_integrate_rejects_non_hermitian_hamiltonian():
     rng = np.random.default_rng(11)
     rho0 = random_density(rng, (8,))
