@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .grw import (
     Grid,
     GrwParams,
     Propagator,
+    Trajectory,
     evolve_trajectory,
     free_hamiltonian,
     gaussian_packet,
@@ -31,7 +32,14 @@ from .grw import (
     two_peak_state,
     window_mass,
 )
-from .hilbert import MAX_TOTAL_DIM, StateVector, SubsystemShape, partial_trace, tensor_product
+from .hilbert import (
+    MAX_TOTAL_DIM,
+    Operator,
+    StateVector,
+    SubsystemShape,
+    partial_trace,
+    tensor_product,
+)
 from .lindblad import LindbladConfig, ensemble_compare, integrate_with_snapshots
 from .report import ExperimentReport
 from .rng import stream
@@ -150,10 +158,10 @@ def _epr_initial_state(config: EprConfig) -> tuple[StateVector, Grid]:
     return psi, grid
 
 
-def _epr_trial(config: EprConfig, index: int) -> dict:
+def _epr_trial(
+    config: EprConfig, psi: StateVector, grid: Grid, params: GrwParams, index: int
+) -> dict:
     rng = stream(config.master_seed, index)
-    psi, grid = _epr_initial_state(config)
-    params = GrwParams(alpha=config.pointer_alpha, lam=config.base_rate)
     traj = evolve_trajectory(
         psi,
         None,
@@ -189,10 +197,11 @@ def _epr_trial(config: EprConfig, index: int) -> dict:
     }
 
 
-def _epr_oracle_b_marginal(config: EprConfig, lconf: LindbladConfig) -> tuple[float, float]:
+def _epr_oracle_b_marginal(
+    config: EprConfig, psi: StateVector, grid: Grid, lconf: LindbladConfig
+) -> tuple[float, float]:
     """Particle-b region populations from the deterministic ensemble law,
     on the identical discretization (pointer jumps at the amplified rate)."""
-    psi, grid = _epr_initial_state(config)
     params = GrwParams(
         alpha=config.pointer_alpha, lam=config.base_rate * config.amplification
     )
@@ -209,7 +218,13 @@ def run_epr_position(config: EprConfig) -> ExperimentReport:
     pointer_rate = config.base_rate * config.amplification
     _check_budget(config.trials, "trials", pointer_rate * config.horizon + 1)
     lconf = LindbladConfig(dt=min(config.dt, 0.05 / pointer_rate), horizon=config.horizon)
-    trials = _map_indexed(partial(_epr_trial, config), config.trials, config.workers)
+    psi, grid = _epr_initial_state(config)
+    # the oracle runs first, so an input it rejects fails before any trial
+    oracle_b = _epr_oracle_b_marginal(config, psi, grid, lconf)
+    params = GrwParams(alpha=config.pointer_alpha, lam=config.base_rate)
+    trials = _map_indexed(
+        partial(_epr_trial, config, psi, grid, params), config.trials, config.workers
+    )
 
     conclusive = [t for t in trials if t["conclusive"]]
     n_c = len(conclusive)
@@ -219,7 +234,6 @@ def run_epr_position(config: EprConfig) -> ExperimentReport:
     cond_34 = [t for t in conclusive if t["outcome_a"] == "delta3"]
     good_12 = sum(1 for t in cond_12 if t["outcome_b"] == "delta2")
     good_34 = sum(1 for t in cond_34 if t["outcome_b"] == "delta4")
-    oracle_b = _epr_oracle_b_marginal(config, lconf)
 
     aggregates = {
         "trials": config.trials,
@@ -389,31 +403,50 @@ class OracleComparisonConfig:
         return [self.horizon * (i + 1) / self.checkpoints for i in range(self.checkpoints)]
 
 
-_PROPAGATOR_CACHE: dict = {}
+@dataclass(frozen=True)
+class _Ensemble:
+    """What every trajectory of an oracle-compare or grw-run shares.
+
+    Built once per run and handed to the trials by ``partial``; workers
+    receive it pickled with each chunk of trials (the propagator is M
+    floats).
+    """
+
+    config: OracleComparisonConfig
+    grid: Grid
+    params: GrwParams
+    psi0: StateVector
+    times: list[float]
+    propagator: Propagator | None
 
 
-def _oracle_propagator(config: OracleComparisonConfig) -> Propagator | None:
-    if config.hamiltonian == "none":
-        return None
-    key = (config.grid_points, config.grid_spacing, config.mass, config.hbar)
-    if key not in _PROPAGATOR_CACHE:
-        _PROPAGATOR_CACHE[key] = Propagator(
-            free_hamiltonian(config.grid(), config.mass, config.hbar), config.hbar
-        )
-    return _PROPAGATOR_CACHE[key]
+def _ensemble_setup(config: OracleComparisonConfig) -> tuple[_Ensemble, Operator | None]:
+    """The run's shared trajectory setup and its free Hamiltonian (None
+    for ``hamiltonian = 'none'``)."""
+    grid = config.grid()
+    hamiltonian = None
+    propagator = None
+    if config.hamiltonian == "free":
+        hamiltonian = free_hamiltonian(grid, config.mass, config.hbar)
+        propagator = Propagator(hamiltonian, config.hbar)
+    ensemble = _Ensemble(
+        config, grid, config.params(), config.initial_state(), config.sample_times(), propagator
+    )
+    return ensemble, hamiltonian
 
 
-def _comparison_trajectory(config: OracleComparisonConfig, master_seed: int, index: int):
+def _comparison_trajectory(ensemble: _Ensemble, master_seed: int, index: int) -> Trajectory:
+    config = ensemble.config
     return evolve_trajectory(
-        config.initial_state(),
+        ensemble.psi0,
         None,
-        config.params(),
-        {0: config.grid()},
+        ensemble.params,
+        {0: ensemble.grid},
         config.horizon,
         config.dt,
         stream(master_seed, index),
-        sample_times=config.sample_times(),
-        propagator=_oracle_propagator(config),
+        sample_times=ensemble.times,
+        propagator=ensemble.propagator,
         seed_label=(master_seed, index),
     )
 
@@ -431,22 +464,16 @@ def run_oracle_comparison(
     t0 = time.perf_counter()
     _check_budget(ensemble_size, "k", config.rate * config.horizon + config.checkpoints)
     lconf = LindbladConfig(dt=config.dt, horizon=config.horizon)
-    grid = config.grid()
-    params = config.params()
-    hamiltonian = (
-        free_hamiltonian(grid, config.mass, config.hbar)
-        if config.hamiltonian == "free"
-        else None
-    )
-    times = config.sample_times()
-
-    trajectories = _map_indexed(
-        partial(_comparison_trajectory, config, master_seed), ensemble_size, workers
-    )
-
-    rho0 = config.initial_state().density_matrix()
+    ensemble, hamiltonian = _ensemble_setup(config)
+    grid = ensemble.grid
+    times = ensemble.times
+    # the oracle runs first, so an input it rejects fails before any trial
     _, snapshots = integrate_with_snapshots(
-        rho0, hamiltonian, params, {0: grid}, lconf, snapshot_times=times
+        ensemble.psi0.density_matrix(), hamiltonian, ensemble.params, {0: grid}, lconf,
+        snapshot_times=times,
+    )
+    trajectories = _map_indexed(
+        partial(_comparison_trajectory, ensemble, master_seed), ensemble_size, workers
     )
 
     comparisons = [ensemble_compare(trajectories, snapshots[t], t) for t in times]
@@ -491,9 +518,9 @@ def run_grw_ensemble(
     single-peak localization statistics for a multi-packet start."""
     t0 = time.perf_counter()
     _check_budget(ensemble_size, "trajectories", config.rate * config.horizon + config.checkpoints)
-    grid = config.grid()
+    ensemble, _ = _ensemble_setup(config)
     trials = _map_indexed(
-        partial(_grw_trial, config, master_seed), ensemble_size, workers
+        partial(_grw_trial, ensemble, master_seed), ensemble_size, workers
     )
     branch_counts = [0] * len(config.peak_centers)
     localized = 0
@@ -519,9 +546,10 @@ def run_grw_ensemble(
     )
 
 
-def _grw_trial(config: OracleComparisonConfig, master_seed: int, index: int) -> dict:
-    grid = config.grid()
-    traj = _comparison_trajectory(config, master_seed, index)
+def _grw_trial(ensemble: _Ensemble, master_seed: int, index: int) -> dict:
+    config = ensemble.config
+    grid = ensemble.grid
+    traj = _comparison_trajectory(ensemble, master_seed, index)
     final = traj.states[-1]
     halfwidth = min(
         abs(grid.min_image(a - b))

@@ -178,9 +178,9 @@ def test_byte_identical_reports_and_csv(tmp_path):
     assert report["schema_version"] == 1
 
 
-def test_oracle_compare_reports_identical_across_worker_counts(tmp_path):
-    # no Hamiltonian: the forked workers then make no BLAS calls
-    args = ["oracle-compare", "--hamiltonian", "none", "--k", "150", "--seed", "11"]
+@pytest.mark.parametrize("hamiltonian", ["none", "free"])
+def test_oracle_compare_reports_identical_across_worker_counts(tmp_path, hamiltonian):
+    args = ["oracle-compare", "--hamiltonian", hamiltonian, "--k", "150", "--seed", "11"]
     paths = []
     for workers in (1, 2):
         out = tmp_path / f"w{workers}.json"

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from collapselab.errors import ConfigError
+from collapselab import scenarios
+from collapselab.errors import ConfigError, GridAdequacyError
 from collapselab.lindblad import LindbladConfig
 from collapselab.scenarios import (
     EprConfig,
@@ -125,6 +126,24 @@ def test_oracle_comparison_reproducible():
 def test_oracle_comparison_requires_minimum_ensemble():
     with pytest.raises(ConfigError):
         run_oracle_comparison(OracleComparisonConfig(), 50, 1)
+
+
+@pytest.mark.parametrize("run,error", [
+    pytest.param(lambda: run_oracle_comparison(
+        OracleComparisonConfig(horizon=1.0, checkpoints=3), 3000, 1), ConfigError,
+        id="snapshot-off-step"),
+    pytest.param(lambda: run_oracle_comparison(OracleComparisonConfig(alpha=0.5), 3000, 1),
+                 GridAdequacyError, id="oracle-completeness-drift"),
+    pytest.param(lambda: run_epr_position(EprConfig(trials=3000, pointer_alpha=0.5)),
+                 GridAdequacyError, id="epr-completeness-drift"),
+])
+def test_oracle_rejects_its_inputs_before_any_trial_runs(monkeypatch, run, error):
+    def trial_ran(*args, **kwargs):
+        raise AssertionError("a trajectory ran before the oracle checked its inputs")
+
+    monkeypatch.setattr(scenarios, "evolve_trajectory", trial_ran)
+    with pytest.raises(error):
+        run()
 
 
 def test_grw_ensemble_localization_summary():
