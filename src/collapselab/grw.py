@@ -156,12 +156,6 @@ def localization_operator(grid: Grid, alpha: float, center: float) -> Operator:
     return Operator(np.diag(np.roll(gaussian_template(grid, alpha), k)))
 
 
-def completeness_sum(grid: Grid, alpha: float) -> float:
-    """sum_k L(x_k)^2 dx evaluated at any site (it is site-independent)."""
-    g = gaussian_template(grid, alpha)
-    return float(math.fsum(g * g) * grid.spacing)
-
-
 # -- equivariant kernels ----------------------------------------------------
 
 

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-
-from .errors import InvariantViolationError
 
 # Tolerances fixed for the whole package; total dimensions are small
 # enough (<= 4096) that these are comfortably achievable.
@@ -54,10 +52,6 @@ class SubsystemShape:
     def total_dim(self) -> int:
         return prod(self.dims)
 
-    @property
-    def n_subsystems(self) -> int:
-        return len(self.dims)
-
     def validate_index(self, k: int) -> int:
         if not 0 <= k < len(self.dims):
             raise ValueError(f"subsystem index {k} out of range for {self.dims}")
@@ -91,12 +85,6 @@ class StateVector:
             raise ValueError("cannot normalize a zero state")
         return StateVector(self.shape, self.amplitudes / n)
 
-    def overlap(self, other: "StateVector") -> complex:
-        """Inner product <self|other>."""
-        if self.shape.dims != other.shape.dims:
-            raise ValueError("shape mismatch in overlap")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def reshaped(self) -> np.ndarray:
         """Amplitudes viewed as an array with one axis per factor."""
         return self.amplitudes.reshape(self.shape.dims)
@@ -120,9 +108,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T)
 
     def is_hermitian(self, tol: float = SPECTRAL_TOL) -> bool:
         return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
@@ -164,20 +149,10 @@ class DensityMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.entries @ self.entries)))
-
 
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     """Composite state a (x) b, factor ``a`` first (slowest index)."""
     return StateVector(a.shape.concat(b.shape), np.kron(a.amplitudes, b.amplitudes))
-
-
-def tensor(*states: StateVector) -> StateVector:
-    out = states[0]
-    for s in states[1:]:
-        out = tensor_product(out, s)
-    return out
 
 
 def apply_on_subsystem(op: Operator, k: int, psi: StateVector) -> StateVector:
@@ -253,12 +228,3 @@ def expm_hermitian(generator: Operator, scale: complex) -> Operator:
     """exp(scale * G) for Hermitian G, via its eigendecomposition."""
     w, v = hermitian_eig(generator)
     return Operator((v * np.exp(scale * w)) @ v.conj().T)
-
-
-def assert_probability_table(p: Sequence[float], tol: float = SPECTRAL_TOL) -> None:
-    """Guard used by measurement code; probabilities must sum to 1."""
-    total = float(np.sum(p))
-    if abs(total - 1.0) > tol or np.min(p) < -tol:
-        raise InvariantViolationError(
-            f"probability table invalid (sum {total}, min {float(np.min(p))})"
-        )
