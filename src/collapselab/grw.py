@@ -15,9 +15,10 @@ pre-normalization mass off by more than 1e-3 raises GridAdequacyError.
 
 Between events the state evolves under the free kinetic Hamiltonian,
 which is circulant on the periodic grid and therefore diagonal in the
-discrete Fourier basis.  ``Propagator`` reads its spectrum off the FFT
-of the first column and advances a state by one FFT, a phase multiply
-and one inverse FFT; it keeps no eigenvector matrices.
+discrete Fourier basis.  It is passed around as its first column (M
+floats, from ``free_hamiltonian``), never as a dense matrix.
+``Propagator`` reads its spectrum off the FFT of that column and
+advances a state by one FFT, a phase multiply and one inverse FFT.
 
 The engine has an ``equivariant`` mode where all state updates commute
 bit-exactly with cyclic grid translations: norms and inner sums use
@@ -40,7 +41,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import GridAdequacyError, StepConditionError, ZeroNormError
+from .errors import ConfigError, GridAdequacyError, StepConditionError, ZeroNormError
 from .hilbert import MAX_TOTAL_DIM, SPECTRAL_TOL, Operator, StateVector, SubsystemShape
 from .rng import draw_index
 from .schema import NON_NEGATIVE, POSITIVE, check_fields, checked, integer
@@ -283,40 +284,46 @@ def sample_jump_times(
 # -- Hamiltonians and propagation -------------------------------------------
 
 
-def free_hamiltonian(grid: Grid, mass: float, hbar: float = 1.0) -> Operator:
-    """Kinetic energy p^2/2m on the periodic grid, exactly circulant."""
+def free_hamiltonian(grid: Grid, mass: float, hbar: float = 1.0) -> np.ndarray:
+    """Kinetic energy p^2/2m on the periodic grid, as the first column of its circulant.
+
+    H[q, p] = col[(q - p) mod M] is real symmetric because ``col`` is even
+    (col[j] = col[M - j]); the M floats are returned read-only.
+    """
     m = grid.points
     k = 2.0 * math.pi * np.fft.fftfreq(m, d=grid.spacing)
     energy = (hbar * k) ** 2 / (2.0 * mass)
     col = np.real(np.fft.ifft(energy))
     col = 0.5 * (col + np.roll(col[::-1], 1))  # enforce exact evenness
-    return Operator(scipy.linalg.circulant(col).astype(complex))
+    col.setflags(write=False)
+    return col
 
 
 class Propagator:
-    """Exact unitary advance exp(-i H tau / hbar) for a circulant Hermitian H.
+    """Exact unitary advance exp(-i H tau / hbar) for the real symmetric
+    circulant H with first column ``col``.
 
-    A circulant H is diagonal in the discrete Fourier basis: its
-    eigenvalues are the FFT of its first column, so each advance is
-    ``ifft(phases * fft(psi))`` in O(M log M), and the propagator keeps
-    only the M real eigenvalues (in FFT order, not sorted).
-    ``advance_equivariant`` instead applies the propagator as an fsum
-    circulant matvec with first column ``column(tau)``, which commutes
-    bit-exactly with translations.  Raises ValueError for an H that is
-    not Hermitian and circulant.
+    H is diagonal in the discrete Fourier basis: its eigenvalues are the
+    FFT of ``col``, so each advance is ``ifft(phases * fft(psi))`` in
+    O(M log M), and the propagator keeps only the M real eigenvalues (in
+    FFT order, not sorted).  ``advance_equivariant`` instead applies the
+    propagator as an fsum circulant matvec with first column
+    ``column(tau)``, which commutes bit-exactly with translations.
+    Raises ConfigError for anything but a real 1-D column that is even,
+    the condition for H to be symmetric.
     """
 
-    def __init__(self, hamiltonian: Operator, hbar: float = 1.0):
-        h = hamiltonian.entries
-        row = h[0]  # circulant: h[i, j] = row[(j - i) % M]
-        defect = max(float(np.max(np.abs(h[i] - np.roll(row, i)))) for i in range(h.shape[0]))
-        if defect > SPECTRAL_TOL:
-            raise ValueError(f"Hamiltonian is not circulant (defect {defect:.3e})")
-        defect = float(np.max(np.abs(row - np.roll(row[::-1], 1).conj())))
-        if defect > SPECTRAL_TOL:
-            raise ValueError(f"Hamiltonian is not Hermitian (defect {defect:.3e})")
+    def __init__(self, col: np.ndarray, hbar: float = 1.0):
+        col = np.asarray(col)
+        if col.ndim != 1 or np.iscomplexobj(col):
+            raise ConfigError(f"the Hamiltonian must be the real first column of its circulant, "
+                              f"got a {col.dtype} array of shape {col.shape}")
+        defect = float(np.max(np.abs(col - np.roll(col[::-1], 1))))
+        if not defect <= SPECTRAL_TOL:
+            raise ConfigError(f"the Hamiltonian column is not even, so its circulant is not "
+                              f"symmetric (defect {defect:.3e})")
         self.hbar = hbar
-        self.eigenvalues = np.fft.fft(h[:, 0]).real
+        self.eigenvalues = np.fft.fft(col).real
         self.max_energy = float(np.max(np.abs(self.eigenvalues)))
 
     def _phases(self, tau: float) -> np.ndarray:
@@ -332,11 +339,11 @@ class Propagator:
         return _circulant_matvec_fsum(self.column(tau), amplitudes)
 
 
-def _validate_step(dt: float, propagator: Propagator | None, hbar: float) -> None:
+def _validate_step(dt: float, propagator: Propagator | None) -> None:
     if dt <= 0:
         raise StepConditionError("dt must be positive")
     if propagator is not None and propagator.max_energy > 0:
-        limit = 0.01 * hbar / propagator.max_energy
+        limit = 0.01 * propagator.hbar / propagator.max_energy
         if dt > limit * (1 + 1e-12):
             raise StepConditionError(
                 f"dt={dt} exceeds 0.01*hbar/max|E| = {limit:.3e} for this Hamiltonian"
@@ -345,7 +352,7 @@ def _validate_step(dt: float, propagator: Propagator | None, hbar: float) -> Non
 
 def evolve_trajectory(
     psi0: StateVector,
-    hamiltonian: Operator | None,
+    propagator: Propagator | None,
     params: GrwParams,
     grid_map: Mapping[int, Grid],
     horizon: float,
@@ -355,14 +362,13 @@ def evolve_trajectory(
     sample_times: Sequence[float] | None = None,
     rate_factors: Mapping[int, float] | None = None,
     equivariant: bool = False,
-    propagator: Propagator | None = None,
     seed_label: tuple[int, ...] | int | None = None,
 ) -> Trajectory:
     """Run one stochastic realization up to ``horizon``.
 
-    Between events the state is advanced by the exact unitary
-    propagator of the circulant ``hamiltonian`` (pass a ``propagator``
-    built once to reuse it across calls).  At each Poisson jump time a
+    Between events the state is advanced by ``propagator`` (None for no
+    Hamiltonian), whose circulant acts on the whole space; build it once
+    and reuse it across calls.  At each Poisson jump time a
     centre is drawn from the jump density of the affected particle and
     the localization applied.  Jumps occur only on subsystems present
     in ``grid_map``; ``rate_factors`` scales the base rate per particle
@@ -377,9 +383,10 @@ def evolve_trajectory(
         psi0.shape.validate_index(k)
         if psi0.shape.dims[k] != grid.points:
             raise ValueError(f"grid for subsystem {k} does not match its dimension")
-    if hamiltonian is not None and propagator is None:
-        propagator = Propagator(hamiltonian, params.hbar)
-    _validate_step(dt, propagator, params.hbar)
+    if propagator is not None and propagator.eigenvalues.size != psi0.shape.total_dim:
+        raise ConfigError(f"the Hamiltonian column has {propagator.eigenvalues.size} entries, "
+                          f"the state's total dimension is {psi0.shape.total_dim}")
+    _validate_step(dt, propagator)
 
     if sample_times is None:
         n = max(1, int(math.ceil(horizon / dt - 1e-12)))

@@ -25,19 +25,19 @@ The commutator costs one matrix product.  With K = H rho,
 
     [H, rho] = H rho - rho H = K - K^dagger,
 
-because rho H = (H rho)^dagger when both H and rho are Hermitian.  H is
-Hermitian by contract (``integrate_with_snapshots`` rejects one that
-is not), and every RK4 stage rho stays Hermitian to the last bit: K - K^dagger
-is exactly anti-Hermitian and R is exactly symmetric, so each stage
-adds a Hermitian increment to a Hermitian state.  Callers of
-``lindblad_rhs`` must pass a Hermitian rho for the same reason.
+because rho H = (H rho)^dagger when both H and rho are Hermitian.
 
-H has real entries whenever it is a real symmetric matrix, as the free
-Hamiltonian always is.  K is then one real GEMM, H.real applied to
-rho viewed as a (d, 2d) float64 array (real and imaginary parts
-interleaved along each row), and the result is viewed back as complex.
-A second real GEMM with H.imag is added only when H has an imaginary
-part.
+H is the real symmetric circulant, on the whole space, of the first
+column the caller passes (``grw.free_hamiltonian`` makes it); its
+column must be even (``integrate_with_snapshots`` rejects one that is
+not) and have the state's total dimension.  It is built densely once
+per integration, and every RK4 stage rho stays Hermitian to the last
+bit: K - K^dagger is exactly anti-Hermitian and R is exactly symmetric,
+so each stage adds a Hermitian increment to a Hermitian state.
+Callers of ``lindblad_rhs`` must pass a Hermitian rho for the same
+reason.  K is one real GEMM, H applied to rho viewed as a (d, 2d)
+float64 array (real and imaginary parts interleaved along each row),
+and the result is viewed back as complex.
 """
 from __future__ import annotations
 
@@ -47,10 +47,11 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConfigError, GridAdequacyError, InvariantViolationError, StepConditionError
-from .grw import Grid, GrwParams, gaussian_template
-from .hilbert import SPECTRAL_TOL, DensityMatrix, Operator, SubsystemShape
+from .grw import Grid, GrwParams, Propagator, gaussian_template
+from .hilbert import SPECTRAL_TOL, DensityMatrix, SubsystemShape
 from .schema import POSITIVE, check_fields, checked
 
 STEP_BUDGET = 0.05
@@ -115,19 +116,20 @@ def _rate_array(
     return rate.reshape(d, d)
 
 
-def _hamiltonian_parts(hamiltonian: Operator | None) -> tuple[np.ndarray, ...]:
-    """H.real, plus H.imag when it is nonzero, as contiguous float64 arrays."""
-    if hamiltonian is None:
-        return ()
-    h = hamiltonian.entries
-    if np.any(h.imag):
-        return np.ascontiguousarray(h.real), np.ascontiguousarray(h.imag)
-    return (np.ascontiguousarray(h.real),)
+def _hamiltonian_matrix(col: np.ndarray | None, d: int) -> np.ndarray | None:
+    """The dense real circulant with first column ``col`` on a d-dimensional space."""
+    if col is None:
+        return None
+    col = np.asarray(col)
+    if col.shape != (d,) or np.iscomplexobj(col):
+        raise ConfigError(f"the Hamiltonian column must be {d} real entries, the state's total "
+                          f"dimension; got a {col.dtype} array of shape {col.shape}")
+    return scipy.linalg.circulant(col)
 
 
 def _rhs(
     rho: np.ndarray,
-    h_parts: tuple[np.ndarray, ...],
+    h: np.ndarray | None,
     hbar: float,
     rates: np.ndarray,
     out: np.ndarray,
@@ -139,13 +141,11 @@ def _rhs(
     needed only when there is an H) are C-contiguous complex (d, d).
     """
     np.multiply(rates, rho, out=out)
-    if h_parts:
+    if h is not None:
         d = rho.shape[0]
         k, comm = work
         flat = rho.view(np.float64).reshape(d, 2 * d)
-        np.matmul(h_parts[0], flat, out=k.view(np.float64).reshape(d, 2 * d))
-        if len(h_parts) == 2:
-            k += 1j * (h_parts[1] @ flat).view(complex)
+        np.matmul(h, flat, out=k.view(np.float64).reshape(d, 2 * d))
         np.copyto(comm, k.T)  # a contiguous copy transposes faster than a strided read
         np.conjugate(comm, out=comm)
         np.subtract(k, comm, out=comm)
@@ -154,38 +154,36 @@ def _rhs(
     return out
 
 
-def _work(rho: np.ndarray, h_parts: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray] | None:
-    return (np.empty_like(rho), np.empty_like(rho)) if h_parts else None
+def _work(rho: np.ndarray, h: np.ndarray | None) -> tuple[np.ndarray, np.ndarray] | None:
+    return None if h is None else (np.empty_like(rho), np.empty_like(rho))
 
 
 def lindblad_rhs(
     rho: DensityMatrix,
-    hamiltonian: Operator | None,
+    hamiltonian: np.ndarray | None,
     params: GrwParams,
     grids: Mapping[int, Grid],
 ) -> np.ndarray:
     """Time derivative of the statistical operator (Hermitian, traceless).
 
-    ``hamiltonian`` must be Hermitian (see the module docstring).
+    ``hamiltonian`` is H's first column and must be even (see the module
+    docstring).
     """
+    h = _hamiltonian_matrix(hamiltonian, rho.shape.total_dim)
     rates = params.lam * _rate_array(rho.shape, grids, params.alpha)
     entries = np.ascontiguousarray(rho.entries)
-    h_parts = _hamiltonian_parts(hamiltonian)
-    return _rhs(entries, h_parts, params.hbar, rates, np.empty_like(entries),
-                _work(entries, h_parts))
+    return _rhs(entries, h, params.hbar, rates, np.empty_like(entries), _work(entries, h))
 
 
 def _check_step(
     config: LindbladConfig,
     params: GrwParams,
     n_particles: int,
-    hamiltonian: Operator | None,
+    hamiltonian: np.ndarray | None,
 ) -> None:
     h_scale = 0.0
     if hamiltonian is not None:
-        if not hamiltonian.is_hermitian():
-            raise ConfigError("the Hamiltonian must be Hermitian")
-        h_scale = float(np.max(np.abs(np.linalg.eigvalsh(hamiltonian.entries)))) / params.hbar
+        h_scale = Propagator(hamiltonian, params.hbar).max_energy / params.hbar
     budget = config.dt * (params.lam * n_particles + h_scale)
     if budget > STEP_BUDGET * (1 + 1e-12):
         raise StepConditionError(
@@ -195,7 +193,7 @@ def _check_step(
 
 def integrate_with_snapshots(
     rho0: DensityMatrix,
-    hamiltonian: Operator | None,
+    hamiltonian: np.ndarray | None,
     params: GrwParams,
     grids: Mapping[int, Grid],
     config: LindbladConfig,
@@ -207,6 +205,7 @@ def integrate_with_snapshots(
     divide the horizon); the final state is always returned.
     """
     _check_step(config, params, len(grids), hamiltonian)
+    h = _hamiltonian_matrix(hamiltonian, rho0.shape.total_dim)
     n_steps = max(1, int(math.ceil(config.horizon / config.dt - 1e-12)))
     h_step = config.horizon / n_steps
 
@@ -226,7 +225,6 @@ def integrate_with_snapshots(
     if not drift <= SPECTRAL_TOL:
         raise GridAdequacyError(f"the grid's completeness defect drifts the trace by "
                                 f"{drift:.3e}; it cannot resolve the localization width")
-    h_parts = _hamiltonian_parts(hamiltonian)
     hbar = params.hbar
     rho = np.array(rho0.entries, dtype=complex, order="C")  # _rhs views it as float rows
     snapshots: dict[float, DensityMatrix] = {}
@@ -237,16 +235,16 @@ def integrate_with_snapshots(
     # d x d temporaries per run otherwise churn the heap.  The arithmetic
     # is that of rho + (h/6) (k1 + 2 k2 + 2 k3 + k4), in the same order.
     k1, k2, k3, k4, stage = (np.empty_like(rho) for _ in range(5))
-    work = _work(rho, h_parts)
+    work = _work(rho, h)
     half = 0.5 * h_step
     for step in range(1, n_steps + 1):
-        _rhs(rho, h_parts, hbar, rates, k1, work)
+        _rhs(rho, h, hbar, rates, k1, work)
         np.add(rho, np.multiply(half, k1, out=stage), out=stage)
-        _rhs(stage, h_parts, hbar, rates, k2, work)
+        _rhs(stage, h, hbar, rates, k2, work)
         np.add(rho, np.multiply(half, k2, out=stage), out=stage)
-        _rhs(stage, h_parts, hbar, rates, k3, work)
+        _rhs(stage, h, hbar, rates, k3, work)
         np.add(rho, np.multiply(h_step, k3, out=stage), out=stage)
-        _rhs(stage, h_parts, hbar, rates, k4, work)
+        _rhs(stage, h, hbar, rates, k4, work)
         np.multiply(2.0, k2, out=k2)
         np.add(k1, k2, out=k1)
         np.multiply(2.0, k3, out=k3)
@@ -272,7 +270,7 @@ def integrate_with_snapshots(
 
 def integrate(
     rho0: DensityMatrix,
-    hamiltonian: Operator | None,
+    hamiltonian: np.ndarray | None,
     params: GrwParams,
     grids: Mapping[int, Grid],
     config: LindbladConfig,

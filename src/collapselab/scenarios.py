@@ -34,7 +34,6 @@ from .grw import (
 )
 from .hilbert import (
     MAX_TOTAL_DIM,
-    Operator,
     StateVector,
     SubsystemShape,
     partial_trace,
@@ -420,9 +419,9 @@ class _Ensemble:
     propagator: Propagator | None
 
 
-def _ensemble_setup(config: OracleComparisonConfig) -> tuple[_Ensemble, Operator | None]:
-    """The run's shared trajectory setup and its free Hamiltonian (None
-    for ``hamiltonian = 'none'``)."""
+def _ensemble_setup(config: OracleComparisonConfig) -> tuple[_Ensemble, np.ndarray | None]:
+    """The run's shared trajectory setup and its free Hamiltonian's first
+    column (None for ``hamiltonian = 'none'``)."""
     grid = config.grid()
     hamiltonian = None
     propagator = None
@@ -439,14 +438,13 @@ def _comparison_trajectory(ensemble: _Ensemble, master_seed: int, index: int) ->
     config = ensemble.config
     return evolve_trajectory(
         ensemble.psi0,
-        None,
+        ensemble.propagator,
         ensemble.params,
         {0: ensemble.grid},
         config.horizon,
         config.dt,
         stream(master_seed, index),
         sample_times=ensemble.times,
-        propagator=ensemble.propagator,
         seed_label=(master_seed, index),
     )
 

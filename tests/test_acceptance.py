@@ -13,6 +13,7 @@ from collapselab.cli import main as cli_main
 from collapselab.grw import (
     Grid,
     GrwParams,
+    Propagator,
     evolve_trajectory,
     free_hamiltonian,
     position_mean,
@@ -281,14 +282,14 @@ def test_criterion_11_reproducibility(tmp_path):
 def test_criterion_12_translation_covariance():
     grid = Grid(64, 1.0)
     params = GrwParams(alpha=0.0625, lam=1.0, mass=10.0)
-    h = free_hamiltonian(grid, mass=10.0)
+    prop = Propagator(free_hamiltonian(grid, mass=10.0))
     psi = two_peak_state(grid, (24.0, 40.0), (0.6, 0.4), 2.0)
     shift = 5
     times = [0.5, 1.0, 1.5, 2.0]
 
-    base = evolve_trajectory(psi, h, params, {0: grid}, 2.0, 0.02, stream(112, 0),
+    base = evolve_trajectory(psi, prop, params, {0: grid}, 2.0, 0.02, stream(112, 0),
                              sample_times=times, equivariant=True)
-    shifted = evolve_trajectory(translate_state(psi, 0, shift), h, params, {0: grid},
+    shifted = evolve_trajectory(translate_state(psi, 0, shift), prop, params, {0: grid},
                                 2.0, 0.02, stream(112, 0), sample_times=times,
                                 equivariant=True)
     exact = len(base.jumps) > 0 and all(
@@ -304,10 +305,10 @@ def test_criterion_12_translation_covariance():
     shifted_means = []
     psi_shifted = translate_state(psi, 0, shift)
     for i in range(seeds):
-        t1 = evolve_trajectory(psi, h, params, {0: grid}, 2.0, 0.02,
+        t1 = evolve_trajectory(psi, prop, params, {0: grid}, 2.0, 0.02,
                                stream(1120, i), sample_times=[2.0])
         base_means.append(position_mean(t1.states[-1], 0, grid))
-        t2 = evolve_trajectory(psi_shifted, h, params, {0: grid}, 2.0, 0.02,
+        t2 = evolve_trajectory(psi_shifted, prop, params, {0: grid}, 2.0, 0.02,
                                stream(1121, i), sample_times=[2.0])
         shifted_means.append(position_mean(t2.states[-1], 0, grid))
     # no-jump trajectories put a deterministic atom in both samples; quantize

@@ -26,7 +26,7 @@ from collapselab.grw import (
     two_peak_state,
     window_mass,
 )
-from collapselab.hilbert import Operator, StateVector, SubsystemShape, partial_trace, tensor_product
+from collapselab.hilbert import StateVector, SubsystemShape, partial_trace, tensor_product
 from collapselab.rng import stream
 
 GRID = Grid(64, 1.0)
@@ -248,37 +248,40 @@ def test_jump_times_sorted_within_horizon():
 
 
 def test_free_hamiltonian_is_hermitian_circulant():
-    h = free_hamiltonian(GRID, mass=10.0)
-    assert np.max(np.abs(h.entries - h.entries.conj().T)) == 0.0
-    col = h.entries[:, 0]
-    for q in range(GRID.points):
-        np.testing.assert_allclose(h.entries[:, q], np.roll(col, q), atol=0)
+    col = free_hamiltonian(GRID, mass=10.0)
+    assert col.shape == (GRID.points,) and col.dtype == np.float64
+    assert not col.flags.writeable
+    assert np.array_equal(col, np.roll(col[::-1], 1))  # even, so its circulant is symmetric
+    h = scipy.linalg.circulant(col)
+    assert np.array_equal(h, h.T)
+    k = 2.0 * math.pi * np.fft.fftfreq(GRID.points, d=GRID.spacing)
+    np.testing.assert_allclose(np.linalg.eigvalsh(h), np.sort(k**2 / 20.0), rtol=0, atol=1e-12)
 
 
 def test_propagator_matches_expm_oracle():
-    h = free_hamiltonian(GRID, mass=10.0)
-    prop = Propagator(h, hbar=1.0)
+    col = free_hamiltonian(GRID, mass=10.0)
+    prop = Propagator(col, hbar=1.0)
+    h = scipy.linalg.circulant(col)
     rng = np.random.default_rng(0)
     psi = (rng.normal(size=64) + 1j * rng.normal(size=64))
     psi /= np.linalg.norm(psi)
     for tau in (0.013, 0.4, 2.7):
-        expected = scipy.linalg.expm(-1j * h.entries * tau) @ psi
+        expected = scipy.linalg.expm(-1j * h * tau) @ psi
         got = prop.advance(psi, tau)
         assert np.max(np.abs(got - expected)) <= 1e-9
         assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
-        first = scipy.linalg.expm(-1j * h.entries * tau)[:, 0]
+        first = scipy.linalg.expm(-1j * h * tau)[:, 0]
         assert np.max(np.abs(prop.column(tau) - first)) <= 1e-9
 
 
 def test_propagator_rejects_non_circulant_or_non_hermitian_h():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    with pytest.raises(ValueError, match="circulant"):
-        Propagator(Operator(a + a.conj().T))  # Hermitian, not circulant
-    with pytest.raises(ValueError, match="Hermitian"):
-        Propagator(Operator(scipy.linalg.circulant(np.arange(8.0))))  # circulant, not symmetric
-    with pytest.raises(ValueError, match="Hermitian"):
-        Propagator(Operator(1j * free_hamiltonian(Grid(8, 1.0), mass=1.0).entries))
+    col = free_hamiltonian(Grid(8, 1.0), mass=1.0)
+    with pytest.raises(ConfigError, match="first column"):
+        Propagator(scipy.linalg.circulant(col))  # the dense matrix, not its column
+    with pytest.raises(ConfigError, match="first column"):
+        Propagator(1j * col)
+    with pytest.raises(ConfigError, match="not even"):
+        Propagator(np.arange(8.0))  # its circulant is not symmetric
 
 
 # -- trajectories -------------------------------------------------------------------
@@ -296,9 +299,9 @@ def test_trajectory_no_dynamics_is_constant():
 
 def test_trajectory_unitarity_with_hamiltonian():
     psi = two_peak_state(GRID, (24.0, 40.0), (0.5, 0.5), 2.0)
-    h = free_hamiltonian(GRID, mass=10.0)
+    prop = Propagator(free_hamiltonian(GRID, mass=10.0))
     traj = evolve_trajectory(
-        psi, h, GrwParams(alpha=PARAMS.alpha, lam=0.0, mass=10.0),
+        psi, prop, GrwParams(alpha=PARAMS.alpha, lam=0.0, mass=10.0),
         {0: GRID}, 2.0, 0.02, stream(2),
     )
     for state in traj.states:
@@ -319,9 +322,9 @@ def test_trajectory_norms_and_jump_record():
 
 def test_step_condition_enforced():
     psi = two_peak_state(GRID, (24.0, 40.0), (0.5, 0.5), 2.0)
-    h = free_hamiltonian(GRID, mass=1.0)  # max energy ~ pi^2/2
+    prop = Propagator(free_hamiltonian(GRID, mass=1.0))  # max energy ~ pi^2/2
     with pytest.raises(StepConditionError):
-        evolve_trajectory(psi, h, GrwParams(alpha=0.0625, lam=0.0), {0: GRID}, 1.0, 0.05, stream(4))
+        evolve_trajectory(psi, prop, GrwParams(alpha=0.0625, lam=0.0), {0: GRID}, 1.0, 0.05, stream(4))
 
 
 def test_localization_statistics_match_born_weights():
@@ -347,15 +350,15 @@ def test_localization_statistics_match_born_weights():
 
 def test_seed_matched_translation_covariance_is_exact():
     psi = two_peak_state(GRID, (24.0, 40.0), (0.6, 0.4), 2.0)
-    h = free_hamiltonian(GRID, mass=10.0)
+    prop = Propagator(free_hamiltonian(GRID, mass=10.0))
     shift = 9
     times = [0.7, 1.4, 2.0]
     base = evolve_trajectory(
-        psi, h, PARAMS, {0: GRID}, 2.0, 0.02, stream(5, 0),
+        psi, prop, PARAMS, {0: GRID}, 2.0, 0.02, stream(5, 0),
         sample_times=times, equivariant=True,
     )
     translated = evolve_trajectory(
-        translate_state(psi, 0, shift), h, PARAMS, {0: GRID}, 2.0, 0.02, stream(5, 0),
+        translate_state(psi, 0, shift), prop, PARAMS, {0: GRID}, 2.0, 0.02, stream(5, 0),
         sample_times=times, equivariant=True,
     )
     assert len(base.jumps) == len(translated.jumps) > 0
