@@ -109,13 +109,6 @@ class Operator:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def is_hermitian(self, tol: float = SPECTRAL_TOL) -> bool:
-        return bool(np.max(np.abs(self.entries - self.entries.conj().T)) <= tol)
-
-    def is_unitary(self, tol: float = 1e-10) -> bool:
-        d = self.dim
-        return bool(np.max(np.abs(self.entries @ self.entries.conj().T - np.eye(d))) <= tol)
-
     @staticmethod
     def identity(dim: int) -> "Operator":
         return Operator(np.eye(dim, dtype=complex))
@@ -169,13 +162,6 @@ def apply_on_subsystem(op: Operator, k: int, psi: StateVector) -> StateVector:
     out = np.tensordot(op.entries, arr, axes=([1], [k]))
     out = np.moveaxis(out, 0, k)
     return StateVector(psi.shape, out.reshape(-1))
-
-
-def apply(op: Operator, psi: StateVector) -> StateVector:
-    """Apply a full-space operator to a state."""
-    if op.dim != psi.shape.total_dim:
-        raise ValueError("operator does not act on the full space")
-    return StateVector(psi.shape, op.entries @ psi.amplitudes)
 
 
 def embed(op: Operator, k: int, shape: SubsystemShape) -> Operator:

@@ -260,10 +260,3 @@ def test_embed_matches_apply():
     via_embed = embed(op, 1, shape).entries @ psi.amplitudes
     via_apply = apply_on_subsystem(op, 1, psi).amplitudes
     np.testing.assert_allclose(via_embed, via_apply, atol=1e-12)
-
-
-def test_operator_unitarity_check():
-    rng = np.random.default_rng(41)
-    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    assert Operator(q).is_unitary(tol=1e-10)
-    assert not Operator(q + 1e-6).is_unitary(tol=1e-10)
