@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolationError
+from .errors import ConfigError, InvariantViolationError
 
 MAX_RAYS = 200
 DEFAULT_TOLERANCE = 1e-9
@@ -181,9 +181,12 @@ class RaySet:
             if not text or text.startswith("#"):
                 continue
             tokens = text.split()
-            if len(tokens) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 components, got {len(tokens)}")
-            rays.append(Ray.from_exact([parse_component(t) for t in tokens]))
+            try:
+                if len(tokens) != 3:
+                    raise ValueError(f"expected 3 components, got {len(tokens)}")
+                rays.append(Ray.from_exact([parse_component(t) for t in tokens]))
+            except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
         return cls._dedupe(rays, tolerance)
 
     @classmethod

@@ -249,6 +249,23 @@ def test_ks_check_reads_files(tmp_path):
     assert run_cli(["ks-check", "--rays", str(tmp_path / "missing.rays")]) == 2
 
 
+@pytest.mark.parametrize("line", [
+    "0 1",  # wrong component count
+    "foo 1 0",
+    "1 0 nan",
+    "1+r2*r2 0 0",
+    "0 0 0",  # zero vector
+    "1e-100000 1 0",  # exact, but its primitive form overflows a float
+    "1/0 1 0",
+])
+def test_malformed_ray_lines_are_config_errors_naming_the_line(tmp_path, capsys, line):
+    rays = tmp_path / "bad.rays"
+    rays.write_text(f"# a good ray, then a bad one\n1 0 0\n{line}\n")
+    for command in ("ks-check", "ck-trace"):
+        assert run_cli([command, "--rays", str(rays)]) == 2
+        assert f"{rays}:3:" in capsys.readouterr().err
+
+
 def test_ck_trace_on_uncolorable_set(tmp_path):
     out = tmp_path / "trace.json"
     assert run_cli(["ck-trace", "--rays", "builtin:ks33", "--out", str(out)]) == 0
