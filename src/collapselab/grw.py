@@ -39,7 +39,6 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, GridAdequacyError, StepConditionError, ZeroNormError
 from .hilbert import MAX_TOTAL_DIM, SPECTRAL_TOL, Operator, StateVector, SubsystemShape
@@ -143,10 +142,28 @@ def gaussian_template(grid: Grid, alpha: float) -> np.ndarray:
     return _template(grid.points, grid.spacing, alpha)
 
 
+def even_part(col: np.ndarray) -> np.ndarray:
+    """(col[j] + col[-j mod M]) / 2, exactly even, so its circulant is exactly symmetric."""
+    return 0.5 * (col + np.roll(col[::-1], 1))
+
+
+def circulant(col: np.ndarray) -> np.ndarray:
+    """The dense circulant with first column ``col``: out[q, p] = col[(q - p) mod M].
+
+    Row q is the length-M window at offset M - 1 - q of ``col`` reversed
+    followed by ``col[1:]`` reversed; entries are copied, never computed.
+    """
+    col = np.asarray(col)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((col[::-1], col[:0:-1])), col.size
+    )
+    return windows[::-1].copy()
+
+
 @lru_cache(maxsize=128)
 def _g2_circulant(points: int, spacing: float, alpha: float) -> np.ndarray:
     g2 = _template(points, spacing, alpha) ** 2
-    m = scipy.linalg.circulant(g2)  # symmetric: the template is even
+    m = circulant(g2)  # symmetric: the template is even
     m.setflags(write=False)
     return m
 
@@ -293,8 +310,7 @@ def free_hamiltonian(grid: Grid, mass: float, hbar: float = 1.0) -> np.ndarray:
     m = grid.points
     k = 2.0 * math.pi * np.fft.fftfreq(m, d=grid.spacing)
     energy = (hbar * k) ** 2 / (2.0 * mass)
-    col = np.real(np.fft.ifft(energy))
-    col = 0.5 * (col + np.roll(col[::-1], 1))  # enforce exact evenness
+    col = even_part(np.real(np.fft.ifft(energy)))
     col.setflags(write=False)
     return col
 

@@ -17,6 +17,7 @@ built from raw floats fall back to the set's tolerance.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -29,6 +30,8 @@ from .errors import ConfigError, InvariantViolationError
 
 MAX_RAYS = 200
 DEFAULT_TOLERANCE = 1e-9
+MAX_EXPONENT = 324  # decimal exponents beyond a double's range (4.9e-324 ... 1.8e308)
+_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)$")
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -48,13 +51,25 @@ def _quad_is_zero(q: Quad) -> bool:
     return q[0] == 0 and q[1] == 0
 
 
+def _fraction(text: str) -> Fraction:
+    """``Fraction(text)``, refusing first an exponent beyond MAX_EXPONENT:
+    Fraction expands a decimal exponent into an exact power of ten, so
+    ``1e-99999999`` would stall it."""
+    exponent = _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
+            raise ValueError(f"the exponent of {text!r} is beyond a double's range")
+    return Fraction(text)
+
+
 def parse_component(token: str) -> Quad:
     """Parse ``a``, ``a+b*r2``, ``a-b*r2``, ``b*r2`` or ``r2`` forms."""
     t = token.strip()
     if not t:
         raise ValueError("empty ray component")
     if "r2" not in t:
-        return (Fraction(t), Fraction(0))
+        return (_fraction(t), Fraction(0))
     split = None
     for i in range(1, len(t)):
         if t[i] in "+-":
@@ -64,7 +79,7 @@ def parse_component(token: str) -> Quad:
         a_part, r_part = "", t
     else:
         a_part, r_part = t[:split], t[split:]
-    a = Fraction(a_part) if a_part else Fraction(0)
+    a = _fraction(a_part) if a_part else Fraction(0)
     sign = Fraction(1)
     if r_part[0] in "+-":
         sign = Fraction(-1) if r_part[0] == "-" else Fraction(1)
@@ -75,7 +90,7 @@ def parse_component(token: str) -> Quad:
     if body:
         if not body.endswith("*"):
             raise ValueError(f"malformed component {token!r}")
-        b = Fraction(body[:-1])
+        b = _fraction(body[:-1])
     else:
         b = Fraction(1)
     return (a, sign * b)

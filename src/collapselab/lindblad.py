@@ -20,8 +20,20 @@ other and against the literal operator sum.
 The whole dissipator is therefore one elementwise product lam R * rho
 with the real, symmetric rate array R = sum_n C_n - n (each C_n
 broadcast along the other factors).  R is built once per integration.
+C is circulant: its first column is the circular autocorrelation of
+the template g, from one rfft/irfft pair, made exactly even so that R
+is exactly symmetric.
 
-The commutator costs one matrix product.  With K = H rho,
+Without a Hamiltonian every entry of rho decays on its own, so the
+integration is the closed form
+
+    rho(t) = rho0 * exp(t lam R)    (entrywise),
+
+with no time steps; it is exactly Hermitian for a Hermitian rho0
+because R is exactly symmetric.
+
+With a Hamiltonian the integration is classical fixed-step RK4, and
+the commutator costs one matrix product.  With K = H rho,
 
     [H, rho] = H rho - rho H = K - K^dagger,
 
@@ -37,7 +49,9 @@ so each stage adds a Hermitian increment to a Hermitian state.
 Callers of ``lindblad_rhs`` must pass a Hermitian rho for the same
 reason.  K is one real GEMM, H applied to rho viewed as a (d, 2d)
 float64 array (real and imaginary parts interleaved along each row),
-and the result is viewed back as complex.
+and the result is viewed back as complex.  For a single grid an FFT
+route exists (rho stored as sigma(kappa, r), the FFT over q of
+rho[q, q - r]), but below M = 512 it is slower than this GEMM.
 """
 from __future__ import annotations
 
@@ -47,10 +61,9 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, GridAdequacyError, InvariantViolationError, StepConditionError
-from .grw import Grid, GrwParams, Propagator, gaussian_template
+from .grw import Grid, GrwParams, Propagator, circulant, even_part, gaussian_template
 from .hilbert import SPECTRAL_TOL, DensityMatrix, SubsystemShape
 from .schema import POSITIVE, check_fields, checked
 
@@ -64,7 +77,7 @@ MAX_RK4_STEPS = 10**5  # work budget; the largest shipped integrations take 500 
 
 @dataclass(frozen=True)
 class LindbladConfig:
-    """Fixed-step integration window: step dt, final time horizon."""
+    """Integration window: RK4 step dt (used only with a Hamiltonian), final time horizon."""
 
     dt: float = checked(POSITIVE)
     horizon: float = checked(POSITIVE)
@@ -76,11 +89,56 @@ class LindbladConfig:
                               f"the work budget of {MAX_RK4_STEPS:.3g}")
 
 
+def _steps(config: LindbladConfig) -> int:
+    return max(1, int(math.ceil(config.horizon / config.dt - 1e-12)))
+
+
+def oracle_cost(dim: int, steps: int, snapshots: int, free: bool) -> tuple[int, int]:
+    """Estimated flops and live bytes of one integration on a dim-dimensional space.
+
+    The flops are those of the RK4 GEMMs, 4 RHS per step of one
+    (d, d) x (d, 2d) real GEMM each; without H the closed form does
+    O(d^2) work per time and none are counted.  The bytes are complex
+    rho, the real rate array and one complex d x d per snapshot, plus,
+    with H, the real dense H, the four RK4 stages, the stage input and
+    the two commutator work arrays.
+    """
+    d2 = dim * dim
+    if not free:
+        return 0, (16 + 8 + 16 * snapshots) * d2
+    return steps * 4 * 4 * dim**3, (16 + 8 + 16 * snapshots + 8 + 7 * 16) * d2
+
+
+# Ten times the largest tier-1 or benchmark oracle, oracle-compare's free
+# H at M = 256 (500 steps, 4 checkpoints): 1.3e12 flops and 136 MB.
+MAX_ORACLE_FLOPS, MAX_ORACLE_BYTES = (10 * c for c in oracle_cost(256, 500, 4, True))
+
+
+def check_oracle_budget(
+    dim: int, free: bool, config: LindbladConfig, snapshots: int
+) -> None:
+    """Reject an integration whose estimated cost exceeds the oracle budget.
+
+    ``integrate_with_snapshots`` runs it first; the scenarios also run it
+    before they build the d x d initial state.
+    """
+    flops, nbytes = oracle_cost(dim, _steps(config), snapshots, free)
+    if flops > MAX_ORACLE_FLOPS or nbytes > MAX_ORACLE_BYTES:
+        raise ConfigError(
+            f"the oracle on a {dim}-dimensional space needs {flops:.3g} flops and "
+            f"{nbytes / 1e6:.0f} MB of live arrays, over the work budget of "
+            f"{MAX_ORACLE_FLOPS:.3g} flops and {MAX_ORACLE_BYTES / 1e6:.0f} MB; lower the "
+            f"keys 'points', 'horizon' or 'checkpoints', or raise 'dt'"
+        )
+
+
 @lru_cache(maxsize=128)
 def _overlap_kernel(points: int, spacing: float, alpha: float) -> np.ndarray:
-    g = np.asarray(gaussian_template(Grid(points, spacing), alpha))
-    cols = np.stack([np.roll(g, k) for k in range(points)], axis=1)  # cols[q, k]
-    kernel = (cols @ cols.T) * spacing
+    g = gaussian_template(Grid(points, spacing), alpha)
+    spectrum = np.fft.rfft(g)
+    # circular autocorrelation of g: col[j] = sum_k g(k + j) g(k) dx
+    col = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n=points) * spacing
+    kernel = circulant(even_part(col))
     kernel.setflags(write=False)
     return kernel
 
@@ -124,7 +182,7 @@ def _hamiltonian_matrix(col: np.ndarray | None, d: int) -> np.ndarray | None:
     if col.shape != (d,) or np.iscomplexobj(col):
         raise ConfigError(f"the Hamiltonian column must be {d} real entries, the state's total "
                           f"dimension; got a {col.dtype} array of shape {col.shape}")
-    return scipy.linalg.circulant(col)
+    return circulant(col)
 
 
 def _rhs(
@@ -176,14 +234,9 @@ def lindblad_rhs(
 
 
 def _check_step(
-    config: LindbladConfig,
-    params: GrwParams,
-    n_particles: int,
-    hamiltonian: np.ndarray | None,
+    config: LindbladConfig, params: GrwParams, n_particles: int, hamiltonian: np.ndarray
 ) -> None:
-    h_scale = 0.0
-    if hamiltonian is not None:
-        h_scale = Propagator(hamiltonian, params.hbar).max_energy / params.hbar
+    h_scale = Propagator(hamiltonian, params.hbar).max_energy / params.hbar
     budget = config.dt * (params.lam * n_particles + h_scale)
     if budget > STEP_BUDGET * (1 + 1e-12):
         raise StepConditionError(
@@ -191,24 +244,7 @@ def _check_step(
         )
 
 
-def integrate_with_snapshots(
-    rho0: DensityMatrix,
-    hamiltonian: np.ndarray | None,
-    params: GrwParams,
-    grids: Mapping[int, Grid],
-    config: LindbladConfig,
-    snapshot_times: Sequence[float] = (),
-) -> tuple[DensityMatrix, dict[float, DensityMatrix]]:
-    """Classical 4-stage fixed-step integration up to the horizon.
-
-    Snapshot times must land on step boundaries (choose dt so that they
-    divide the horizon); the final state is always returned.
-    """
-    _check_step(config, params, len(grids), hamiltonian)
-    h = _hamiltonian_matrix(hamiltonian, rho0.shape.total_dim)
-    n_steps = max(1, int(math.ceil(config.horizon / config.dt - 1e-12)))
-    h_step = config.horizon / n_steps
-
+def _snapshot_steps(h_step: float, snapshot_times: Sequence[float]) -> dict[int, float]:
     wanted: dict[int, float] = {}
     for t in snapshot_times:
         steps = t / h_step
@@ -217,15 +253,18 @@ def integrate_with_snapshots(
                 f"snapshot time {t} does not land on an integrator step (dt={h_step})"
             )
         wanted[int(round(steps))] = float(t)
+    return wanted
 
-    rates = params.lam * _rate_array(rho0.shape, grids, params.alpha)
-    # d tr(rho)/dt = sum_q rates[q, q] rho[q, q] vanishes only where each grid's
-    # completeness sum is 1; every returned state must keep its trace to SPECTRAL_TOL
-    drift = float(np.max(np.abs(np.diagonal(rates)))) * config.horizon
-    if not drift <= SPECTRAL_TOL:
-        raise GridAdequacyError(f"the grid's completeness defect drifts the trace by "
-                                f"{drift:.3e}; it cannot resolve the localization width")
-    hbar = params.hbar
+
+def _rk4(
+    rho0: DensityMatrix,
+    h: np.ndarray,
+    hbar: float,
+    rates: np.ndarray,
+    n_steps: int,
+    h_step: float,
+    wanted: Mapping[int, float],
+) -> tuple[np.ndarray, dict[float, DensityMatrix]]:
     rho = np.array(rho0.entries, dtype=complex, order="C")  # _rhs views it as float rows
     snapshots: dict[float, DensityMatrix] = {}
     if 0 in wanted:
@@ -254,6 +293,47 @@ def integrate_with_snapshots(
         np.add(rho, k1, out=rho)
         if step in wanted:
             snapshots[wanted[step]] = DensityMatrix(rho0.shape, rho)
+    return rho, snapshots
+
+
+def integrate_with_snapshots(
+    rho0: DensityMatrix,
+    hamiltonian: np.ndarray | None,
+    params: GrwParams,
+    grids: Mapping[int, Grid],
+    config: LindbladConfig,
+    snapshot_times: Sequence[float] = (),
+) -> tuple[DensityMatrix, dict[float, DensityMatrix]]:
+    """The statistical operator at the horizon and at each snapshot time.
+
+    Without a Hamiltonian each state is the closed form rho0 * exp(t lam R)
+    and ``config.dt`` plays no part.  With one, the integration is
+    classical 4-stage fixed-step RK4: dt must meet the step budget and
+    the snapshot times must land on step boundaries (choose dt so that
+    they divide the horizon).  The final state is always returned.
+    """
+    shape = rho0.shape
+    check_oracle_budget(shape.total_dim, hamiltonian is not None, config, len(snapshot_times))
+    if hamiltonian is not None:
+        _check_step(config, params, len(grids), hamiltonian)
+        h = _hamiltonian_matrix(hamiltonian, shape.total_dim)
+        n_steps = _steps(config)
+        h_step = config.horizon / n_steps
+        wanted = _snapshot_steps(h_step, snapshot_times)
+
+    rates = params.lam * _rate_array(shape, grids, params.alpha)
+    # d tr(rho)/dt = sum_q rates[q, q] rho[q, q] vanishes only where each grid's
+    # completeness sum is 1; every returned state must keep its trace to SPECTRAL_TOL
+    drift = float(np.max(np.abs(np.diagonal(rates)))) * config.horizon
+    if not drift <= SPECTRAL_TOL:
+        raise GridAdequacyError(f"the grid's completeness defect drifts the trace by "
+                                f"{drift:.3e}; it cannot resolve the localization width")
+    if hamiltonian is None:
+        rho = rho0.entries * np.exp(config.horizon * rates)
+        snapshots = {float(t): DensityMatrix(shape, rho0.entries * np.exp(t * rates))
+                     for t in snapshot_times}
+    else:
+        rho, snapshots = _rk4(rho0, h, params.hbar, rates, n_steps, h_step, wanted)
 
     trace_defect = abs(complex(np.trace(rho)) - 1.0)
     if trace_defect > TRACE_TOL:
@@ -261,7 +341,7 @@ def integrate_with_snapshots(
     herm_defect = float(np.max(np.abs(rho - rho.conj().T)))
     if herm_defect > HERMITICITY_TOL:
         raise InvariantViolationError(f"hermiticity drifted by {herm_defect:.3e}")
-    final = DensityMatrix(rho0.shape, rho)
+    final = DensityMatrix(shape, rho)
     min_eig = final.min_eigenvalue()
     if min_eig < POSITIVITY_FLOOR:
         raise InvariantViolationError(f"minimum eigenvalue {min_eig:.3e} below floor")

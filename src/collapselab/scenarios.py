@@ -39,7 +39,12 @@ from .hilbert import (
     partial_trace,
     tensor_product,
 )
-from .lindblad import LindbladConfig, ensemble_compare, integrate_with_snapshots
+from .lindblad import (
+    LindbladConfig,
+    check_oracle_budget,
+    ensemble_compare,
+    integrate_with_snapshots,
+)
 from .report import ExperimentReport
 from .rng import stream
 from .schema import COUNT, FINITE, NON_NEGATIVE, POSITIVE, Check, check_fields, checked, integer
@@ -116,7 +121,6 @@ class EprConfig:
     coupling_sites: int = setting(24, "pointer displacement in sites (0 = no measurement)",
                                   integer(0), key="coupling")
     horizon: float = setting(5.0, "measurement duration", POSITIVE)
-    dt: float = setting(0.05, "step bound", POSITIVE)
     master_seed: int = checked(NON_NEGATIVE, default=0)
     workers: int = checked(COUNT, default=1)
 
@@ -161,13 +165,14 @@ def _epr_trial(
     config: EprConfig, psi: StateVector, grid: Grid, params: GrwParams, index: int
 ) -> dict:
     rng = stream(config.master_seed, index)
+    # without a Hamiltonian and with explicit sample times, the step only has to be positive
     traj = evolve_trajectory(
         psi,
         None,
         params,
         {2: grid},
         config.horizon,
-        config.dt,
+        config.horizon,
         rng,
         sample_times=[config.horizon],
         rate_factors={2: float(config.amplification)},
@@ -197,13 +202,16 @@ def _epr_trial(
 
 
 def _epr_oracle_b_marginal(
-    config: EprConfig, psi: StateVector, grid: Grid, lconf: LindbladConfig
+    config: EprConfig, psi: StateVector, grid: Grid
 ) -> tuple[float, float]:
     """Particle-b region populations from the deterministic ensemble law,
     on the identical discretization (pointer jumps at the amplified rate)."""
     params = GrwParams(
         alpha=config.pointer_alpha, lam=config.base_rate * config.amplification
     )
+    # without a Hamiltonian the oracle is the closed form and takes no steps
+    lconf = LindbladConfig(dt=config.horizon, horizon=config.horizon)
+    check_oracle_budget(psi.shape.total_dim, False, lconf, 0)
     rho_t, _ = integrate_with_snapshots(psi.density_matrix(), None, params, {2: grid}, lconf)
     rho_b = partial_trace(rho_t, keep=(1,))
     diag = np.real(np.diag(rho_b.entries))
@@ -214,12 +222,11 @@ def run_epr_position(config: EprConfig) -> ExperimentReport:
     """Measure particle a's region via the collapsing pointer; record the
     selected branch and the conditional location of particle b."""
     t0 = time.perf_counter()
-    pointer_rate = config.base_rate * config.amplification
-    _check_budget(config.trials, "trials", pointer_rate * config.horizon + 1)
-    lconf = LindbladConfig(dt=min(config.dt, 0.05 / pointer_rate), horizon=config.horizon)
+    _check_budget(config.trials, "trials",
+                  config.base_rate * config.amplification * config.horizon + 1)
     psi, grid = _epr_initial_state(config)
     # the oracle runs first, so an input it rejects fails before any trial
-    oracle_b = _epr_oracle_b_marginal(config, psi, grid, lconf)
+    oracle_b = _epr_oracle_b_marginal(config, psi, grid)
     params = GrwParams(alpha=config.pointer_alpha, lam=config.base_rate)
     trials = _map_indexed(
         partial(_epr_trial, config, psi, grid, params), config.trials, config.workers
@@ -466,6 +473,7 @@ def run_oracle_comparison(
     grid = ensemble.grid
     times = ensemble.times
     # the oracle runs first, so an input it rejects fails before any trial
+    check_oracle_budget(grid.points, hamiltonian is not None, lconf, len(times))
     _, snapshots = integrate_with_snapshots(
         ensemble.psi0.density_matrix(), hamiltonian, ensemble.params, {0: grid}, lconf,
         snapshot_times=times,

@@ -1,12 +1,16 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import collapselab
 from collapselab.cli import KEY_SPECS, build_parser, main
 from collapselab.errors import ConfigError
 from collapselab.schema import NON_NEGATIVE, POSITIVE, check_value
@@ -14,6 +18,18 @@ from collapselab.schema import NON_NEGATIVE, POSITIVE, check_value
 
 def run_cli(args):
     return main(args)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; the package must run without it
+    src = str(Path(collapselab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = ("import sys, collapselab.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            check=True, timeout=60)
+    assert result.stdout.strip() == "[]"
 
 
 # -- help and key enumeration --------------------------------------------------
@@ -53,6 +69,17 @@ def test_unknown_config_key_suggests_nearest(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "lamda" in err and "lambda" in err
+
+
+def test_epr_has_no_dt_key(tmp_path, capsys):
+    # without a Hamiltonian the epr oracle and trials take no time steps
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["epr", "--seed", "1", "--trials", "2", "--dt", "0.01"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dt = 0.05\n")
+    assert run_cli(["epr", "--config", str(cfg), "--seed", "1", "--trials", "2"]) == 2
+    assert "unknown key 'dt'" in capsys.readouterr().err
 
 
 def test_negative_lambda_rejected_by_name(tmp_path, capsys):
@@ -148,6 +175,10 @@ def test_invalid_inputs_are_config_errors_naming_the_key(args, key, capsys):
     (["grw-run", "--trajectories", "2", "--checkpoints", "100000000"], "checkpoints"),
     (["epr", "--pointer-points", "2000"], "pointer_points"),
     (["singlet", "--trials", "1000000000"], "trials"),
+    # the oracle budget: 8.6e12 RK4 flops, and 1.5 GB of live arrays at d = 4096
+    (["oracle-compare", "--k", "100", "--hamiltonian", "free", "--points", "1024"], "points"),
+    (["oracle-compare", "--k", "100", "--points", "4096"], "checkpoints"),
+    (["epr", "--trials", "2", "--pointer-points", "1024"], "points"),
 ])
 def test_oversized_runs_are_rejected_before_they_start(args, key, capsys):
     assert run_cli(args + ["--seed", "1"]) == 2
@@ -255,7 +286,8 @@ def test_ks_check_reads_files(tmp_path):
     "1 0 nan",
     "1+r2*r2 0 0",
     "0 0 0",  # zero vector
-    "1e-100000 1 0",  # exact, but its primitive form overflows a float
+    "1e-100000 1 0",  # an exponent beyond a double's range
+    "1e-99999999 1 0",  # Fraction would expand the exponent exactly and stall
     "1/0 1 0",
 ])
 def test_malformed_ray_lines_are_config_errors_naming_the_line(tmp_path, capsys, line):
@@ -314,7 +346,7 @@ HELP_KEYS = {
         ("--delta3", "10.0"), ("--delta4", "30.0"), ("--packet-width", "1.0"),
         ("--pointer-points", "64"), ("--pointer-spacing", "1.0"),
         ("--pointer-alpha", "0.25"), ("--lambda", "0.2"), ("--amplification", "25"),
-        ("--coupling", "24"), ("--horizon", "5.0"), ("--dt", "0.05")],
+        ("--coupling", "24"), ("--horizon", "5.0")],
     "grw-run": _BASE_KEYS + _GRW_KEYS + [("--trajectories", "1000")],
     "oracle-compare": _BASE_KEYS + _GRW_KEYS + [("--k", "10000")],
     "ks-check": _RAYS_KEYS,
@@ -353,7 +385,7 @@ REPORT_CONFIGS = {
         "measure_b": True, "trials": 5, "triple_a": _AXES_LISTS, "triple_b": _AXES_LISTS}),
     "epr": (["--trials", "2"], {
         "amplification": 25, "coupling_sites": 24, "delta1": -30.0, "delta2": -10.0,
-        "delta3": 10.0, "delta4": 30.0, "dt": 0.05, "horizon": 5.0, "lambda": 0.2,
+        "delta3": 10.0, "delta4": 30.0, "horizon": 5.0, "lambda": 0.2,
         "packet_width": 1.0, "pointer_alpha": 0.25, "pointer_points": 64,
         "pointer_spacing": 1.0, "trials": 2}),
     "grw-run": (["--trajectories", "2"] + _GRW_TINY, _GRW_CONFIG),

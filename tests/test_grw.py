@@ -12,6 +12,7 @@ from collapselab.grw import (
     GrwParams,
     Propagator,
     apply_jump,
+    circulant,
     evolve_trajectory,
     free_hamiltonian,
     gaussian_packet,
@@ -245,6 +246,12 @@ def test_jump_times_sorted_within_horizon():
 
 
 # -- propagation -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 64])
+def test_circulant_equals_scipy_bit_for_bit(m):
+    col = np.random.default_rng(m).normal(size=m)
+    assert np.array_equal(circulant(col), scipy.linalg.circulant(col))
 
 
 def test_free_hamiltonian_is_hermitian_circulant():

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from collapselab import lindblad
 from collapselab.errors import ConfigError, StepConditionError
 from collapselab.grw import (
     Grid,
     GrwParams,
     Propagator,
+    circulant,
     evolve_trajectory,
     free_hamiltonian,
     gaussian_packet,
+    gaussian_template,
     localization_operator,
     two_peak_state,
 )
@@ -25,11 +28,13 @@ from collapselab.hilbert import (
 from collapselab.lindblad import (
     MIXTURE_CHUNK,
     LindbladConfig,
+    check_oracle_budget,
     dephasing_rate,
     ensemble_compare,
     integrate,
     integrate_with_snapshots,
     lindblad_rhs,
+    oracle_cost,
     overlap_kernel,
     trace_distance,
 )
@@ -213,6 +218,8 @@ def test_integrate_matches_dense_rk4_reference():
 
 @pytest.mark.parametrize("layout", ["free", "none", "pointer"])
 def test_buffered_rk4_equals_the_textbook_update_bit_for_bit(layout):
+    # with H the buffered RK4 must match bit for bit; without H the closed
+    # form must match the textbook RK4 to its truncation error
     grid = Grid(32, 1.0)
     params = GrwParams(alpha=0.25, lam=1.0, mass=10.0)
     psi = two_peak_state(grid, (10.0, 20.0), (0.5, 0.5), 1.5)
@@ -229,6 +236,9 @@ def test_buffered_rk4_equals_the_textbook_update_bit_for_bit(layout):
     def f(rho):
         return lindblad_rhs(DensityMatrix(rho0.shape, rho), h, params, grids)
 
+    def same(a, b):
+        return np.array_equal(a, b) if h is not None else np.max(np.abs(a - b)) <= 1e-10
+
     rho = np.array(rho0.entries)
     for step in range(1, 21):
         k1 = f(rho)
@@ -237,8 +247,63 @@ def test_buffered_rk4_equals_the_textbook_update_bit_for_bit(layout):
         k4 = f(rho + 0.01 * k3)
         rho = rho + (0.01 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if step == 10:
-            assert np.array_equal(snaps[0.1].entries, rho)
-    assert np.array_equal(final.entries, rho)
+            assert same(snaps[0.1].entries, rho)
+    assert same(final.entries, rho)
+
+
+@pytest.mark.parametrize("layout", ["single", "pointer"])
+def test_integration_without_h_is_the_closed_form(monkeypatch, layout):
+    def rhs(*args):
+        raise AssertionError("an integration without H evaluated the right-hand side")
+
+    monkeypatch.setattr(lindblad, "_rhs", rhs)
+    grid = Grid(32, 1.0)
+    params = GrwParams(alpha=0.25, lam=7.0)  # RK4 would need dt <= 0.05 / 7
+    psi, grids = two_peak_state(grid, (10.0, 20.0), (0.5, 0.5), 1.5), {0: grid}
+    if layout == "pointer":
+        region = StateVector(SubsystemShape((2,)), np.array([0.6, 0.8], dtype=complex))
+        psi, grids = tensor_product(region, psi), {1: grid}
+    rho0 = psi.density_matrix()
+    final, snaps = integrate_with_snapshots(
+        rho0, None, params, grids, LindbladConfig(dt=1.0, horizon=1.0),
+        snapshot_times=[0.0, 0.3, 1.0],
+    )
+    assert np.array_equal(snaps[0.0].entries, rho0.entries)
+    assert np.array_equal(snaps[1.0].entries, final.entries)
+    assert np.array_equal(final.entries, final.entries.conj().T)  # R is exactly symmetric
+    rates = params.lam * (overlap_kernel(grid, params.alpha) - 1.0)
+    if layout == "pointer":
+        rates = np.kron(np.ones((2, 2)), rates)
+    expected = rho0.entries * np.exp(0.3 * rates)
+    assert np.max(np.abs(snaps[0.3].entries - expected)) <= 1e-15
+
+
+def test_overlap_kernel_is_an_exactly_symmetric_circulant():
+    kernel = overlap_kernel(GRID, PARAMS.alpha)
+    assert np.array_equal(kernel, kernel.T)
+    assert np.array_equal(kernel, circulant(kernel[:, 0]))
+    g = gaussian_template(GRID, PARAMS.alpha)
+    rolled = np.stack([np.roll(g, k) for k in range(GRID.points)], axis=1)  # [q, k]
+    assert np.max(np.abs(kernel - rolled @ rolled.T * GRID.spacing)) <= 1e-15
+
+
+def test_oracle_budget_rejects_on_the_estimate_alone(monkeypatch):
+    d = 256
+    # rho, rates and 4 snapshots; with H also H and 7 RK4 stage and work arrays
+    assert oracle_cost(d, 500, 4, True) == (500 * 4 * 4 * d**3, (24 + 4 * 16 + 8 + 7 * 16) * d**2)
+    assert oracle_cost(d, 500, 4, False) == (0, (24 + 4 * 16) * d**2)
+    config = LindbladConfig(dt=0.01, horizon=5.0)
+    check_oracle_budget(256, True, config, 4)  # the largest benchmark oracle
+    with pytest.raises(ConfigError, match="points"):
+        check_oracle_budget(1024, True, config, 4)
+    with pytest.raises(ConfigError, match="checkpoints"):
+        check_oracle_budget(4096, False, config, 4)
+    # integrate_with_snapshots checks the estimate before it allocates
+    monkeypatch.setattr(lindblad, "MAX_ORACLE_BYTES", 100)
+    rho0 = random_density(np.random.default_rng(12), (8,))
+    with pytest.raises(ConfigError, match="dt"):
+        integrate(rho0, None, GrwParams(alpha=0.25, lam=0.1), {0: Grid(8, 1.0)},
+                  LindbladConfig(dt=0.1, horizon=1.0))
 
 
 def test_integrate_rejects_non_hermitian_hamiltonian():
@@ -312,16 +377,17 @@ def test_integrate_rejects_oversized_step():
     rng = np.random.default_rng(7)
     rho0 = random_density(rng, (GRID.points,))
     with pytest.raises(StepConditionError):
-        integrate(rho0, None, GrwParams(alpha=0.0625, lam=10.0), {0: GRID},
-                  LindbladConfig(dt=0.1, horizon=1.0))
+        integrate(rho0, free_hamiltonian(GRID, mass=10.0), GrwParams(alpha=0.0625, lam=10.0),
+                  {0: GRID}, LindbladConfig(dt=0.1, horizon=1.0))
 
 
 def test_snapshots_must_align_with_steps():
     rng = np.random.default_rng(8)
     rho0 = random_density(rng, (8,))
-    with pytest.raises(ConfigError):
+    grid = Grid(8, 1.0)
+    with pytest.raises(ConfigError, match="does not land"):
         integrate_with_snapshots(
-            rho0, None, GrwParams(alpha=0.25, lam=0.1), {0: Grid(8, 1.0)},
+            rho0, free_hamiltonian(grid, mass=100.0), GrwParams(alpha=0.25, lam=0.1), {0: grid},
             LindbladConfig(dt=0.1, horizon=1.0), snapshot_times=[0.333],
         )
 

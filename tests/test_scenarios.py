@@ -130,7 +130,8 @@ def test_oracle_comparison_requires_minimum_ensemble():
 
 @pytest.mark.parametrize("run,error", [
     pytest.param(lambda: run_oracle_comparison(
-        OracleComparisonConfig(horizon=1.0, checkpoints=3), 3000, 1), ConfigError,
+        OracleComparisonConfig(horizon=1.0, checkpoints=3, hamiltonian="free"), 3000, 1),
+        ConfigError,
         id="snapshot-off-step"),
     pytest.param(lambda: run_oracle_comparison(OracleComparisonConfig(alpha=0.5), 3000, 1),
                  GridAdequacyError, id="oracle-completeness-drift"),
