@@ -31,7 +31,14 @@ from .grw import (
     localization_operator,
     sample_jump_times,
 )
-from .lindblad import LindbladConfig, ensemble_compare, integrate, lindblad_rhs, trace_distance
+from .lindblad import (
+    LindbladConfig,
+    compare_mixtures,
+    ensemble_compare,
+    integrate,
+    lindblad_rhs,
+    trace_distance,
+)
 from .spin import (
     Direction,
     OrthoTriple,

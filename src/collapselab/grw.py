@@ -111,18 +111,11 @@ class JumpEvent:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One stochastic realization: sampled states plus its jump record."""
+    """One stochastic realization: its states at the sample times, in
+    order, plus its jump record."""
 
-    sample_times: tuple[float, ...]
     states: tuple[StateVector, ...]
     jumps: tuple[JumpEvent, ...]
-    seed: tuple[int, ...] | int | None
-
-    def state_at(self, t: float, tol: float = 1e-9) -> StateVector:
-        for st, s in zip(self.sample_times, self.states):
-            if abs(st - t) <= tol:
-                return s
-        raise ValueError(f"trajectory was not sampled at t={t}")
 
 
 # -- localization operators -------------------------------------------------
@@ -378,7 +371,6 @@ def evolve_trajectory(
     sample_times: Sequence[float] | None = None,
     rate_factors: Mapping[int, float] | None = None,
     equivariant: bool = False,
-    seed_label: tuple[int, ...] | int | None = None,
 ) -> Trajectory:
     """Run one stochastic realization up to ``horizon``.
 
@@ -460,7 +452,7 @@ def evolve_trajectory(
             )
             jumps.append(JumpEvent(t, payload, center))
 
-    return Trajectory(tuple(times), tuple(sampled), tuple(jumps), seed_label)
+    return Trajectory(tuple(sampled), tuple(jumps))
 
 
 # -- state builders and diagnostics ------------------------------------------

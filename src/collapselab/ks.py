@@ -72,7 +72,7 @@ def parse_component(token: str) -> Quad:
         return (_fraction(t), Fraction(0))
     split = None
     for i in range(1, len(t)):
-        if t[i] in "+-":
+        if t[i] in "+-" and t[i - 1] not in "eE":  # a sign after e/E is an exponent's
             split = i
             break
     if split is None:

@@ -52,26 +52,38 @@ float64 array (real and imaginary parts interleaved along each row),
 and the result is viewed back as complex.  For a single grid an FFT
 route exists (rho stored as sigma(kappa, r), the FFT over q of
 rho[q, q - r]), but below M = 512 it is slower than this GEMM.
+
+An ensemble of K trajectories is compared with the oracle as it
+streams (``compare_mixtures``): each trajectory's checkpoint states
+are copied into a bounded buffer and the trajectory is dropped, so the
+comparison holds at most max(MIXTURE_BUFFER_BYTES, one MIXTURE_CHUNK of
+checkpoint states) of amplitudes plus the checkpoints * d^2 sums, not
+O(K * checkpoints * d).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, GridAdequacyError, InvariantViolationError, StepConditionError
 from .grw import Grid, GrwParams, Propagator, circulant, even_part, gaussian_template
-from .hilbert import SPECTRAL_TOL, DensityMatrix, SubsystemShape
+from .hilbert import SPECTRAL_TOL, DensityMatrix, StateVector, SubsystemShape
 from .schema import POSITIVE, check_fields, checked
 
 STEP_BUDGET = 0.05
 TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-8
 POSITIVITY_FLOOR = -1e-6
-MIXTURE_CHUNK = 256  # trials stacked per GEMM in ensemble_compare; bounds peak memory
+MIXTURE_CHUNK = 256  # trials stacked per GEMM in compare_mixtures; fixes the summation order
+# Amplitudes compare_mixtures buffers between runs of GEMMs.  A threaded BLAS
+# call leaves its helper threads spinning for ~80 ms; folding every chunk
+# kept a core spinning through the whole 10^4-trial M = 64 benchmark run (CPU
+# time 3.0 s -> 5.2 s); an 8 MB buffer folds that run in five bursts.
+MIXTURE_BUFFER_BYTES = 8 * 2**20
 MAX_RK4_STEPS = 10**5  # work budget; the largest shipped integrations take 500 steps
 
 
@@ -84,9 +96,6 @@ class LindbladConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if not self.horizon / self.dt <= MAX_RK4_STEPS:
-            raise ConfigError(f"horizon / dt = {self.horizon / self.dt:.3g} RK4 steps exceed "
-                              f"the work budget of {MAX_RK4_STEPS:.3g}")
 
 
 def _steps(config: LindbladConfig) -> int:
@@ -120,9 +129,16 @@ def check_oracle_budget(
     """Reject an integration whose estimated cost exceeds the oracle budget.
 
     ``integrate_with_snapshots`` runs it first; the scenarios also run it
-    before they build the d x d initial state.
+    before they build the d x d initial state.  Only an integration with
+    a Hamiltonian takes RK4 steps, so only it is held to MAX_RK4_STEPS.
     """
-    flops, nbytes = oracle_cost(dim, _steps(config), snapshots, free)
+    steps = 0
+    if free:
+        if not config.horizon / config.dt <= MAX_RK4_STEPS:
+            raise ConfigError(f"horizon / dt = {config.horizon / config.dt:.3g} RK4 steps "
+                              f"exceed the work budget of {MAX_RK4_STEPS:.3g}")
+        steps = _steps(config)
+    flops, nbytes = oracle_cost(dim, steps, snapshots, free)
     if flops > MAX_ORACLE_FLOPS or nbytes > MAX_ORACLE_BYTES:
         raise ConfigError(
             f"the oracle on a {dim}-dimensional space needs {flops:.3g} flops and "
@@ -379,26 +395,62 @@ class EnsembleComparison:
 
 
 def ensemble_compare(
-    trajectories: Sequence, rho_oracle: DensityMatrix, at: float
+    mixture_sum: np.ndarray, size: int, rho_oracle: DensityMatrix, at: float
 ) -> EnsembleComparison:
-    """Trace distance between the empirical trajectory mixture and the oracle.
+    """Trace distance between the empirical mixture and the oracle at time ``at``.
 
-    The threshold 5/sqrt(K) is the standard Monte Carlo error scale
-    with an explicit safety factor.
+    ``mixture_sum`` is the sum of psi psi^dagger over ``size`` trajectory
+    states (``compare_mixtures`` folds it).  The threshold 5/sqrt(K) is
+    the standard Monte Carlo error scale with an explicit safety factor.
     """
-    if not trajectories:
+    if size < 1:
         raise ValueError("ensemble is empty")
-    d = rho_oracle.shape.total_dim
-    acc = np.zeros((d, d), dtype=complex)
-    for start in range(0, len(trajectories), MIXTURE_CHUNK):
-        chunk = trajectories[start:start + MIXTURE_CHUNK]
-        states = np.stack([traj.state_at(at).amplitudes for traj in chunk])
-        acc += states.T @ states.conj()  # sum of psi psi^dagger over the chunk
-    acc /= len(trajectories)
-    rho_mc = DensityMatrix(rho_oracle.shape, acc)
+    rho_mc = DensityMatrix(rho_oracle.shape, mixture_sum / size)
     return EnsembleComparison(
         time=at,
-        size=len(trajectories),
+        size=size,
         distance=trace_distance(rho_mc, rho_oracle),
-        threshold=5.0 / math.sqrt(len(trajectories)),
+        threshold=5.0 / math.sqrt(size),
     )
+
+
+def compare_mixtures(
+    samples: Iterable[Sequence[StateVector]], oracle: Mapping[float, DensityMatrix]
+) -> list[EnsembleComparison]:
+    """The trajectory mixture against the oracle at each of its times.
+
+    Each item of ``samples`` is one trajectory's states at the oracle's
+    times, in the mapping's order.  The states are folded in as they
+    arrive: copied into a (checkpoints, rows, d) buffer of at most
+    MIXTURE_BUFFER_BYTES (and at least MIXTURE_CHUNK rows), so no
+    trajectory has to be kept.  When the buffer is full, and once more
+    at the end, each checkpoint's sum gains psi psi^dagger of every
+    MIXTURE_CHUNK rows from one GEMM.
+    """
+    times = list(oracle)
+    d = oracle[times[0]].shape.total_dim
+    sums = np.zeros((len(times), d, d), dtype=complex)
+    chunk_bytes = len(times) * MIXTURE_CHUNK * d * np.dtype(complex).itemsize
+    capacity = MIXTURE_CHUNK * max(1, MIXTURE_BUFFER_BYTES // chunk_bytes)
+    buffer = np.empty((len(times), capacity, d), dtype=complex)
+
+    def fold(rows: int) -> None:
+        for total, states in zip(sums, buffer[:, :rows]):
+            for start in range(0, rows, MIXTURE_CHUNK):
+                chunk = states[start:start + MIXTURE_CHUNK]
+                total += chunk.T @ chunk.conj()
+
+    size = 0
+    for states in samples:
+        if len(states) != len(times):
+            raise ValueError(f"a trajectory has {len(states)} checkpoint states, "
+                             f"the oracle {len(times)}")
+        row = size % capacity
+        for block, state in zip(buffer, states):
+            block[row] = state.amplitudes
+        size += 1
+        if row == capacity - 1:
+            fold(capacity)
+    if size % capacity:
+        fold(size % capacity)
+    return [ensemble_compare(total, size, oracle[t], t) for total, t in zip(sums, times)]

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .hilbert import (
 from .lindblad import (
     LindbladConfig,
     check_oracle_budget,
-    ensemble_compare,
+    compare_mixtures,
     integrate_with_snapshots,
 )
 from .report import ExperimentReport
@@ -56,6 +56,8 @@ from .spin import (
     triple_measurement,
     zero_ket,
 )
+
+T = TypeVar("T")
 
 POINTER_BRANCH_THRESHOLD = 0.99  # below this on both branches a trial is inconclusive
 
@@ -82,13 +84,15 @@ def pool_size(workers: int, n: int) -> int:
     return min(workers, os.cpu_count() or 1, n)
 
 
-def _map_indexed(fn: Callable[[int], dict], n: int, workers: int) -> list[dict]:
+def _map_indexed(fn: Callable[[int], T], n: int, workers: int) -> Iterator[T]:
+    """fn(0), ..., fn(n - 1) in trial order, computed as the caller consumes them."""
     workers = pool_size(workers, n)
     if workers <= 1:
-        return [fn(i) for i in range(n)]
+        yield from map(fn, range(n))
+        return
     with ProcessPoolExecutor(max_workers=workers) as ex:
         chunk = max(1, n // (workers * 8))
-        return list(ex.map(fn, range(n), chunksize=chunk))
+        yield from ex.map(fn, range(n), chunksize=chunk)
 
 
 # -- position EPR with a collapsing pointer ----------------------------------
@@ -176,7 +180,6 @@ def _epr_trial(
         rng,
         sample_times=[config.horizon],
         rate_factors={2: float(config.amplification)},
-        seed_label=(config.master_seed, index),
     )
     final = traj.states[-1]
     weights = np.abs(final.reshaped()) ** 2
@@ -228,9 +231,9 @@ def run_epr_position(config: EprConfig) -> ExperimentReport:
     # the oracle runs first, so an input it rejects fails before any trial
     oracle_b = _epr_oracle_b_marginal(config, psi, grid)
     params = GrwParams(alpha=config.pointer_alpha, lam=config.base_rate)
-    trials = _map_indexed(
+    trials = list(_map_indexed(
         partial(_epr_trial, config, psi, grid, params), config.trials, config.workers
-    )
+    ))
 
     conclusive = [t for t in trials if t["conclusive"]]
     n_c = len(conclusive)
@@ -320,9 +323,9 @@ def run_singlet_spacetime(
     parameter-independence comparison."""
     t0 = time.perf_counter()
     _check_budget(trials, "trials")
-    rows = _map_indexed(
+    rows = list(_map_indexed(
         partial(_singlet_trial, triple_b, triple_a, measure_b, seed), trials, workers
-    )
+    ))
     aggregates: dict = {"trials": trials}
     if measure_b:
         counts_b = [0, 0, 0]
@@ -452,7 +455,6 @@ def _comparison_trajectory(ensemble: _Ensemble, master_seed: int, index: int) ->
         config.dt,
         stream(master_seed, index),
         sample_times=ensemble.times,
-        seed_label=(master_seed, index),
     )
 
 
@@ -481,26 +483,30 @@ def run_oracle_comparison(
     trajectories = _map_indexed(
         partial(_comparison_trajectory, ensemble, master_seed), ensemble_size, workers
     )
+    jumps: list[int] = []
+    rows: list[dict] | None = [] if config.record_trials else None
 
-    comparisons = [ensemble_compare(trajectories, snapshots[t], t) for t in times]
+    def checkpoint_states() -> Iterator[tuple[StateVector, ...]]:
+        # keep each trial's record; compare_mixtures folds its states and drops them
+        for i, traj in enumerate(trajectories):
+            jumps.append(len(traj.jumps))
+            if rows is not None:
+                rows.append({
+                    "trial": i,
+                    "n_jumps": len(traj.jumps),
+                    "final_mean_position": position_mean(traj.states[-1], 0, grid),
+                })
+            yield traj.states
+
+    comparisons = compare_mixtures(checkpoint_states(), {t: snapshots[t] for t in times})
     aggregates = {
         "ensemble_size": ensemble_size,
         "times": times,
         "distances": [c.distance for c in comparisons],
         "threshold": comparisons[0].threshold,
         "within_threshold": [bool(c.within_threshold) for c in comparisons],
-        "mean_jumps": float(np.mean([len(t.jumps) for t in trajectories])),
+        "mean_jumps": float(np.mean(jumps)),
     }
-    rows = None
-    if config.record_trials:
-        rows = [
-            {
-                "trial": i,
-                "n_jumps": len(t.jumps),
-                "final_mean_position": position_mean(t.states[-1], 0, grid),
-            }
-            for i, t in enumerate(trajectories)
-        ]
     return ExperimentReport(
         scenario="oracle_comparison",
         config=report_config(config),
@@ -525,9 +531,9 @@ def run_grw_ensemble(
     t0 = time.perf_counter()
     _check_budget(ensemble_size, "trajectories", config.rate * config.horizon + config.checkpoints)
     ensemble, _ = _ensemble_setup(config)
-    trials = _map_indexed(
+    trials = list(_map_indexed(
         partial(_grw_trial, ensemble, master_seed), ensemble_size, workers
-    )
+    ))
     branch_counts = [0] * len(config.peak_centers)
     localized = 0
     for t in trials:

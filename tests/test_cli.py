@@ -169,7 +169,7 @@ def test_invalid_inputs_are_config_errors_naming_the_key(args, key, capsys):
 
 
 @pytest.mark.parametrize("args,key", [
-    (["oracle-compare", "--k", "100", "--dt", "1e-9"], "dt"),
+    (["oracle-compare", "--k", "100", "--hamiltonian", "free", "--dt", "1e-9"], "dt"),
     (["grw-run", "--trajectories", "2", "--lambda", "1e8"], "lambda"),
     (["grw-run", "--points", "100000000"], "points"),
     (["grw-run", "--trajectories", "2", "--checkpoints", "100000000"], "checkpoints"),
@@ -184,6 +184,16 @@ def test_oversized_runs_are_rejected_before_they_start(args, key, capsys):
     assert run_cli(args + ["--seed", "1"]) == 2
     err = capsys.readouterr().err
     assert key in err and "internal" not in err
+
+
+def test_dt_takes_no_step_budget_without_a_hamiltonian(tmp_path):
+    # the closed-form oracle and the sampled trajectories never step by dt
+    aggregates = []
+    for dt in ([], ["--dt", "1e-9"]):
+        out = tmp_path / f"dt{len(dt)}.json"
+        assert run_cli(["oracle-compare", "--k", "100", "--seed", "1", *dt, "--out", str(out)]) == 0
+        aggregates.append(json.loads(out.read_text())["aggregates"])
+    assert aggregates[0] == aggregates[1]
 
 
 def test_malformed_triple_rejected(capsys):
@@ -211,14 +221,16 @@ def test_byte_identical_reports_and_csv(tmp_path):
 
 @pytest.mark.parametrize("hamiltonian", ["none", "free"])
 def test_oracle_compare_reports_identical_across_worker_counts(tmp_path, hamiltonian):
-    args = ["oracle-compare", "--hamiltonian", hamiltonian, "--k", "150", "--seed", "11"]
-    paths = []
+    # 600 trials: two full mixture chunks of MIXTURE_CHUNK = 256 and a remainder
+    args = ["oracle-compare", "--hamiltonian", hamiltonian, "--k", "600", "--seed", "11"]
+    outputs = []
     for workers in (1, 2):
-        out = tmp_path / f"w{workers}.json"
-        assert run_cli(args + ["--workers", str(workers), "--out", str(out)]) == 0
-        paths.append(out)
-    assert paths[0].read_bytes() == paths[1].read_bytes()
-    assert all(json.loads(paths[0].read_text())["aggregates"]["within_threshold"])
+        out, csv = tmp_path / f"w{workers}.json", tmp_path / f"w{workers}.csv"
+        assert run_cli(args + ["--workers", str(workers), "--out", str(out),
+                               "--csv", str(csv)]) == 0
+        outputs.append((out.read_bytes(), csv.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert all(json.loads(outputs[0][0])["aggregates"]["within_threshold"])
 
 
 def test_stdout_when_no_out_path(capsys):
@@ -278,6 +290,8 @@ def test_ks_check_reads_files(tmp_path):
     assert run_cli(["ks-check", "--rays", str(rays), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["aggregates"]["verdict"] == "colorable"
     assert run_cli(["ks-check", "--rays", str(tmp_path / "missing.rays")]) == 2
+    rays.write_text("1e-5+r2 1 0\n")  # a signed exponent before the r2 part
+    assert run_cli(["ks-check", "--rays", str(rays), "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("line", [

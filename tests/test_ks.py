@@ -57,6 +57,8 @@ def test_parse_component_forms():
     assert parse_component("1+1*r2") == (Fraction(1), Fraction(1))
     assert parse_component("1-2*r2") == (Fraction(1), Fraction(-2))
     assert parse_component("0.5+r2") == (Fraction(1, 2), Fraction(1))
+    assert parse_component("1e-5+r2") == (Fraction(1, 100000), Fraction(1))
+    assert parse_component("2.5E+3-r2") == (Fraction(2500), Fraction(-1))
     for bad in ("", "x", "r3", "1*", "1+*r2"):
         with pytest.raises(ValueError):
             parse_component(bad)

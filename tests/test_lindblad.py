@@ -29,6 +29,7 @@ from collapselab.lindblad import (
     MIXTURE_CHUNK,
     LindbladConfig,
     check_oracle_budget,
+    compare_mixtures,
     dephasing_rate,
     ensemble_compare,
     integrate,
@@ -401,9 +402,10 @@ def test_compare_single_matching_pure_state():
         psi, None, GrwParams(alpha=0.0625, lam=0.0), {0: GRID}, 1.0, 0.1, stream(0),
         sample_times=[1.0],
     )
-    report = ensemble_compare([traj], psi.density_matrix(), at=1.0)
+    (report,) = compare_mixtures([traj.states], {1.0: psi.density_matrix()})
     assert report.distance <= 1e-10
     assert report.size == 1
+    assert report.time == 1.0
 
 
 def test_compare_deterministic_ensemble_against_unitary_oracle():
@@ -421,23 +423,29 @@ def test_compare_deterministic_ensemble_against_unitary_oracle():
     _, snaps = integrate_with_snapshots(
         psi.density_matrix(), h, params, {0: GRID}, config, snapshot_times=times
     )
-    for t in times:
-        assert ensemble_compare(trajectories, snaps[t], at=t).distance <= 1e-8
+    comparisons = compare_mixtures((traj.states for traj in trajectories),
+                                   {t: snaps[t] for t in times})
+    assert [c.time for c in comparisons] == times
+    assert all(c.distance <= 1e-8 for c in comparisons)
 
 
 def test_compare_rejects_empty_and_missing_times():
     psi = gaussian_packet(GRID, 20.0, 2.0)
+    rho = psi.density_matrix()
     with pytest.raises(ValueError):
-        ensemble_compare([], psi.density_matrix(), at=1.0)
+        compare_mixtures([], {1.0: rho})
+    with pytest.raises(ValueError):
+        ensemble_compare(np.zeros((GRID.points, GRID.points), dtype=complex), 0, rho, at=1.0)
     traj = evolve_trajectory(
         psi, None, GrwParams(alpha=0.0625, lam=0.0), {0: GRID}, 1.0, 0.1, stream(2),
         sample_times=[1.0],
     )
+    # one checkpoint state against two oracle states
     with pytest.raises(ValueError):
-        ensemble_compare([traj], psi.density_matrix(), at=0.5)
+        compare_mixtures([traj.states], {0.5: rho, 1.0: rho})
 
 
-def test_compare_chunked_mixture_matches_outer_product_sum():
+def test_compare_chunked_mixture_matches_outer_product_sum(monkeypatch):
     grid = Grid(32, 1.0)
     params = GrwParams(alpha=0.25, lam=1.0)
     psi = two_peak_state(grid, (10.0, 20.0), (0.5, 0.5), 1.5)
@@ -452,12 +460,16 @@ def test_compare_chunked_mixture_matches_outer_product_sum():
                        LindbladConfig(dt=0.01, horizon=0.5))
     acc = np.zeros((32, 32), dtype=complex)
     for traj in trajectories:
-        amps = traj.state_at(0.5).amplitudes
-        acc += np.outer(amps, amps.conj())
+        (state,) = traj.states
+        acc += np.outer(state.amplitudes, state.amplitudes.conj())
     expected = trace_distance(DensityMatrix(oracle.shape, acc / k), oracle)
-    got = ensemble_compare(trajectories, oracle, at=0.5)
+    (got,) = compare_mixtures((traj.states for traj in trajectories), {0.5: oracle})
     assert got.size == k
     assert abs(got.distance - expected) <= 1e-13
+    # a buffer of one chunk folds more often, in the same order, to the same bits
+    monkeypatch.setattr(lindblad, "MIXTURE_BUFFER_BYTES", 1)
+    (small,) = compare_mixtures((traj.states for traj in trajectories), {0.5: oracle})
+    assert small.distance == got.distance
 
 
 def test_distance_decreases_with_ensemble_size():
@@ -474,8 +486,9 @@ def test_distance_decreases_with_ensemble_size():
                               stream(500 + rep, i), sample_times=[2.0])
             for i in range(10_000)
         ]
-        d_small = ensemble_compare(trajectories[:100], rho_t, at=2.0).distance
-        d_large = ensemble_compare(trajectories, rho_t, at=2.0).distance
+        (small,) = compare_mixtures((t.states for t in trajectories[:100]), {2.0: rho_t})
+        (large,) = compare_mixtures((t.states for t in trajectories), {2.0: rho_t})
+        d_small, d_large = small.distance, large.distance
         wins += d_large < d_small
     assert wins >= 0.95 * reps
 

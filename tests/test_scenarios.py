@@ -1,12 +1,13 @@
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from collapselab import scenarios
 from collapselab.errors import ConfigError, GridAdequacyError
-from collapselab.lindblad import LindbladConfig
+from collapselab.lindblad import MIXTURE_CHUNK, LindbladConfig, check_oracle_budget
 from collapselab.scenarios import (
     EprConfig,
     OracleComparisonConfig,
@@ -123,6 +124,29 @@ def test_oracle_comparison_reproducible():
     assert a.aggregates["threshold"] == 5.0 / math.sqrt(150)
 
 
+def test_oracle_comparison_keeps_at_most_one_chunk_of_trajectories(monkeypatch):
+    alive = peak = 0
+
+    def released() -> None:
+        nonlocal alive
+        alive -= 1
+
+    def tracked(*args):
+        nonlocal alive, peak
+        traj = trajectory(*args)
+        weakref.finalize(traj, released)
+        alive += 1
+        peak = max(peak, alive)
+        return traj
+
+    trajectory = scenarios._comparison_trajectory
+    monkeypatch.setattr(scenarios, "_comparison_trajectory", tracked)
+    k = 3 * MIXTURE_CHUNK + 17
+    rep = run_oracle_comparison(OracleComparisonConfig(horizon=1.0), k, 5, workers=1)
+    assert rep.aggregates["ensemble_size"] == k
+    assert 1 <= peak <= MIXTURE_CHUNK
+
+
 def test_oracle_comparison_requires_minimum_ensemble():
     with pytest.raises(ConfigError):
         run_oracle_comparison(OracleComparisonConfig(), 50, 1)
@@ -165,7 +189,7 @@ def test_grw_ensemble_localization_summary():
     (lambda: OracleComparisonConfig(hamiltonian="kinetic"), "hamiltonian"),
     (lambda: OracleComparisonConfig(peak_centers=(24.0, 24.0)), "peaks"),
     (lambda: OracleComparisonConfig(peak_weights=(1.0, 0.0)), "peaks"),
-    (lambda: LindbladConfig(dt=1e-9, horizon=5.0), "dt"),
+    (lambda: check_oracle_budget(64, True, LindbladConfig(dt=1e-9, horizon=5.0), 4), "dt"),
     (lambda: run_grw_ensemble(OracleComparisonConfig(rate=1e8), 2, 1), "lambda"),
     (lambda: run_singlet_spacetime(AXES, AXES, 10**7, 1), "trials"),
 ])
