@@ -21,11 +21,13 @@ from .hilbert import (
     tensor_product,
 )
 from .grw import (
+    Block,
     Grid,
     GrwParams,
     JumpEvent,
     Trajectory,
     apply_jump,
+    evolve_block,
     evolve_trajectory,
     jump_density,
     localization_operator,

@@ -54,11 +54,12 @@ route exists (rho stored as sigma(kappa, r), the FFT over q of
 rho[q, q - r]), but below M = 512 it is slower than this GEMM.
 
 An ensemble of K trajectories is compared with the oracle as it
-streams (``compare_mixtures``): each trajectory's checkpoint states
-are copied into a bounded buffer and the trajectory is dropped, so the
+streams (``compare_mixtures``): each block of trajectories' checkpoint
+states is copied into a bounded buffer and the block is dropped, so the
 comparison holds at most max(MIXTURE_BUFFER_BYTES, one MIXTURE_CHUNK of
 checkpoint states) of amplitudes plus the checkpoints * d^2 sums, not
-O(K * checkpoints * d).
+O(K * checkpoints * d); ``mixture_bytes`` counts them, and the oracle
+budget includes them for an ensemble comparison.
 """
 from __future__ import annotations
 
@@ -71,7 +72,7 @@ import numpy as np
 
 from .errors import ConfigError, GridAdequacyError, InvariantViolationError, StepConditionError
 from .grw import Grid, GrwParams, Propagator, circulant, even_part, gaussian_template
-from .hilbert import SPECTRAL_TOL, DensityMatrix, StateVector, SubsystemShape
+from .hilbert import SPECTRAL_TOL, DensityMatrix, SubsystemShape
 from .schema import POSITIVE, check_fields, checked
 
 STEP_BUDGET = 0.05
@@ -123,14 +124,31 @@ def oracle_cost(dim: int, steps: int, snapshots: int, free: bool) -> tuple[int, 
 MAX_ORACLE_FLOPS, MAX_ORACLE_BYTES = (10 * c for c in oracle_cost(256, 500, 4, True))
 
 
+def _mixture_capacity(checkpoints: int, dim: int) -> int:
+    """Trajectories compare_mixtures buffers: MIXTURE_BUFFER_BYTES, but at least MIXTURE_CHUNK."""
+    chunk_bytes = checkpoints * MIXTURE_CHUNK * dim * np.dtype(complex).itemsize
+    return MIXTURE_CHUNK * max(1, MIXTURE_BUFFER_BYTES // chunk_bytes)
+
+
+def mixture_bytes(dim: int, checkpoints: int, block_rows: int) -> int:
+    """Live bytes of comparing a trajectory ensemble with the oracle: the
+    checkpoints * d^2 mixture sums, compare_mixtures' buffer and one block
+    of ``block_rows`` trajectories' checkpoint states."""
+    rows = _mixture_capacity(checkpoints, dim) + block_rows
+    return np.dtype(complex).itemsize * checkpoints * (dim * dim + rows * dim)
+
+
 def check_oracle_budget(
-    dim: int, free: bool, config: LindbladConfig, snapshots: int
+    dim: int, free: bool, config: LindbladConfig, snapshots: int, block_rows: int = 0
 ) -> None:
     """Reject an integration whose estimated cost exceeds the oracle budget.
 
     ``integrate_with_snapshots`` runs it first; the scenarios also run it
     before they build the d x d initial state.  Only an integration with
     a Hamiltonian takes RK4 steps, so only it is held to MAX_RK4_STEPS.
+    With ``block_rows``, the oracle's snapshots are compared with an
+    ensemble evolved in blocks of that many trajectories, and the bytes
+    include ``mixture_bytes``.
     """
     steps = 0
     if free:
@@ -139,6 +157,8 @@ def check_oracle_budget(
                               f"exceed the work budget of {MAX_RK4_STEPS:.3g}")
         steps = _steps(config)
     flops, nbytes = oracle_cost(dim, steps, snapshots, free)
+    if block_rows:
+        nbytes += mixture_bytes(dim, snapshots, block_rows)
     if flops > MAX_ORACLE_FLOPS or nbytes > MAX_ORACLE_BYTES:
         raise ConfigError(
             f"the oracle on a {dim}-dimensional space needs {flops:.3g} flops and "
@@ -415,23 +435,23 @@ def ensemble_compare(
 
 
 def compare_mixtures(
-    samples: Iterable[Sequence[StateVector]], oracle: Mapping[float, DensityMatrix]
+    blocks: Iterable[np.ndarray], oracle: Mapping[float, DensityMatrix]
 ) -> list[EnsembleComparison]:
     """The trajectory mixture against the oracle at each of its times.
 
-    Each item of ``samples`` is one trajectory's states at the oracle's
-    times, in the mapping's order.  The states are folded in as they
-    arrive: copied into a (checkpoints, rows, d) buffer of at most
-    MIXTURE_BUFFER_BYTES (and at least MIXTURE_CHUNK rows), so no
-    trajectory has to be kept.  When the buffer is full, and once more
-    at the end, each checkpoint's sum gains psi psi^dagger of every
-    MIXTURE_CHUNK rows from one GEMM.
+    Each item of ``blocks`` is a (checkpoints, rows, d) array: the states
+    of ``rows`` trajectories at the oracle's times, in the mapping's
+    order.  The states are folded in as they arrive: copied into a
+    (checkpoints, rows, d) buffer of at most MIXTURE_BUFFER_BYTES (and at
+    least MIXTURE_CHUNK rows), so no block has to be kept.  When the
+    buffer is full, and once more at the end, each checkpoint's sum gains
+    psi psi^dagger of every MIXTURE_CHUNK rows from one GEMM, so the sums
+    do not depend on how the trajectories are split into blocks.
     """
     times = list(oracle)
     d = oracle[times[0]].shape.total_dim
     sums = np.zeros((len(times), d, d), dtype=complex)
-    chunk_bytes = len(times) * MIXTURE_CHUNK * d * np.dtype(complex).itemsize
-    capacity = MIXTURE_CHUNK * max(1, MIXTURE_BUFFER_BYTES // chunk_bytes)
+    capacity = _mixture_capacity(len(times), d)
     buffer = np.empty((len(times), capacity, d), dtype=complex)
 
     def fold(rows: int) -> None:
@@ -441,16 +461,20 @@ def compare_mixtures(
                 total += chunk.T @ chunk.conj()
 
     size = 0
-    for states in samples:
-        if len(states) != len(times):
-            raise ValueError(f"a trajectory has {len(states)} checkpoint states, "
-                             f"the oracle {len(times)}")
-        row = size % capacity
-        for block, state in zip(buffer, states):
-            block[row] = state.amplitudes
-        size += 1
-        if row == capacity - 1:
-            fold(capacity)
+    for block in blocks:
+        if block.ndim != 3 or block.shape[0] != len(times) or block.shape[2] != d:
+            raise ValueError(f"a block of shape {block.shape} does not hold states at the "
+                             f"oracle's {len(times)} times on its {d}-dimensional space")
+        done = 0
+        while done < block.shape[1]:
+            row = size % capacity
+            take = min(capacity - row, block.shape[1] - done)
+            buffer[:, row:row + take] = block[:, done:done + take]
+            done += take
+            size += take
+            if row + take == capacity:
+                fold(capacity)
+        del block  # the next block is built while the loop waits for it
     if size % capacity:
         fold(size % capacity)
     return [ensemble_compare(total, size, oracle[t], t) for total, t in zip(sums, times)]

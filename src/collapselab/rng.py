@@ -22,3 +22,12 @@ def draw_index(weights: np.ndarray, u: float) -> int:
     index 0."""
     c = np.cumsum(weights)
     return min(int(np.searchsorted(c, u * c[-1], side="right")), weights.size - 1)
+
+
+def draw_rows(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``draw_index`` for each row of non-negative (n, m) ``weights``, with the
+    uniform ``u[i]`` for row i."""
+    c = np.cumsum(weights, axis=1)
+    # on a non-decreasing row, the count of sums <= u * total is searchsorted(side="right")
+    below = c <= np.multiply(u, c[:, -1])[:, None]
+    return np.minimum(np.count_nonzero(below, axis=1), weights.shape[1] - 1)

@@ -3,7 +3,9 @@ singlet measurement story, and trajectory-vs-oracle ensemble checks.
 
 Every scenario is driven by a master seed; trial i uses the derived
 stream (master_seed, i), so reports are bit-identical no matter how
-trials are distributed over workers.
+trials are distributed over workers.  Trajectory scenarios evolve their
+trials in blocks (``grw.evolve_block``) of ``grw.block_rows`` trials, and
+no report depends on that size either.
 """
 from __future__ import annotations
 
@@ -14,23 +16,25 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import ConfigError, InvariantViolationError
 from .grw import (
     GRID_POINTS,
+    Block,
     Grid,
     GrwParams,
     Propagator,
-    Trajectory,
-    evolve_trajectory,
+    block_rows,
+    evolve_block,
     free_hamiltonian,
     gaussian_packet,
-    position_mean,
+    marginal_weights,
+    mean_positions,
     two_peak_state,
-    window_mass,
+    window_masses,
 )
 from .hilbert import (
     MAX_TOTAL_DIM,
@@ -58,6 +62,7 @@ from .spin import (
 )
 
 T = TypeVar("T")
+I = TypeVar("I")
 
 POINTER_BRANCH_THRESHOLD = 0.99  # below this on both branches a trial is inconclusive
 
@@ -84,15 +89,21 @@ def pool_size(workers: int, n: int) -> int:
     return min(workers, os.cpu_count() or 1, n)
 
 
-def _map_indexed(fn: Callable[[int], T], n: int, workers: int) -> Iterator[T]:
-    """fn(0), ..., fn(n - 1) in trial order, computed as the caller consumes them."""
-    workers = pool_size(workers, n)
+def _map_indexed(fn: Callable[[I], T], items: Sequence[I], workers: int) -> Iterator[T]:
+    """fn over ``items`` (trial indices or blocks of them) in order, computed
+    as the caller consumes the results."""
+    workers = pool_size(workers, len(items))
     if workers <= 1:
-        yield from map(fn, range(n))
+        yield from map(fn, items)
         return
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        chunk = max(1, n // (workers * 8))
-        yield from ex.map(fn, range(n), chunksize=chunk)
+        chunk = max(1, len(items) // (workers * 8))
+        yield from ex.map(fn, items, chunksize=chunk)
+
+
+def _blocks(n: int, rows: int) -> list[range]:
+    """Trial indices 0 .. n - 1 in consecutive blocks of ``rows``."""
+    return [range(start, min(n, start + rows)) for start in range(0, n, rows)]
 
 
 # -- position EPR with a collapsing pointer ----------------------------------
@@ -165,43 +176,48 @@ def _epr_initial_state(config: EprConfig) -> tuple[StateVector, Grid]:
     return psi, grid
 
 
-def _epr_trial(
-    config: EprConfig, psi: StateVector, grid: Grid, params: GrwParams, index: int
-) -> dict:
-    rng = stream(config.master_seed, index)
+def _epr_block(
+    config: EprConfig, psi: StateVector, grid: Grid, params: GrwParams, trials: range
+) -> list[dict]:
+    rngs = [stream(config.master_seed, i) for i in trials]
     # without a Hamiltonian and with explicit sample times, the step only has to be positive
-    traj = evolve_trajectory(
+    block = evolve_block(
         psi,
         None,
         params,
         {2: grid},
         config.horizon,
         config.horizon,
-        rng,
+        rngs,
         sample_times=[config.horizon],
         rate_factors={2: float(config.amplification)},
     )
-    final = traj.states[-1]
-    weights = np.abs(final.reshaped()) ** 2
-    w1 = float(weights[0].sum())
-    w3 = float(weights[1].sum())
-    conclusive = max(w1, w3) >= POINTER_BRANCH_THRESHOLD
-    outcome_a = None
-    if conclusive:
-        outcome_a = "delta1" if w1 > w3 else "delta3"
-    prob_b_delta2 = float(weights[:, 0, :].sum())
-    outcome_b = "delta2" if rng.random() < prob_b_delta2 else "delta4"
-    return {
-        "trial": index,
-        "conclusive": conclusive,
-        "outcome_a": outcome_a,
-        "outcome_b": outcome_b,
-        "weight_delta1": w1,
-        "weight_delta3": w3,
-        "prob_b_delta2": prob_b_delta2,
-        "n_jumps": len(traj.jumps),
-        "pointer_mean": position_mean(final, 2, grid),
-    }
+    final = block.states[-1]
+    region_a = marginal_weights(final, psi.shape, 0)
+    region_b = marginal_weights(final, psi.shape, 1)
+    pointer_mean = mean_positions(marginal_weights(final, psi.shape, 2), grid)
+    records = []
+    for row, index in enumerate(trials):
+        w1, w3 = float(region_a[row, 0]), float(region_a[row, 1])
+        conclusive = max(w1, w3) >= POINTER_BRANCH_THRESHOLD
+        outcome_a = None
+        if conclusive:
+            outcome_a = "delta1" if w1 > w3 else "delta3"
+        prob_b_delta2 = float(region_b[row, 0])
+        # drawn after the trial's jumps, from the trial's own stream
+        outcome_b = "delta2" if rngs[row].random() < prob_b_delta2 else "delta4"
+        records.append({
+            "trial": index,
+            "conclusive": conclusive,
+            "outcome_a": outcome_a,
+            "outcome_b": outcome_b,
+            "weight_delta1": w1,
+            "weight_delta3": w3,
+            "prob_b_delta2": prob_b_delta2,
+            "n_jumps": int(block.n_jumps[row]),
+            "pointer_mean": float(pointer_mean[row]),
+        })
+    return records
 
 
 def _epr_oracle_b_marginal(
@@ -231,9 +247,10 @@ def run_epr_position(config: EprConfig) -> ExperimentReport:
     # the oracle runs first, so an input it rejects fails before any trial
     oracle_b = _epr_oracle_b_marginal(config, psi, grid)
     params = GrwParams(alpha=config.pointer_alpha, lam=config.base_rate)
-    trials = list(_map_indexed(
-        partial(_epr_trial, config, psi, grid, params), config.trials, config.workers
-    ))
+    blocks = _blocks(config.trials, block_rows(psi.shape.total_dim))
+    trials = [t for records in _map_indexed(
+        partial(_epr_block, config, psi, grid, params), blocks, config.workers
+    ) for t in records]
 
     conclusive = [t for t in trials if t["conclusive"]]
     n_c = len(conclusive)
@@ -324,7 +341,7 @@ def run_singlet_spacetime(
     t0 = time.perf_counter()
     _check_budget(trials, "trials")
     rows = list(_map_indexed(
-        partial(_singlet_trial, triple_b, triple_a, measure_b, seed), trials, workers
+        partial(_singlet_trial, triple_b, triple_a, measure_b, seed), range(trials), workers
     ))
     aggregates: dict = {"trials": trials}
     if measure_b:
@@ -416,9 +433,9 @@ class OracleComparisonConfig:
 class _Ensemble:
     """What every trajectory of an oracle-compare or grw-run shares.
 
-    Built once per run and handed to the trials by ``partial``; workers
-    receive it pickled with each chunk of trials (the propagator is M
-    floats).
+    Built once per run and handed to the blocks of trials by ``partial``;
+    workers receive it pickled with each chunk of blocks (the propagator
+    is M floats).
     """
 
     config: OracleComparisonConfig
@@ -444,17 +461,20 @@ def _ensemble_setup(config: OracleComparisonConfig) -> tuple[_Ensemble, np.ndarr
     return ensemble, hamiltonian
 
 
-def _comparison_trajectory(ensemble: _Ensemble, master_seed: int, index: int) -> Trajectory:
+def _ensemble_block(
+    ensemble: _Ensemble, master_seed: int, trials: range, *, final_only: bool = False
+) -> Block:
     config = ensemble.config
-    return evolve_trajectory(
+    return evolve_block(
         ensemble.psi0,
         ensemble.propagator,
         ensemble.params,
         {0: ensemble.grid},
         config.horizon,
         config.dt,
-        stream(master_seed, index),
+        [stream(master_seed, i) for i in trials],
         sample_times=ensemble.times,
+        final_only=final_only,
     )
 
 
@@ -474,29 +494,32 @@ def run_oracle_comparison(
     ensemble, hamiltonian = _ensemble_setup(config)
     grid = ensemble.grid
     times = ensemble.times
+    rows = block_rows(grid.points)
     # the oracle runs first, so an input it rejects fails before any trial
-    check_oracle_budget(grid.points, hamiltonian is not None, lconf, len(times))
+    check_oracle_budget(grid.points, hamiltonian is not None, lconf, len(times), rows)
     _, snapshots = integrate_with_snapshots(
         ensemble.psi0.density_matrix(), hamiltonian, ensemble.params, {0: grid}, lconf,
         snapshot_times=times,
     )
-    trajectories = _map_indexed(
-        partial(_comparison_trajectory, ensemble, master_seed), ensemble_size, workers
+    evolved = _map_indexed(
+        partial(_ensemble_block, ensemble, master_seed), _blocks(ensemble_size, rows), workers
     )
     jumps: list[int] = []
-    rows: list[dict] | None = [] if config.record_trials else None
+    records: list[dict] | None = [] if config.record_trials else None
 
-    def checkpoint_states() -> Iterator[tuple[StateVector, ...]]:
-        # keep each trial's record; compare_mixtures folds its states and drops them
-        for i, traj in enumerate(trajectories):
-            jumps.append(len(traj.jumps))
-            if rows is not None:
-                rows.append({
-                    "trial": i,
-                    "n_jumps": len(traj.jumps),
-                    "final_mean_position": position_mean(traj.states[-1], 0, grid),
-                })
-            yield traj.states
+    def checkpoint_states() -> Iterator[np.ndarray]:
+        # keep each trial's record; compare_mixtures folds the states and drops them
+        for block in evolved:
+            first = len(jumps)
+            jumps.extend(block.n_jumps.tolist())
+            if records is not None:
+                weights = marginal_weights(block.states[-1], ensemble.psi0.shape, 0)
+                records.extend(
+                    {"trial": first + row, "n_jumps": int(n), "final_mean_position": float(m)}
+                    for row, (n, m) in enumerate(zip(block.n_jumps, mean_positions(weights, grid)))
+                )
+            yield block.states
+            del block  # before the next block is evolved
 
     comparisons = compare_mixtures(checkpoint_states(), {t: snapshots[t] for t in times})
     aggregates = {
@@ -512,7 +535,7 @@ def run_oracle_comparison(
         config=report_config(config),
         master_seed=master_seed,
         aggregates=aggregates,
-        trials=rows,
+        trials=records,
         wall_time_s=time.perf_counter() - t0,
     )
 
@@ -531,9 +554,10 @@ def run_grw_ensemble(
     t0 = time.perf_counter()
     _check_budget(ensemble_size, "trajectories", config.rate * config.horizon + config.checkpoints)
     ensemble, _ = _ensemble_setup(config)
-    trials = list(_map_indexed(
-        partial(_grw_trial, ensemble, master_seed), ensemble_size, workers
-    ))
+    blocks = _blocks(ensemble_size, block_rows(config.grid_points))
+    trials = [t for records in _map_indexed(
+        partial(_grw_block, ensemble, master_seed), blocks, workers
+    ) for t in records]
     branch_counts = [0] * len(config.peak_centers)
     localized = 0
     for t in trials:
@@ -558,23 +582,28 @@ def run_grw_ensemble(
     )
 
 
-def _grw_trial(ensemble: _Ensemble, master_seed: int, index: int) -> dict:
+def _grw_block(ensemble: _Ensemble, master_seed: int, trials: range) -> list[dict]:
     config = ensemble.config
     grid = ensemble.grid
-    traj = _comparison_trajectory(ensemble, master_seed, index)
-    final = traj.states[-1]
+    block = _ensemble_block(ensemble, master_seed, trials, final_only=True)
+    weights = marginal_weights(block.states[-1], ensemble.psi0.shape, 0)
     halfwidth = min(
         abs(grid.min_image(a - b))
         for i, a in enumerate(config.peak_centers)
         for b in config.peak_centers[i + 1 :]
     ) / 2.0 if len(config.peak_centers) > 1 else grid.length / 4.0
-    masses = [window_mass(final, 0, grid, c, halfwidth) for c in config.peak_centers]
-    best = int(np.argmax(masses))
-    branch = best if masses[best] >= 0.99 else -1
-    return {
-        "trial": index,
-        "n_jumps": len(traj.jumps),
-        "branch": branch,
-        "peak_masses": [float(m) for m in masses],
-        "final_mean_position": position_mean(final, 0, grid),
-    }
+    masses = np.stack(
+        [window_masses(weights, grid, c, halfwidth) for c in config.peak_centers], axis=1
+    )
+    means = mean_positions(weights, grid)
+    records = []
+    for row, index in enumerate(trials):
+        best = int(np.argmax(masses[row]))
+        records.append({
+            "trial": index,
+            "n_jumps": int(block.n_jumps[row]),
+            "branch": best if masses[row, best] >= 0.99 else -1,
+            "peak_masses": [float(m) for m in masses[row]],
+            "final_mean_position": float(means[row]),
+        })
+    return records

@@ -14,11 +14,15 @@ from collapselab.grw import (
     Grid,
     GrwParams,
     Propagator,
+    block_rows,
+    evolve_block,
     evolve_trajectory,
     free_hamiltonian,
+    marginal_weights,
     position_mean,
     translate_state,
     two_peak_state,
+    window_masses,
 )
 from collapselab.ks import (
     Assignment,
@@ -170,18 +174,18 @@ def test_criterion_08_localization_suppresses_superpositions():
     runs = 1000
     localized = 0
     picked_first = 0
-    from collapselab.grw import window_mass
-
-    for i in range(runs):
-        traj = evolve_trajectory(
-            psi, None, params, {0: grid}, 10.0, 0.1, stream(108, i), sample_times=[10.0]
+    rows = block_rows(grid.points)
+    for start in range(0, runs, rows):
+        block = evolve_block(
+            psi, None, params, {0: grid}, 10.0, 0.1,
+            [stream(108, i) for i in range(start, min(runs, start + rows))], sample_times=[10.0],
         )
-        final = traj.states[-1]
-        m1 = window_mass(final, 0, grid, 24.0, 8.0)
-        m2 = window_mass(final, 0, grid, 40.0, 8.0)
-        if max(m1, m2) >= 0.99:
-            localized += 1
-            picked_first += m1 > m2
+        final = marginal_weights(block.states[-1], psi.shape, 0)
+        m1 = window_masses(final, grid, 24.0, 8.0)
+        m2 = window_masses(final, grid, 40.0, 8.0)
+        single = np.maximum(m1, m2) >= 0.99
+        localized += int(np.count_nonzero(single))
+        picked_first += int(np.count_nonzero(single & (m1 > m2)))
     frac = localized / runs
     freq = picked_first / runs
     sigma = math.sqrt(weights[0] * weights[1] / runs)

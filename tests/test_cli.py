@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapselab
+from collapselab import grw
 from collapselab.cli import KEY_SPECS, build_parser, main
 from collapselab.errors import ConfigError
 from collapselab.schema import NON_NEGATIVE, POSITIVE, check_value
@@ -179,6 +180,9 @@ def test_invalid_inputs_are_config_errors_naming_the_key(args, key, capsys):
     (["oracle-compare", "--k", "100", "--hamiltonian", "free", "--points", "1024"], "points"),
     (["oracle-compare", "--k", "100", "--points", "4096"], "checkpoints"),
     (["epr", "--trials", "2", "--pointer-points", "1024"], "points"),
+    # the mixture comparison's sums, buffer and block rows: 786 MB and 459 MB
+    (["oracle-compare", "--k", "256", "--checkpoints", "2000"], "checkpoints"),
+    (["oracle-compare", "--k", "100", "--checkpoints", "1000"], "checkpoints"),
 ])
 def test_oversized_runs_are_rejected_before_they_start(args, key, capsys):
     assert run_cli(args + ["--seed", "1"]) == 2
@@ -231,6 +235,27 @@ def test_oracle_compare_reports_identical_across_worker_counts(tmp_path, hamilto
         outputs.append((out.read_bytes(), csv.read_bytes()))
     assert outputs[0] == outputs[1]
     assert all(json.loads(outputs[0][0])["aggregates"]["within_threshold"])
+
+
+@pytest.mark.parametrize("args", [
+    ["oracle-compare", "--hamiltonian", "none", "--k", "600"],
+    ["oracle-compare", "--hamiltonian", "free", "--k", "600"],
+    ["grw-run", "--trajectories", "600", "--hamiltonian", "free"],
+    ["epr", "--trials", "600"],
+], ids=["oracle-none", "oracle-free", "grw-run", "epr"])
+def test_reports_identical_across_block_sizes(tmp_path, monkeypatch, args):
+    # one row per block, the default, and blocks of at least 256 KiB, where
+    # NumPy reuses large temporaries in place and an unnamed output could
+    # reorder a complex product
+    assert grw.block_rows(64) == 64 and grw.block_rows(256) == 16
+    outputs = []
+    for block_bytes in (1, grw.BLOCK_BYTES, 256 * 2**10):
+        monkeypatch.setattr(grw, "BLOCK_BYTES", block_bytes)
+        out, csv = tmp_path / f"b{block_bytes}.json", tmp_path / f"b{block_bytes}.csv"
+        assert run_cli(args + ["--seed", "11", "--workers", "1", "--out", str(out),
+                               "--csv", str(csv)]) == 0
+        outputs.append((out.read_bytes(), csv.read_bytes()))
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_stdout_when_no_out_path(capsys):

@@ -13,6 +13,7 @@ from collapselab.grw import (
     Propagator,
     apply_jump,
     circulant,
+    evolve_block,
     evolve_trajectory,
     free_hamiltonian,
     gaussian_packet,
@@ -28,7 +29,7 @@ from collapselab.grw import (
     window_mass,
 )
 from collapselab.hilbert import StateVector, SubsystemShape, partial_trace, tensor_product
-from collapselab.rng import stream
+from collapselab.rng import draw_index, draw_rows, stream
 
 GRID = Grid(64, 1.0)
 PARAMS = GrwParams(alpha=0.0625, lam=1.0, mass=10.0)  # localization width 4 spacings
@@ -140,10 +141,41 @@ def test_tied_maxima_nudged_by_an_ulp_draw_the_same_centre(monkeypatch, nudged):
     ulp[nudged] = np.nextafter(0.5, 1.0)
     centres = []
     for table in (tied, ulp):
-        monkeypatch.setattr(grw, "jump_density", lambda *args, table=table, **kwargs: table)
-        traj = evolve_trajectory(psi, None, PARAMS, {0: GRID}, 5.0, 0.05, stream(9))
-        centres.append([j.center for j in traj.jumps])
-    assert centres[0] and centres[0] == centres[1]
+        # every jumping row of a block draws from this table
+        monkeypatch.setattr(grw, "_jump_tables",
+                            lambda weights, *args, table=table: np.tile(table, (len(weights), 1)))
+        block = evolve_block(psi, None, PARAMS, {0: GRID}, 5.0, 0.05,
+                             [stream(9, i) for i in range(8)])
+        centres.append([list(block.jump_centres[i, :n]) for i, n in enumerate(block.n_jumps)])
+    assert {c for row in centres[0] for c in row} == {24.0, 40.0}
+    assert centres[0] == centres[1]
+
+
+def test_block_draw_is_the_inverse_cdf_of_draw_index():
+    rng = np.random.default_rng(12)
+    weights = rng.random((200, 64)) * (rng.random((200, 64)) < 0.3)
+    weights[:, 0] = 0.0
+    u = rng.random(200)
+    got = draw_rows(weights, u)
+    assert got.tolist() == [draw_index(w, x) for w, x in zip(weights, u)]
+
+
+def test_block_rows_match_single_trajectories():
+    # a block's rows are the trajectories evolve_trajectory runs on the same streams
+    psi = two_peak_state(GRID, (24.0, 40.0), (0.6, 0.4), 2.0)
+    prop = Propagator(free_hamiltonian(GRID, mass=10.0))
+    times = [0.5, 1.0, 2.0]
+    block = evolve_block(psi, prop, PARAMS, {0: GRID}, 2.0, 0.02,
+                         [stream(13, i) for i in range(5)], sample_times=times)
+    for i in range(5):
+        traj = evolve_trajectory(psi, prop, PARAMS, {0: GRID}, 2.0, 0.02, stream(13, i),
+                                 sample_times=times)
+        assert traj.jumps == block.jumps(i)
+        for s, state in enumerate(traj.states):
+            assert np.array_equal(state.amplitudes, block.states[s, i])
+    last = evolve_block(psi, prop, PARAMS, {0: GRID}, 2.0, 0.02,
+                        [stream(13, i) for i in range(5)], sample_times=times, final_only=True)
+    assert np.array_equal(last.states, block.states[-1:])
 
 
 # -- applying jumps ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from collapselab.grw import (
     GrwParams,
     Propagator,
     circulant,
+    evolve_block,
     evolve_trajectory,
     free_hamiltonian,
     gaussian_packet,
@@ -35,6 +37,7 @@ from collapselab.lindblad import (
     integrate,
     integrate_with_snapshots,
     lindblad_rhs,
+    mixture_bytes,
     oracle_cost,
     overlap_kernel,
     trace_distance,
@@ -396,13 +399,43 @@ def test_snapshots_must_align_with_steps():
 # -- ensemble comparison -----------------------------------------------------------
 
 
+def test_oracle_budget_counts_the_mixture_comparison():
+    config = LindbladConfig(dt=0.01, horizon=5.0)
+    # the sums, a buffer of MIXTURE_CHUNK rows per checkpoint and one block of 64 rows
+    assert mixture_bytes(64, 2000, 64) == 16 * 2000 * (64 * 64 + (MIXTURE_CHUNK + 64) * 64)
+    check_oracle_budget(64, False, config, 2000)  # the oracle alone fits
+    with pytest.raises(ConfigError, match="checkpoints"):
+        check_oracle_budget(64, False, config, 2000, 64)
+    check_oracle_budget(256, True, config, 4, 16)  # the largest benchmark comparison
+
+
+def test_mixture_bytes_bound_what_the_comparison_allocates():
+    d, checkpoints, rows, blocks = 32, 40, 64, 6
+    psi = gaussian_packet(Grid(d, 1.0), 16.0, 2.0)
+    oracle = {float(t): psi.density_matrix() for t in range(checkpoints)}
+    state = np.broadcast_to(psi.amplitudes, (checkpoints, rows, d))
+
+    def stream_blocks():
+        for _ in range(blocks):
+            yield np.array(state)
+
+    tracemalloc.start()
+    try:
+        comparisons = compare_mixtures(stream_blocks(), oracle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(c.distance <= 1e-12 for c in comparisons)
+    assert mixture_bytes(d, checkpoints, rows) <= peak <= 1.1 * mixture_bytes(d, checkpoints, rows)
+
+
 def test_compare_single_matching_pure_state():
     psi = gaussian_packet(GRID, 20.0, 2.0)
-    traj = evolve_trajectory(
-        psi, None, GrwParams(alpha=0.0625, lam=0.0), {0: GRID}, 1.0, 0.1, stream(0),
+    block = evolve_block(
+        psi, None, GrwParams(alpha=0.0625, lam=0.0), {0: GRID}, 1.0, 0.1, [stream(0)],
         sample_times=[1.0],
     )
-    (report,) = compare_mixtures([traj.states], {1.0: psi.density_matrix()})
+    (report,) = compare_mixtures([block.states], {1.0: psi.density_matrix()})
     assert report.distance <= 1e-10
     assert report.size == 1
     assert report.time == 1.0
@@ -413,18 +446,13 @@ def test_compare_deterministic_ensemble_against_unitary_oracle():
     h = free_hamiltonian(GRID, mass=10.0)
     params = GrwParams(alpha=0.0625, lam=0.0, mass=10.0)
     times = [1.0, 2.0]
-    prop = Propagator(h)
-    trajectories = [
-        evolve_trajectory(psi, prop, params, {0: GRID}, 2.0, 0.02, stream(1, i),
-                          sample_times=times)
-        for i in range(20)
-    ]
+    block = evolve_block(psi, Propagator(h), params, {0: GRID}, 2.0, 0.02,
+                         [stream(1, i) for i in range(20)], sample_times=times)
     config = LindbladConfig(dt=0.01, horizon=2.0)
     _, snaps = integrate_with_snapshots(
         psi.density_matrix(), h, params, {0: GRID}, config, snapshot_times=times
     )
-    comparisons = compare_mixtures((traj.states for traj in trajectories),
-                                   {t: snaps[t] for t in times})
+    comparisons = compare_mixtures([block.states], {t: snaps[t] for t in times})
     assert [c.time for c in comparisons] == times
     assert all(c.distance <= 1e-8 for c in comparisons)
 
@@ -436,13 +464,13 @@ def test_compare_rejects_empty_and_missing_times():
         compare_mixtures([], {1.0: rho})
     with pytest.raises(ValueError):
         ensemble_compare(np.zeros((GRID.points, GRID.points), dtype=complex), 0, rho, at=1.0)
-    traj = evolve_trajectory(
-        psi, None, GrwParams(alpha=0.0625, lam=0.0), {0: GRID}, 1.0, 0.1, stream(2),
+    block = evolve_block(
+        psi, None, GrwParams(alpha=0.0625, lam=0.0), {0: GRID}, 1.0, 0.1, [stream(2)],
         sample_times=[1.0],
     )
     # one checkpoint state against two oracle states
     with pytest.raises(ValueError):
-        compare_mixtures([traj.states], {0.5: rho, 1.0: rho})
+        compare_mixtures([block.states], {0.5: rho, 1.0: rho})
 
 
 def test_compare_chunked_mixture_matches_outer_product_sum(monkeypatch):
@@ -451,24 +479,22 @@ def test_compare_chunked_mixture_matches_outer_product_sum(monkeypatch):
     psi = two_peak_state(grid, (10.0, 20.0), (0.5, 0.5), 1.5)
     k = 300
     assert k % MIXTURE_CHUNK != 0
-    trajectories = [
-        evolve_trajectory(psi, None, params, {0: grid}, 0.5, 0.05, stream(3, i),
-                          sample_times=[0.5])
-        for i in range(k)
-    ]
+    block = evolve_block(psi, None, params, {0: grid}, 0.5, 0.05,
+                         [stream(3, i) for i in range(k)], sample_times=[0.5])
     oracle = integrate(psi.density_matrix(), None, params, {0: grid},
                        LindbladConfig(dt=0.01, horizon=0.5))
     acc = np.zeros((32, 32), dtype=complex)
-    for traj in trajectories:
-        (state,) = traj.states
-        acc += np.outer(state.amplitudes, state.amplitudes.conj())
+    for state in block.states[0]:
+        acc += np.outer(state, state.conj())
     expected = trace_distance(DensityMatrix(oracle.shape, acc / k), oracle)
-    (got,) = compare_mixtures((traj.states for traj in trajectories), {0.5: oracle})
+    (got,) = compare_mixtures([block.states], {0.5: oracle})
     assert got.size == k
     assert abs(got.distance - expected) <= 1e-13
-    # a buffer of one chunk folds more often, in the same order, to the same bits
+    # blocks of any size, and a buffer of one chunk that folds more often,
+    # add the same rows in the same order, to the same bits
+    split = [block.states[:, i:i + 7] for i in range(0, k, 7)]
     monkeypatch.setattr(lindblad, "MIXTURE_BUFFER_BYTES", 1)
-    (small,) = compare_mixtures((traj.states for traj in trajectories), {0.5: oracle})
+    (small,) = compare_mixtures(split, {0.5: oracle})
     assert small.distance == got.distance
 
 
@@ -480,14 +506,16 @@ def test_distance_decreases_with_ensemble_size():
     rho_t = integrate(psi.density_matrix(), None, params, {0: GRID}, config)
     wins = 0
     reps = 20
+    rows = 500
     for rep in range(reps):
-        trajectories = [
-            evolve_trajectory(psi, None, params, {0: GRID}, 2.0, 0.02,
-                              stream(500 + rep, i), sample_times=[2.0])
-            for i in range(10_000)
+        blocks = [
+            evolve_block(psi, None, params, {0: GRID}, 2.0, 0.02,
+                         [stream(500 + rep, i) for i in range(start, start + rows)],
+                         sample_times=[2.0]).states
+            for start in range(0, 10_000, rows)
         ]
-        (small,) = compare_mixtures((t.states for t in trajectories[:100]), {2.0: rho_t})
-        (large,) = compare_mixtures((t.states for t in trajectories), {2.0: rho_t})
+        (small,) = compare_mixtures([blocks[0][:, :100]], {2.0: rho_t})
+        (large,) = compare_mixtures(blocks, {2.0: rho_t})
         d_small, d_large = small.distance, large.distance
         wins += d_large < d_small
     assert wins >= 0.95 * reps

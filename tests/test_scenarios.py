@@ -7,6 +7,7 @@ import pytest
 
 from collapselab import scenarios
 from collapselab.errors import ConfigError, GridAdequacyError
+from collapselab.grw import block_rows
 from collapselab.lindblad import MIXTURE_CHUNK, LindbladConfig, check_oracle_budget
 from collapselab.scenarios import (
     EprConfig,
@@ -125,26 +126,31 @@ def test_oracle_comparison_reproducible():
 
 
 def test_oracle_comparison_keeps_at_most_one_chunk_of_trajectories(monkeypatch):
+    # the trajectories' states live one block at a time: each is folded into
+    # the mixture buffer and dropped before the next block is evolved
     alive = peak = 0
+    sizes = []
 
     def released() -> None:
         nonlocal alive
         alive -= 1
 
-    def tracked(*args):
+    def tracked(*args, **kwargs):
         nonlocal alive, peak
-        traj = trajectory(*args)
-        weakref.finalize(traj, released)
+        block = evolve(*args, **kwargs)
+        weakref.finalize(block.states, released)
         alive += 1
         peak = max(peak, alive)
-        return traj
+        sizes.append(block.states.shape[1])
+        return block
 
-    trajectory = scenarios._comparison_trajectory
-    monkeypatch.setattr(scenarios, "_comparison_trajectory", tracked)
+    evolve = scenarios.evolve_block
+    monkeypatch.setattr(scenarios, "evolve_block", tracked)
     k = 3 * MIXTURE_CHUNK + 17
     rep = run_oracle_comparison(OracleComparisonConfig(horizon=1.0), k, 5, workers=1)
-    assert rep.aggregates["ensemble_size"] == k
-    assert 1 <= peak <= MIXTURE_CHUNK
+    assert rep.aggregates["ensemble_size"] == k == sum(sizes)
+    assert peak == 1
+    assert max(sizes) == block_rows(64) < MIXTURE_CHUNK
 
 
 def test_oracle_comparison_requires_minimum_ensemble():
@@ -166,7 +172,7 @@ def test_oracle_rejects_its_inputs_before_any_trial_runs(monkeypatch, run, error
     def trial_ran(*args, **kwargs):
         raise AssertionError("a trajectory ran before the oracle checked its inputs")
 
-    monkeypatch.setattr(scenarios, "evolve_trajectory", trial_ran)
+    monkeypatch.setattr(scenarios, "evolve_block", trial_ran)
     with pytest.raises(error):
         run()
 
