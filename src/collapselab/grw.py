@@ -584,7 +584,8 @@ def evolve_block(
 
     sample_at = np.append(np.array(times, dtype=float), np.inf)
     last = len(times) - 1
-    states = np.empty((1 if final_only else len(times), n, shape.total_dim), dtype=complex)
+    states = np.empty((min(1, len(times)) if final_only else len(times), n, shape.total_dim),
+                      dtype=complex)
     amps = np.repeat(np.array(psi0.amplitudes)[None, :], n, axis=0)
     now = np.zeros(n)
     next_jump = np.zeros(n, dtype=int)

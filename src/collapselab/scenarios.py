@@ -62,7 +62,7 @@ from .spin import (
 )
 
 T = TypeVar("T")
-I = TypeVar("I")
+Item = TypeVar("Item")
 
 POINTER_BRANCH_THRESHOLD = 0.99  # below this on both branches a trial is inconclusive
 
@@ -89,7 +89,7 @@ def pool_size(workers: int, n: int) -> int:
     return min(workers, os.cpu_count() or 1, n)
 
 
-def _map_indexed(fn: Callable[[I], T], items: Sequence[I], workers: int) -> Iterator[T]:
+def _map_indexed(fn: Callable[[Item], T], items: Sequence[Item], workers: int) -> Iterator[T]:
     """fn over ``items`` (trial indices or blocks of them) in order, computed
     as the caller consumes the results."""
     workers = pool_size(workers, len(items))
