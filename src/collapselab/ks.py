@@ -10,9 +10,10 @@ out direction-indexed response functions for the twinned pair.
 
 Ray-set files: one ray per line, three whitespace-separated
 components, each a decimal or the symbolic form ``a+b*r2`` meaning
-a + b*sqrt(2); ``#`` starts a comment.  Symbolic components are kept
-as exact rational pairs so orthogonality is decided exactly; rays
-built from raw floats fall back to the set's tolerance.
+a + b*sqrt(2); ``#`` starts a comment.  Each ray read from a file is
+scaled to primitive integer pairs in Z[sqrt2], so orthogonality and
+parallelism are decided exactly in integer arithmetic; rays built from
+raw floats fall back to the set's tolerance.
 """
 from __future__ import annotations
 
@@ -35,19 +36,21 @@ _EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)$")
 
 _SQRT2 = math.sqrt(2.0)
 
-# A component is a + b*sqrt2 stored as exact Fractions.
+# A component a + b*sqrt2 as parsed: a pair of exact Fractions.
 Quad = tuple[Fraction, Fraction]
+# A component of an exact ray, in Z[sqrt2]: a pair of ints.
+IntQuad = tuple[int, int]
 
 
-def _quad_float(q: Quad) -> float:
+def _quad_float(q: IntQuad) -> float:
     return float(q[0]) + float(q[1]) * _SQRT2
 
 
-def _quad_mul(u: Quad, v: Quad) -> Quad:
+def _quad_mul(u: IntQuad, v: IntQuad) -> IntQuad:
     return (u[0] * v[0] + 2 * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
 
 
-def _quad_is_zero(q: Quad) -> bool:
+def _quad_is_zero(q: Quad | IntQuad) -> bool:
     return q[0] == 0 and q[1] == 0
 
 
@@ -99,10 +102,12 @@ def parse_component(token: str) -> Quad:
 @dataclass(frozen=True)
 class Ray:
     """A direction up to sign: canonical unit float vector, plus the
-    exact (primitive, sign-fixed) form when components live in Q[sqrt2]."""
+    exact form when components live in Q[sqrt2]: the ray scaled to
+    integer pairs in Z[sqrt2] with no common factor, its first nonzero
+    component positive."""
 
     vector: tuple[float, float, float]
-    exact: tuple[Quad, Quad, Quad] | None = None
+    exact: tuple[IntQuad, IntQuad, IntQuad] | None = None
 
     @classmethod
     def from_floats(cls, v: Iterable[float]) -> "Ray":
@@ -136,7 +141,7 @@ class Ray:
             if val != 0.0:
                 flip = -1 if val < 0 else 1
                 break
-        exact = tuple((Fraction(flip * a), Fraction(flip * b)) for a, b in ints)
+        exact = tuple((flip * a, flip * b) for a, b in ints)
         floats = np.array([_quad_float(c) for c in exact])
         floats = floats / np.linalg.norm(floats)
         return cls(tuple(float(x) for x in floats), exact)
@@ -146,7 +151,7 @@ class Ray:
 
     def is_orthogonal(self, other: "Ray", tol: float) -> bool:
         if self.exact is not None and other.exact is not None:
-            acc = (Fraction(0), Fraction(0))
+            acc = (0, 0)
             for u, v in zip(self.exact, other.exact):
                 p = _quad_mul(u, v)
                 acc = (acc[0] + p[0], acc[1] + p[1])

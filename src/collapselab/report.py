@@ -26,10 +26,45 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+_escape = json.encoder.encode_basestring_ascii  # what json.dumps does to a str
+
+
 def _canonical(obj: Any, out: list[str]) -> None:
-    if obj is None or obj is True or obj is False:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (np.floating,)):
+    # exact built-in types first: a report is almost all of these
+    t = type(obj)
+    if t is str:
+        out.append(_escape(obj))
+    elif t is float:
+        out.append(format_float(obj))
+    elif t is int:
+        out.append(str(obj))
+    elif t is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif t is dict and all(type(k) is str for k in obj):
+        out.append("{")
+        sep = ""
+        for k in sorted(obj):
+            out.append(sep + _escape(k) + ":")
+            _canonical(obj[k], out)
+            sep = ","
+        out.append("}")
+    elif t is list:
+        out.append("[")
+        sep = ""
+        for v in obj:
+            out.append(sep)
+            _canonical(v, out)
+            sep = ","
+        out.append("]")
+    else:
+        _canonical_other(obj, out)
+
+
+def _canonical_other(obj: Any, out: list[str]) -> None:
+    """Subclasses, numpy values, tuples and dicts with non-str keys."""
+    if isinstance(obj, (np.floating,)):
         _canonical(float(obj), out)
     elif isinstance(obj, (np.integer,)):
         _canonical(int(obj), out)
@@ -38,7 +73,7 @@ def _canonical(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_escape(obj))
     elif isinstance(obj, dict):
         out.append("{")
         keys = sorted(str(k) for k in obj)
@@ -46,7 +81,7 @@ def _canonical(obj: Any, out: list[str]) -> None:
         for i, k in enumerate(keys):
             if i:
                 out.append(",")
-            out.append(json.dumps(k))
+            out.append(_escape(k))
             out.append(":")
             _canonical(lookup[k], out)
         out.append("}")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -55,9 +54,10 @@ from .schema import COUNT, FINITE, NON_NEGATIVE, POSITIVE, Check, check_fields, 
 from .schema import report_config, setting
 from .spin import (
     OrthoTriple,
+    TripleBranches,
+    TripleOutcome,
     joint_probability_table,
     singlet_state,
-    triple_measurement,
     zero_ket,
 )
 
@@ -96,6 +96,8 @@ def _map_indexed(fn: Callable[[Item], T], items: Sequence[Item], workers: int) -
     if workers <= 1:
         yield from map(fn, items)
         return
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only pools need it
+
     with ProcessPoolExecutor(max_workers=workers) as ex:
         chunk = max(1, len(items) // (workers * 8))
         yield from ex.map(fn, items, chunksize=chunk)
@@ -294,33 +296,63 @@ def _triple_as_lists(triple: OrthoTriple | None) -> list[list[float]] | None:
     return [list(d.components) for d in triple.axes]
 
 
-def _singlet_trial(
-    triple_b: OrthoTriple,
-    triple_a: OrthoTriple | None,
-    measure_b: bool,
-    master_seed: int,
-    index: int,
-) -> dict:
+# squared-spin values on a triple's axes, by the axis that holds the 0
+_OUTCOME_VALUES = tuple("".join(map(str, TripleOutcome.with_zero_at(k).values)) for k in range(3))
+
+
+class _SingletTable:
+    """The branch table of one singlet run.  The state and both triples are
+    fixed for the run, so every trial draws from the same outcomes: B's,
+    each with its record fields (product fidelity included), and A's, after
+    each B outcome or on the unmeasured pair.  An entry is built and checked
+    when a trial first receives it, so each trial meets the checks that
+    measuring its own copy of the state would."""
+
+    def __init__(self, triple_b: OrthoTriple, triple_a: OrthoTriple | None,
+                 measure_b: bool) -> None:
+        self.triple_b = triple_b
+        self.triple_a = triple_a
+        self.measure_b = measure_b
+        self._b: TripleBranches | None = None
+        # B outcome (None without B) -> (B's record fields, A's measurement)
+        self._after_b: dict[int | None, tuple[dict, TripleBranches | None]] = {}
+
+    def _a_measurement(self, psi: StateVector) -> TripleBranches | None:
+        return None if self.triple_a is None else TripleBranches(psi, 0, self.triple_a)
+
+    def after_b(self, rng: np.random.Generator) -> tuple[dict, TripleBranches | None]:
+        """B's record fields and the measurement left for A, drawing B's
+        outcome from ``rng`` when B measures."""
+        if not self.measure_b:
+            if None not in self._after_b:
+                self._after_b[None] = ({}, self._a_measurement(singlet_state()))
+            return self._after_b[None]
+        if self._b is None:
+            self._b = TripleBranches(singlet_state(), 1, self.triple_b)
+        k, psi = self._b.draw(rng.random())
+        if k not in self._after_b:
+            direction = self.triple_b.axes[k]
+            expected = np.kron(zero_ket(direction), zero_ket(direction))
+            fidelity = abs(np.vdot(expected, psi.amplitudes)) ** 2
+            if abs(fidelity - 1.0) > 1e-12:
+                raise InvariantViolationError(
+                    f"post-measurement state is not the expected product (fid {fidelity})"
+                )
+            fields = {"b_values": _OUTCOME_VALUES[k], "b_zero_axis": k,
+                      "product_fidelity": fidelity}
+            self._after_b[k] = (fields, self._a_measurement(psi))
+        return self._after_b[k]
+
+
+def _singlet_trial(table: _SingletTable, master_seed: int, index: int) -> dict:
     rng = stream(master_seed, index)
-    psi = singlet_state()
-    rec: dict = {"trial": index}
-    if measure_b:
-        out_b, psi = triple_measurement(psi, 1, triple_b, rng)
-        direction = triple_b.axes[out_b.zero_axis]
-        expected = np.kron(zero_ket(direction), zero_ket(direction))
-        fidelity = abs(np.vdot(expected, psi.amplitudes)) ** 2
-        if abs(fidelity - 1.0) > 1e-12:
-            raise InvariantViolationError(
-                f"post-measurement state is not the expected product (fid {fidelity})"
-            )
-        rec["b_values"] = "".join(str(v) for v in out_b.values)
-        rec["b_zero_axis"] = out_b.zero_axis
-        rec["product_fidelity"] = fidelity
-    if triple_a is not None:
-        out_a, psi = triple_measurement(psi, 0, triple_a, rng)
-        rec["a_values"] = "".join(str(v) for v in out_a.values)
-        rec["a_zero_axis"] = out_a.zero_axis
-        if measure_b:
+    fields, a_measurement = table.after_b(rng)
+    rec: dict = {"trial": index, **fields}
+    if a_measurement is not None:
+        k, _ = a_measurement.draw(rng.random())
+        rec["a_values"] = _OUTCOME_VALUES[k]
+        rec["a_zero_axis"] = k
+        if table.measure_b:
             rec["agree_all_axes"] = rec["a_values"] == rec["b_values"]
     return rec
 
@@ -340,9 +372,8 @@ def run_singlet_spacetime(
     parameter-independence comparison."""
     t0 = time.perf_counter()
     _check_budget(trials, "trials")
-    rows = list(_map_indexed(
-        partial(_singlet_trial, triple_b, triple_a, measure_b, seed), range(trials), workers
-    ))
+    table = _SingletTable(triple_b, triple_a, measure_b)
+    rows = list(_map_indexed(partial(_singlet_trial, table, seed), range(trials), workers))
     aggregates: dict = {"trials": trials}
     if measure_b:
         counts_b = [0, 0, 0]

@@ -222,8 +222,38 @@ def singlet_state(n: Direction | None = None) -> StateVector:
     return StateVector(_SINGLET_SHAPE, rotated)
 
 
-def _triple_projectors(triple: OrthoTriple) -> list[Operator]:
-    return [zero_projector(d) for d in triple.axes]
+def triple_branches(
+    psi: StateVector, particle: int, triple: OrthoTriple
+) -> tuple[np.ndarray, list[StateVector]]:
+    """Outcome probabilities (one entry per axis holding the 0) and the
+    unnormalized post-measurement branches of a triple measurement."""
+    if psi.shape.dims[psi.shape.validate_index(particle)] != 3:
+        raise ValueError("triple measurement targets a spin-1 (dim 3) factor")
+    branches = [apply_on_subsystem(zero_projector(d), particle, psi) for d in triple.axes]
+    return np.array([b.norm() ** 2 for b in branches]), branches
+
+
+class TripleBranches:
+    """A triple measurement of one fixed state, for any number of draws:
+    the outcome probabilities, checked to sum to 1, and the branches, each
+    normalized when first drawn, so a zero-mass branch raises only if
+    drawn."""
+
+    def __init__(self, psi: StateVector, particle: int, triple: OrthoTriple) -> None:
+        self.probs, self._branches = triple_branches(psi, particle, triple)
+        if abs(float(self.probs.sum()) - 1.0) > 1e-10:
+            raise InvariantViolationError(
+                f"triple outcome probabilities sum to {float(self.probs.sum())}, expected 1"
+            )
+        self._states: dict[int, StateVector] = {}
+
+    def draw(self, u: float) -> tuple[int, StateVector]:
+        """The axis holding the 0 for the uniform ``u``, and the normalized
+        post-measurement state."""
+        k = draw_index(self.probs, u)
+        if k not in self._states:
+            self._states[k] = self._branches[k].normalize()
+        return k, self._states[k]
 
 
 def triple_measurement(
@@ -236,22 +266,13 @@ def triple_measurement(
     axis.  Returns the outcome and the normalized post-measurement
     state.
     """
-    if psi.shape.dims[psi.shape.validate_index(particle)] != 3:
-        raise ValueError("triple measurement targets a spin-1 (dim 3) factor")
-    branches = [apply_on_subsystem(p, particle, psi) for p in _triple_projectors(triple)]
-    probs = np.array([b.norm() ** 2 for b in branches])
-    if abs(float(probs.sum()) - 1.0) > 1e-10:
-        raise InvariantViolationError(
-            f"triple outcome probabilities sum to {float(probs.sum())}, expected 1"
-        )
-    k = draw_index(probs, rng.random())
-    return TripleOutcome.with_zero_at(k), branches[k].normalize()
+    k, state = TripleBranches(psi, particle, triple).draw(rng.random())
+    return TripleOutcome.with_zero_at(k), state
 
 
 def triple_probability_table(psi: StateVector, particle: int, triple: OrthoTriple) -> np.ndarray:
     """Exact outcome probabilities (one entry per axis holding the 0)."""
-    branches = [apply_on_subsystem(p, particle, psi) for p in _triple_projectors(triple)]
-    return np.array([b.norm() ** 2 for b in branches])
+    return triple_branches(psi, particle, triple)[0]
 
 
 def joint_probability_table(triple_a: OrthoTriple, triple_b: OrthoTriple) -> np.ndarray:
@@ -312,9 +333,7 @@ def parameter_independence_check(
         psi = singlet_state()
         pn = zero_projector(n)
         p0_cond = 0.0
-        for proj in _triple_projectors(triple_a):
-            branch = apply_on_subsystem(proj, 0, psi)
-            w = branch.norm() ** 2
+        for w, branch in zip(*triple_branches(psi, 0, triple_a)):
             if w < 1e-300:
                 continue
             branch = branch.normalize()

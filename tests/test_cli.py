@@ -21,16 +21,26 @@ def run_cli(args):
     return main(args)
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only dependency; the package must run without it
+def _modules_loaded_by_cli_import(package: str) -> str:
+    """The modules of ``package`` a fresh interpreter holds after importing the CLI."""
     src = str(Path(collapselab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     code = ("import sys, collapselab.cli; "
-            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.partition('.')[0] == {package!r}))")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                             check=True, timeout=60)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; the package must run without it
+    assert _modules_loaded_by_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # the process pool is imported by the runs that start one, not by every start-up
+    assert _modules_loaded_by_cli_import("multiprocessing") == "[]"
 
 
 # -- help and key enumeration --------------------------------------------------

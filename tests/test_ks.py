@@ -91,6 +91,70 @@ def test_exact_orthogonality_decides_sqrt2_cancellation():
     assert a.is_orthogonal(b, 0.0)
 
 
+def _exact_components(path):
+    """Every ray line of a ray file as parsed Fraction pairs, duplicates kept."""
+    out = []
+    for line in Path(path).read_text().splitlines():
+        text = line.strip()
+        if text and not text.startswith("#"):
+            out.append([parse_component(t) for t in text.split()])
+    return out
+
+
+def _q_mul(u, v):
+    return (u[0] * v[0] + 2 * u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def _q_sub(u, v):
+    return (u[0] - v[0], u[1] - v[1])
+
+
+def _fraction_orthogonal(a, b):
+    acc = (Fraction(0), Fraction(0))
+    for u, v in zip(a, b):
+        p = _q_mul(u, v)
+        acc = (acc[0] + p[0], acc[1] + p[1])
+    return acc == (0, 0)
+
+
+def _fraction_parallel(a, b):
+    return all(_q_sub(_q_mul(a[i], b[j]), _q_mul(a[j], b[i])) == (0, 0)
+               for i, j in ((0, 1), (0, 2), (1, 2)))
+
+
+# rays with fractions, mixed a + b*r2 terms and scaled duplicates of each other
+_MIXED_RAYS = """
+0.5+r2 1.5 -2*r2
+1+2*r2 3 -4*r2
+-3 2.25-r2 0.75
+1 -1 1-r2
+r2 -r2 -2+r2
+-1+r2 0 1
+1 1 0
+-0.5 -0.5 0
+"""
+
+
+@pytest.mark.parametrize("name", ["axes", "axes_diag", "ks33", "twin_triples", "mixed"])
+def test_integer_exact_arithmetic_matches_fractions(name, tmp_path):
+    path = DATA / f"{name}.rays"
+    if name == "mixed":
+        path = tmp_path / "mixed.rays"
+        path.write_text(_MIXED_RAYS)
+    comps = _exact_components(path)
+    rays = [Ray.from_exact(c) for c in comps]
+    for ray, c in zip(rays, comps):
+        flat = [v for pair in ray.exact for v in pair]
+        assert all(type(v) is int for v in flat)
+        assert math.gcd(*flat) == 1
+        first = next(p for p in ray.exact if p != (0, 0))
+        assert first[0] + first[1] * math.sqrt(2) > 0
+        assert _fraction_parallel(ray.exact, c)
+    for i, j in itertools.combinations_with_replacement(range(len(rays)), 2):
+        assert rays[i].is_orthogonal(rays[j], 0.0) == _fraction_orthogonal(comps[i], comps[j])
+        assert rays[i].is_parallel(rays[j], 0.0) == _fraction_parallel(comps[i], comps[j])
+
+
 def test_ray_file_parsing_errors(tmp_path):
     bad = tmp_path / "bad.rays"
     bad.write_text("1 0\n")

@@ -18,7 +18,8 @@ from collapselab.scenarios import (
     run_oracle_comparison,
     run_singlet_spacetime,
 )
-from collapselab.spin import OrthoTriple
+from collapselab.rng import stream
+from collapselab.spin import OrthoTriple, singlet_state, triple_measurement, zero_ket
 
 AXES = OrthoTriple.from_vectors([1, 0, 0], [0, 1, 0], [0, 0, 1])
 
@@ -60,6 +61,45 @@ def test_singlet_reproducible_and_worker_independent():
     b = run_singlet_spacetime(AXES, AXES, 300, 21)
     c = run_singlet_spacetime(AXES, AXES, 300, 21, workers=2)
     assert a.to_json() == b.to_json() == c.to_json()
+
+
+def _singlet_records_by_measurement(triple_b, triple_a, measure_b, trials, seed):
+    """The singlet records from measuring each trial's own copy of the pair."""
+    rows = []
+    for i in range(trials):
+        rng = stream(seed, i)
+        psi = singlet_state()
+        rec = {"trial": i}
+        if measure_b:
+            out_b, psi = triple_measurement(psi, 1, triple_b, rng)
+            d = triple_b.axes[out_b.zero_axis]
+            rec["b_values"] = "".join(str(v) for v in out_b.values)
+            rec["b_zero_axis"] = out_b.zero_axis
+            rec["product_fidelity"] = abs(np.vdot(np.kron(zero_ket(d), zero_ket(d)),
+                                                  psi.amplitudes)) ** 2
+        if triple_a is not None:
+            out_a, psi = triple_measurement(psi, 0, triple_a, rng)
+            rec["a_values"] = "".join(str(v) for v in out_a.values)
+            rec["a_zero_axis"] = out_a.zero_axis
+            if measure_b:
+                rec["agree_all_axes"] = rec["a_values"] == rec["b_values"]
+        rows.append(rec)
+    return rows
+
+
+@pytest.mark.parametrize("seed", [31, 32])
+@pytest.mark.parametrize("case", ["same", "distinct", "no_b", "no_a"])
+def test_singlet_records_match_per_trial_measurement(case, seed):
+    rng = np.random.default_rng(seed)
+    triple_b = OrthoTriple.random(rng)
+    triple_a = {"same": triple_b, "distinct": OrthoTriple.random(rng),
+                "no_b": triple_b, "no_a": None}[case]
+    measure_b = case != "no_b"
+    trials = 400
+    rep = run_singlet_spacetime(triple_b, triple_a, trials, seed, measure_b=measure_b)
+    expected = _singlet_records_by_measurement(triple_b, triple_a, measure_b, trials, seed)
+    # field for field, in order, with exactly equal floats
+    assert [list(r.items()) for r in rep.trials] == [list(r.items()) for r in expected]
 
 
 # -- EPR scenario -----------------------------------------------------------------
