@@ -468,7 +468,7 @@ class Propagator:
         return _circulant_matvec_fsum(self.column(tau), amplitudes)
 
 
-def _validate_step(dt: float, propagator: Propagator | None) -> None:
+def validate_step(dt: float, propagator: Propagator | None) -> None:
     if dt <= 0:
         raise StepConditionError("dt must be positive")
     if propagator is not None and propagator.max_energy > 0:
@@ -500,7 +500,7 @@ def _checked_sample_times(
     if propagator is not None and propagator.eigenvalues.size != psi0.shape.total_dim:
         raise ConfigError(f"the Hamiltonian column has {propagator.eigenvalues.size} entries, "
                           f"the state's total dimension is {psi0.shape.total_dim}")
-    _validate_step(dt, propagator)
+    validate_step(dt, propagator)
     if sample_times is None:
         n = max(1, int(math.ceil(horizon / dt - 1e-12)))
         return list(np.linspace(0.0, horizon, n + 1))

@@ -32,8 +32,26 @@ integration is the closed form
 with no time steps; it is exactly Hermitian for a Hermitian rho0
 because R is exactly symmetric.
 
-With a Hamiltonian the integration is classical fixed-step RK4, and
-the commutator costs one matrix product.  With K = H rho,
+With a Hamiltonian the state is exp(t L) rho0 for the Liouvillian
+L rho = lam R * rho - (i/hbar)[H, rho], computed as a truncated Taylor
+series (the ``expmv`` scheme of Al-Mohy and Higham, "Computing the
+action of the matrix exponential", SIAM J. Sci. Comput. 33(2), 488-511,
+2011).  The time line is cut at 0, the snapshot times and the horizon;
+each interval of length Delta takes s = ceil(Delta ||L||) substeps of
+length tau = Delta / s, so tau ||L|| <= 1, with
+
+    ||L|| <= 2 max|E| / hbar + lam max|R|
+
+in the Hilbert-Schmidt norm (max|E| is ``Propagator.max_energy``).
+A substep adds the terms T_k = (tau / k) L T_(k-1), T_0 = rho, until two
+consecutive terms fall below the unit roundoff of the running sum,
+||T_k|| + ||T_(k-1)|| <= 2^-53 ||rho||, and never past k =
+MAX_TAYLOR_TERMS = 18: for tau ||L|| <= 1 the terms after it sum to
+less than 10^-17 of the substep's starting norm.  Snapshot times need
+not fall on any grid.
+
+Each term is one right-hand side, and the commutator costs one matrix
+product.  With K = H rho,
 
     [H, rho] = H rho - rho H = K - K^dagger,
 
@@ -43,15 +61,16 @@ H is the real symmetric circulant, on the whole space, of the first
 column the caller passes (``grw.free_hamiltonian`` makes it); its
 column must be even (``integrate_with_snapshots`` rejects one that is
 not) and have the state's total dimension.  It is built densely once
-per integration, and every RK4 stage rho stays Hermitian to the last
-bit: K - K^dagger is exactly anti-Hermitian and R is exactly symmetric,
-so each stage adds a Hermitian increment to a Hermitian state.
-Callers of ``lindblad_rhs`` must pass a Hermitian rho for the same
-reason.  K is one real GEMM, H applied to rho viewed as a (d, 2d)
-float64 array (real and imaginary parts interleaved along each row),
-and the result is viewed back as complex.  For a single grid an FFT
-route exists (rho stored as sigma(kappa, r), the FFT over q of
-rho[q, q - r]), but below M = 512 it is slower than this GEMM.
+per integration, and every series term and state stays Hermitian to
+the last bit: K - K^dagger is exactly anti-Hermitian, R is exactly
+symmetric and each term is scaled by a real number, so each term is
+Hermitian and so is their sum.  Callers of ``lindblad_rhs`` must pass
+a Hermitian rho for the same reason.  K is one real GEMM, H applied to
+rho viewed as a (d, 2d) float64 array (real and imaginary parts
+interleaved along each row), and the result is viewed back as complex.
+For a single grid an FFT route exists (rho stored as sigma(kappa, r),
+the FFT over q of rho[q, q - r]), but below M = 512 it is slower than
+this GEMM.
 
 An ensemble of K trajectories is compared with the oracle as it
 streams (``compare_mixtures``): each block of trajectories' checkpoint
@@ -70,27 +89,30 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, GridAdequacyError, InvariantViolationError, StepConditionError
+from .errors import ConfigError, GridAdequacyError, InvariantViolationError
 from .grw import Grid, GrwParams, Propagator, circulant, even_part, gaussian_template
 from .hilbert import SPECTRAL_TOL, DensityMatrix, SubsystemShape
 from .schema import POSITIVE, check_fields, checked
 
-STEP_BUDGET = 0.05
 TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-8
 POSITIVITY_FLOOR = -1e-6
+UNIT_ROUNDOFF = 2.0**-53
+MAX_TAYLOR_TERMS = 18  # right-hand sides per substep; 1/19! < UNIT_ROUNDOFF / 10
 MIXTURE_CHUNK = 256  # trials stacked per GEMM in compare_mixtures; fixes the summation order
 # Amplitudes compare_mixtures buffers between runs of GEMMs.  A threaded BLAS
 # call leaves its helper threads spinning for ~80 ms; folding every chunk
 # kept a core spinning through the whole 10^4-trial M = 64 benchmark run (CPU
 # time 3.0 s -> 5.2 s); an 8 MB buffer folds that run in five bursts.
 MIXTURE_BUFFER_BYTES = 8 * 2**20
-MAX_RK4_STEPS = 10**5  # work budget; the largest shipped integrations take 500 steps
 
 
 @dataclass(frozen=True)
 class LindbladConfig:
-    """Integration window: RK4 step dt (used only with a Hamiltonian), final time horizon."""
+    """Integration window: the final time ``horizon``, and ``dt``, the time
+    step of the trajectories compared with the oracle.  The oracle never
+    steps by dt; the runs validate it against the Hamiltonian
+    (``grw.validate_step``)."""
 
     dt: float = checked(POSITIVE)
     horizon: float = checked(POSITIVE)
@@ -99,29 +121,34 @@ class LindbladConfig:
         check_fields(self)
 
 
-def _steps(config: LindbladConfig) -> int:
-    return max(1, int(math.ceil(config.horizon / config.dt - 1e-12)))
+def taylor_substeps(horizon: float, norm: float, snapshots: int) -> float:
+    """Upper bound of the Taylor substeps of one integration: ceil(horizon
+    ||L||) over the whole window plus one partial substep per snapshot
+    interval (inf when horizon ||L|| overflows)."""
+    work = horizon * norm
+    return float(math.ceil(work) + snapshots) if math.isfinite(work) else math.inf
 
 
-def oracle_cost(dim: int, steps: int, snapshots: int, free: bool) -> tuple[int, int]:
+def oracle_cost(dim: int, substeps: float, snapshots: int, free: bool) -> tuple[float, int]:
     """Estimated flops and live bytes of one integration on a dim-dimensional space.
 
-    The flops are those of the RK4 GEMMs, 4 RHS per step of one
-    (d, d) x (d, 2d) real GEMM each; without H the closed form does
-    O(d^2) work per time and none are counted.  The bytes are complex
-    rho, the real rate array and one complex d x d per snapshot, plus,
-    with H, the real dense H, the four RK4 stages, the stage input and
-    the two commutator work arrays.
+    The flops are those of the Taylor series' GEMMs: at most
+    MAX_TAYLOR_TERMS right-hand sides per substep, each one (d, d) x
+    (d, 2d) real GEMM; without H the closed form does O(d^2) work per
+    time and none are counted.  The bytes are complex rho, the real rate
+    array and one complex d x d per snapshot, plus, with H, the real
+    dense H, the two series terms and the two commutator work arrays.
     """
     d2 = dim * dim
     if not free:
         return 0, (16 + 8 + 16 * snapshots) * d2
-    return steps * 4 * 4 * dim**3, (16 + 8 + 16 * snapshots + 8 + 7 * 16) * d2
+    return substeps * MAX_TAYLOR_TERMS * 4 * dim**3, (16 + 8 + 16 * snapshots + 8 + 4 * 16) * d2
 
 
-# Ten times the largest tier-1 or benchmark oracle, oracle-compare's free
-# H at M = 256 (500 steps, 4 checkpoints): 1.3e12 flops and 136 MB.
-MAX_ORACLE_FLOPS, MAX_ORACLE_BYTES = (10 * c for c in oracle_cost(256, 500, 4, True))
+# Ten times the largest oracle that RK4 ran in the tests or the benchmark,
+# oracle-compare's free H at M = 256 (500 steps, 4 checkpoints).
+MAX_ORACLE_FLOPS = 1_342_177_280_000
+MAX_ORACLE_BYTES = 136_314_880
 
 
 def _mixture_capacity(checkpoints: int, dim: int) -> int:
@@ -138,25 +165,34 @@ def mixture_bytes(dim: int, checkpoints: int, block_rows: int) -> int:
     return np.dtype(complex).itemsize * checkpoints * (dim * dim + rows * dim)
 
 
+def generator_norm(propagator: Propagator, rate_bound: float) -> float:
+    """Hilbert-Schmidt bound of the Liouvillian, 2 max|E| / hbar + max|lam R|,
+    for the Hamiltonian of ``propagator`` and max|lam R| <= ``rate_bound``.
+    Before R is built, lam times the number of grids bounds it: each C_n
+    has entries in [0, 1] up to the grid's completeness defect."""
+    return 2.0 * propagator.max_energy / propagator.hbar + rate_bound
+
+
 def check_oracle_budget(
-    dim: int, free: bool, config: LindbladConfig, snapshots: int, block_rows: int = 0
+    dim: int,
+    norm: float | None,
+    config: LindbladConfig,
+    snapshots: int,
+    block_rows: int = 0,
 ) -> None:
     """Reject an integration whose estimated cost exceeds the oracle budget.
 
-    ``integrate_with_snapshots`` runs it first; the scenarios also run it
-    before they build the d x d initial state.  Only an integration with
-    a Hamiltonian takes RK4 steps, so only it is held to MAX_RK4_STEPS.
-    With ``block_rows``, the oracle's snapshots are compared with an
-    ensemble evolved in blocks of that many trajectories, and the bytes
-    include ``mixture_bytes``.
+    ``norm`` bounds the Liouvillian of an integration with a Hamiltonian
+    (``generator_norm``) and is None without one, where the closed form
+    takes no substeps.  ``integrate_with_snapshots`` runs the check
+    first; the scenarios also run it before they build the d x d initial
+    state.  With ``block_rows``, the oracle's snapshots are compared with
+    an ensemble evolved in blocks of that many trajectories, and the
+    bytes include ``mixture_bytes``.
     """
-    steps = 0
-    if free:
-        if not config.horizon / config.dt <= MAX_RK4_STEPS:
-            raise ConfigError(f"horizon / dt = {config.horizon / config.dt:.3g} RK4 steps "
-                              f"exceed the work budget of {MAX_RK4_STEPS:.3g}")
-        steps = _steps(config)
-    flops, nbytes = oracle_cost(dim, steps, snapshots, free)
+    free = norm is not None
+    substeps = taylor_substeps(config.horizon, norm, snapshots) if free else 0
+    flops, nbytes = oracle_cost(dim, substeps, snapshots, free)
     if block_rows:
         nbytes += mixture_bytes(dim, snapshots, block_rows)
     if flops > MAX_ORACLE_FLOPS or nbytes > MAX_ORACLE_BYTES:
@@ -164,7 +200,7 @@ def check_oracle_budget(
             f"the oracle on a {dim}-dimensional space needs {flops:.3g} flops and "
             f"{nbytes / 1e6:.0f} MB of live arrays, over the work budget of "
             f"{MAX_ORACLE_FLOPS:.3g} flops and {MAX_ORACLE_BYTES / 1e6:.0f} MB; lower the "
-            f"keys 'points', 'horizon' or 'checkpoints', or raise 'dt'"
+            f"keys 'points', 'horizon', 'lambda' or 'checkpoints'"
         )
 
 
@@ -269,67 +305,31 @@ def lindblad_rhs(
     return _rhs(entries, h, params.hbar, rates, np.empty_like(entries), _work(entries, h))
 
 
-def _check_step(
-    config: LindbladConfig, params: GrwParams, n_particles: int, hamiltonian: np.ndarray
-) -> None:
-    h_scale = Propagator(hamiltonian, params.hbar).max_energy / params.hbar
-    budget = config.dt * (params.lam * n_particles + h_scale)
-    if budget > STEP_BUDGET * (1 + 1e-12):
-        raise StepConditionError(
-            f"dt*(lam*N + |H|/hbar) = {budget:.4f} exceeds the step budget {STEP_BUDGET}"
-        )
-
-
-def _snapshot_steps(h_step: float, snapshot_times: Sequence[float]) -> dict[int, float]:
-    wanted: dict[int, float] = {}
-    for t in snapshot_times:
-        steps = t / h_step
-        if abs(steps - round(steps)) > 1e-6:
-            raise ConfigError(
-                f"snapshot time {t} does not land on an integrator step (dt={h_step})"
-            )
-        wanted[int(round(steps))] = float(t)
-    return wanted
-
-
-def _rk4(
-    rho0: DensityMatrix,
+def _taylor(
+    rho: np.ndarray,
     h: np.ndarray,
     hbar: float,
     rates: np.ndarray,
-    n_steps: int,
-    h_step: float,
-    wanted: Mapping[int, float],
-) -> tuple[np.ndarray, dict[float, DensityMatrix]]:
-    rho = np.array(rho0.entries, dtype=complex, order="C")  # _rhs views it as float rows
-    snapshots: dict[float, DensityMatrix] = {}
-    if 0 in wanted:
-        snapshots[wanted[0]] = DensityMatrix(rho0.shape, rho)
-
-    # Stages and their inputs live in buffers allocated once: ~10^4 fresh
-    # d x d temporaries per run otherwise churn the heap.  The arithmetic
-    # is that of rho + (h/6) (k1 + 2 k2 + 2 k3 + k4), in the same order.
-    k1, k2, k3, k4, stage = (np.empty_like(rho) for _ in range(5))
-    work = _work(rho, h)
-    half = 0.5 * h_step
-    for step in range(1, n_steps + 1):
-        _rhs(rho, h, hbar, rates, k1, work)
-        np.add(rho, np.multiply(half, k1, out=stage), out=stage)
-        _rhs(stage, h, hbar, rates, k2, work)
-        np.add(rho, np.multiply(half, k2, out=stage), out=stage)
-        _rhs(stage, h, hbar, rates, k3, work)
-        np.add(rho, np.multiply(h_step, k3, out=stage), out=stage)
-        _rhs(stage, h, hbar, rates, k4, work)
-        np.multiply(2.0, k2, out=k2)
-        np.add(k1, k2, out=k1)
-        np.multiply(2.0, k3, out=k3)
-        np.add(k1, k3, out=k1)
-        np.add(k1, k4, out=k1)
-        np.multiply(h_step / 6.0, k1, out=k1)
-        np.add(rho, k1, out=rho)
-        if step in wanted:
-            snapshots[wanted[step]] = DensityMatrix(rho0.shape, rho)
-    return rho, snapshots
+    span: float,
+    norm: float,
+    buffers: tuple[np.ndarray, np.ndarray],
+    work: tuple[np.ndarray, np.ndarray],
+) -> None:
+    """rho <- exp(span L) rho in place, in ceil(span * norm) substeps."""
+    substeps = max(1, math.ceil(span * norm))
+    tau = span / substeps
+    for _ in range(substeps):
+        term, nxt = buffers
+        np.copyto(term, rho)
+        size = np.linalg.norm(rho)
+        for k in range(1, MAX_TAYLOR_TERMS + 1):
+            _rhs(term, h, hbar, rates, nxt, work)
+            nxt *= tau / k
+            rho += nxt
+            previous, size = size, np.linalg.norm(nxt)
+            term, nxt = nxt, term
+            if size + previous <= UNIT_ROUNDOFF * np.linalg.norm(rho):
+                break
 
 
 def integrate_with_snapshots(
@@ -342,20 +342,23 @@ def integrate_with_snapshots(
 ) -> tuple[DensityMatrix, dict[float, DensityMatrix]]:
     """The statistical operator at the horizon and at each snapshot time.
 
-    Without a Hamiltonian each state is the closed form rho0 * exp(t lam R)
-    and ``config.dt`` plays no part.  With one, the integration is
-    classical 4-stage fixed-step RK4: dt must meet the step budget and
-    the snapshot times must land on step boundaries (choose dt so that
-    they divide the horizon).  The final state is always returned.
+    Without a Hamiltonian each state is the closed form rho0 * exp(t lam R).
+    With one, each state is exp(t L) rho0 from the truncated Taylor series
+    of the module docstring, carried from one snapshot time to the next.
+    Snapshot times may be any in [0, horizon]; ``config.dt`` plays no part.
+    The final state is always returned.
     """
     shape = rho0.shape
-    check_oracle_budget(shape.total_dim, hamiltonian is not None, config, len(snapshot_times))
+    d = shape.total_dim
+    for t in snapshot_times:
+        if not 0.0 <= t <= config.horizon + 1e-12:
+            raise ConfigError(f"snapshot time {t} lies outside [0, horizon = {config.horizon}]")
+    norm = propagator = None
     if hamiltonian is not None:
-        _check_step(config, params, len(grids), hamiltonian)
-        h = _hamiltonian_matrix(hamiltonian, shape.total_dim)
-        n_steps = _steps(config)
-        h_step = config.horizon / n_steps
-        wanted = _snapshot_steps(h_step, snapshot_times)
+        propagator = Propagator(hamiltonian, params.hbar)
+        norm = generator_norm(propagator, params.lam * len(grids))
+    check_oracle_budget(d, norm, config, len(snapshot_times))
+    h = _hamiltonian_matrix(hamiltonian, d)
 
     rates = params.lam * _rate_array(shape, grids, params.alpha)
     # d tr(rho)/dt = sum_q rates[q, q] rho[q, q] vanishes only where each grid's
@@ -369,7 +372,21 @@ def integrate_with_snapshots(
         snapshots = {float(t): DensityMatrix(shape, rho0.entries * np.exp(t * rates))
                      for t in snapshot_times}
     else:
-        rho, snapshots = _rk4(rho0, h, params.hbar, rates, n_steps, h_step, wanted)
+        norm = generator_norm(propagator, float(np.max(np.abs(rates))))  # R's own bound
+        state = np.array(rho0.entries, dtype=complex, order="C")  # _rhs views it as float rows
+        buffers, work = (np.empty_like(state), np.empty_like(state)), _work(state, h)
+        wanted = {float(t) for t in snapshot_times}
+        targets = sorted(wanted | {config.horizon})
+        snapshots = {}
+        now = 0.0
+        for target in targets:
+            if target > now:
+                _taylor(state, h, params.hbar, rates, target - now, norm, buffers, work)
+                now = target
+            if target in wanted:
+                snapshots[target] = DensityMatrix(shape, state)
+            if target == config.horizon:
+                rho = state if target == targets[-1] else state.copy()
 
     trace_defect = abs(complex(np.trace(rho)) - 1.0)
     if trace_defect > TRACE_TOL:

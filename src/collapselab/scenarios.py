@@ -33,6 +33,7 @@ from .grw import (
     marginal_weights,
     mean_positions,
     two_peak_state,
+    validate_step,
     window_masses,
 )
 from .hilbert import (
@@ -46,6 +47,7 @@ from .lindblad import (
     LindbladConfig,
     check_oracle_budget,
     compare_mixtures,
+    generator_norm,
     integrate_with_snapshots,
 )
 from .report import ExperimentReport
@@ -232,7 +234,7 @@ def _epr_oracle_b_marginal(
     )
     # without a Hamiltonian the oracle is the closed form and takes no steps
     lconf = LindbladConfig(dt=config.horizon, horizon=config.horizon)
-    check_oracle_budget(psi.shape.total_dim, False, lconf, 0)
+    check_oracle_budget(psi.shape.total_dim, None, lconf, 0)
     rho_t, _ = integrate_with_snapshots(psi.density_matrix(), None, params, {2: grid}, lconf)
     rho_b = partial_trace(rho_t, keep=(1,))
     diag = np.real(np.diag(rho_b.entries))
@@ -526,8 +528,11 @@ def run_oracle_comparison(
     grid = ensemble.grid
     times = ensemble.times
     rows = block_rows(grid.points)
-    # the oracle runs first, so an input it rejects fails before any trial
-    check_oracle_budget(grid.points, hamiltonian is not None, lconf, len(times), rows)
+    # the oracle runs first, so an input it rejects fails before any trial;
+    # so does the trajectories' step check, which the oracle does not need
+    validate_step(config.dt, ensemble.propagator)
+    norm = None if hamiltonian is None else generator_norm(ensemble.propagator, config.rate)
+    check_oracle_budget(grid.points, norm, lconf, len(times), rows)
     _, snapshots = integrate_with_snapshots(
         ensemble.psi0.density_matrix(), hamiltonian, ensemble.params, {0: grid}, lconf,
         snapshot_times=times,

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapselab
-from collapselab import grw
+from collapselab import grw, scenarios
 from collapselab.cli import KEY_SPECS, build_parser, main
 from collapselab.errors import ConfigError
 from collapselab.schema import NON_NEGATIVE, POSITIVE, check_value
@@ -180,13 +180,15 @@ def test_invalid_inputs_are_config_errors_naming_the_key(args, key, capsys):
 
 
 @pytest.mark.parametrize("args,key", [
-    (["oracle-compare", "--k", "100", "--hamiltonian", "free", "--dt", "1e-9"], "dt"),
+    # ~10^9 Taylor substeps; with lambda = 0 the trajectory budget does not fire first
+    (["oracle-compare", "--k", "100", "--hamiltonian", "free", "--lambda", "0",
+      "--horizon", "1e9"], "horizon"),
     (["grw-run", "--trajectories", "2", "--lambda", "1e8"], "lambda"),
     (["grw-run", "--points", "100000000"], "points"),
     (["grw-run", "--trajectories", "2", "--checkpoints", "100000000"], "checkpoints"),
     (["epr", "--pointer-points", "2000"], "pointer_points"),
     (["singlet", "--trials", "1000000000"], "trials"),
-    # the oracle budget: 8.6e12 RK4 flops, and 1.5 GB of live arrays at d = 4096
+    # the oracle budget: 252 MB of live arrays at d = 1024 with H, 1.5 GB at d = 4096
     (["oracle-compare", "--k", "100", "--hamiltonian", "free", "--points", "1024"], "points"),
     (["oracle-compare", "--k", "100", "--points", "4096"], "checkpoints"),
     (["epr", "--trials", "2", "--pointer-points", "1024"], "points"),
@@ -200,14 +202,26 @@ def test_oversized_runs_are_rejected_before_they_start(args, key, capsys):
     assert key in err and "internal" not in err
 
 
-def test_dt_takes_no_step_budget_without_a_hamiltonian(tmp_path):
-    # the closed-form oracle and the sampled trajectories never step by dt
+@pytest.mark.parametrize("hamiltonian", ["none", "free"])
+def test_dt_is_not_an_oracle_step(tmp_path, hamiltonian):
+    # neither oracle steps by dt, and the sampled trajectories only validate it
     aggregates = []
     for dt in ([], ["--dt", "1e-9"]):
         out = tmp_path / f"dt{len(dt)}.json"
-        assert run_cli(["oracle-compare", "--k", "100", "--seed", "1", *dt, "--out", str(out)]) == 0
+        assert run_cli(["oracle-compare", "--k", "100", "--seed", "1", "--hamiltonian",
+                        hamiltonian, *dt, "--out", str(out)]) == 0
         aggregates.append(json.loads(out.read_text())["aggregates"])
     assert aggregates[0] == aggregates[1]
+
+
+def test_trajectory_step_is_checked_before_the_oracle_runs(monkeypatch, capsys):
+    def oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before the trajectories' step check")
+
+    monkeypatch.setattr(scenarios, "integrate_with_snapshots", oracle)
+    args = ["oracle-compare", "--k", "100", "--hamiltonian", "free", "--dt", "0.1", "--seed", "1"]
+    assert run_cli(args) == 3
+    assert "dt=0.1" in capsys.readouterr().err
 
 
 def test_malformed_triple_rejected(capsys):

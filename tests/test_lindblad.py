@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from collapselab import lindblad
-from collapselab.errors import ConfigError, StepConditionError
+from collapselab.errors import ConfigError
 from collapselab.grw import (
     Grid,
     GrwParams,
@@ -34,12 +34,14 @@ from collapselab.lindblad import (
     compare_mixtures,
     dephasing_rate,
     ensemble_compare,
+    generator_norm,
     integrate,
     integrate_with_snapshots,
     lindblad_rhs,
     mixture_bytes,
     oracle_cost,
     overlap_kernel,
+    taylor_substeps,
     trace_distance,
 )
 from collapselab.rng import stream
@@ -177,9 +179,9 @@ def test_rhs_matches_literal_commutator_and_operator_sum(h_kind, layout):
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
-def test_integrate_matches_dense_rk4_reference():
-    # in-test reference: literal commutator and kernel built from the
-    # localization operators, stepped with the textbook RK4 update
+def test_integrate_matches_expm_of_the_dense_liouvillian():
+    # in-test reference: the literal Liouvillian on d^2 = 1024 entries, with
+    # the commutator and kernel built from H and the localization operators
     grid = Grid(32, 1.0)
     params = GrwParams(alpha=0.25, lam=1.0, mass=10.0)
     h = free_hamiltonian(grid, params.mass, params.hbar)
@@ -190,7 +192,7 @@ def test_integrate_matches_dense_rk4_reference():
     )
     assert not rho0.entries.flags.c_contiguous
     config = LindbladConfig(dt=0.01, horizon=1.0)
-    times = [0.5, 1.0]
+    times = [1.0 / 3.0, 1.0]  # snapshot times need not divide the horizon
     final, snaps = integrate_with_snapshots(
         rho0, h, params, {0: grid}, config, snapshot_times=times
     )
@@ -201,47 +203,40 @@ def test_integrate_matches_dense_rk4_reference():
     ])  # g[k, q]
     c = (g.T @ g) * grid.spacing
     hm = scipy.linalg.circulant(h)
-
-    def f(rho):
-        return (-1j / params.hbar) * (hm @ rho - rho @ hm) + params.lam * (c * rho - rho)
-
-    rho = np.array(rho0.entries)
-    reference = {}
-    for step in range(1, 101):
-        k1 = f(rho)
-        k2 = f(rho + 0.005 * k1)
-        k3 = f(rho + 0.005 * k2)
-        k4 = f(rho + 0.01 * k3)
-        rho = rho + (0.01 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step in (50, 100):
-            reference[step / 100] = rho
+    eye = np.eye(grid.points)
+    # row-major vec: vec(A rho) = (A x I) vec(rho), vec(rho B) = (I x B^T) vec(rho)
+    liouvillian = (-1j / params.hbar) * (np.kron(hm, eye) - np.kron(eye, hm.T)) + np.diag(
+        params.lam * (c - 1.0).ravel()
+    )
+    vec = np.array(rho0.entries).ravel()
+    now = 0.0
     for t in times:
-        assert np.max(np.abs(snaps[t].entries - reference[t])) <= 1e-12
-    assert np.max(np.abs(final.entries - reference[1.0])) <= 1e-12
+        vec = scipy.linalg.expm((t - now) * liouvillian) @ vec
+        now = t
+        reference = vec.reshape(grid.points, grid.points)
+        assert np.max(np.abs(snaps[t].entries - reference)) <= 1e-13
+    assert np.max(np.abs(final.entries - reference)) <= 1e-13
+    assert np.array_equal(final.entries, final.entries.conj().T)
 
 
-@pytest.mark.parametrize("layout", ["free", "none", "pointer"])
+@pytest.mark.parametrize("layout", ["none", "pointer"])
 def test_buffered_rk4_equals_the_textbook_update_bit_for_bit(layout):
-    # with H the buffered RK4 must match bit for bit; without H the closed
-    # form must match the textbook RK4 to its truncation error
+    # without H the closed form must match the textbook RK4 to its
+    # truncation error
     grid = Grid(32, 1.0)
     params = GrwParams(alpha=0.25, lam=1.0, mass=10.0)
     psi = two_peak_state(grid, (10.0, 20.0), (0.5, 0.5), 1.5)
-    h = free_hamiltonian(grid, params.mass) if layout == "free" else None
     grids = {0: grid}
     if layout == "pointer":
         region = StateVector(SubsystemShape((2,)), np.array([0.6, 0.8], dtype=complex))
         psi, grids = tensor_product(region, psi), {1: grid}
     rho0 = psi.density_matrix()
     final, snaps = integrate_with_snapshots(
-        rho0, h, params, grids, LindbladConfig(dt=0.01, horizon=0.2), snapshot_times=[0.1]
+        rho0, None, params, grids, LindbladConfig(dt=0.01, horizon=0.2), snapshot_times=[0.1]
     )
 
     def f(rho):
-        return lindblad_rhs(DensityMatrix(rho0.shape, rho), h, params, grids)
-
-    def same(a, b):
-        return np.array_equal(a, b) if h is not None else np.max(np.abs(a - b)) <= 1e-10
+        return lindblad_rhs(DensityMatrix(rho0.shape, rho), None, params, grids)
 
     rho = np.array(rho0.entries)
     for step in range(1, 21):
@@ -251,8 +246,8 @@ def test_buffered_rk4_equals_the_textbook_update_bit_for_bit(layout):
         k4 = f(rho + 0.01 * k3)
         rho = rho + (0.01 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if step == 10:
-            assert same(snaps[0.1].entries, rho)
-    assert same(final.entries, rho)
+            assert np.max(np.abs(snaps[0.1].entries - rho)) <= 1e-10
+    assert np.max(np.abs(final.entries - rho)) <= 1e-10
 
 
 @pytest.mark.parametrize("layout", ["single", "pointer"])
@@ -262,7 +257,7 @@ def test_integration_without_h_is_the_closed_form(monkeypatch, layout):
 
     monkeypatch.setattr(lindblad, "_rhs", rhs)
     grid = Grid(32, 1.0)
-    params = GrwParams(alpha=0.25, lam=7.0)  # RK4 would need dt <= 0.05 / 7
+    params = GrwParams(alpha=0.25, lam=7.0)  # the closed form takes no steps at any rate
     psi, grids = two_peak_state(grid, (10.0, 20.0), (0.5, 0.5), 1.5), {0: grid}
     if layout == "pointer":
         region = StateVector(SubsystemShape((2,)), np.array([0.6, 0.8], dtype=complex))
@@ -293,19 +288,28 @@ def test_overlap_kernel_is_an_exactly_symmetric_circulant():
 
 def test_oracle_budget_rejects_on_the_estimate_alone(monkeypatch):
     d = 256
-    # rho, rates and 4 snapshots; with H also H and 7 RK4 stage and work arrays
-    assert oracle_cost(d, 500, 4, True) == (500 * 4 * 4 * d**3, (24 + 4 * 16 + 8 + 7 * 16) * d**2)
-    assert oracle_cost(d, 500, 4, False) == (0, (24 + 4 * 16) * d**2)
+    # the default free-H oracle-compare: ||L|| <= 2 max|E| + lam = 1.99, so
+    # ceil(5 * 1.99) substeps plus one per checkpoint interval
+    norm = generator_norm(Propagator(free_hamiltonian(Grid(d, 1.0), mass=10.0)), 1.0)
+    assert taylor_substeps(5.0, norm, 4) == 14
+    assert taylor_substeps(1e308, norm, 4) == math.inf
+    # rho, rates and 4 snapshots; with H also H, 2 series terms and 2 work arrays
+    assert oracle_cost(d, 14, 4, True) == (14 * 18 * 4 * d**3, (24 + 4 * 16 + 8 + 4 * 16) * d**2)
+    assert oracle_cost(d, 14, 4, False) == (0, (24 + 4 * 16) * d**2)
     config = LindbladConfig(dt=0.01, horizon=5.0)
-    check_oracle_budget(256, True, config, 4)  # the largest benchmark oracle
+    check_oracle_budget(256, norm, config, 4)  # the largest benchmark oracle
     with pytest.raises(ConfigError, match="points"):
-        check_oracle_budget(1024, True, config, 4)
+        check_oracle_budget(1024, norm, config, 4)
     with pytest.raises(ConfigError, match="checkpoints"):
-        check_oracle_budget(4096, False, config, 4)
+        check_oracle_budget(4096, None, config, 4)
+    with pytest.raises(ConfigError, match="horizon"):
+        check_oracle_budget(64, norm, LindbladConfig(dt=0.01, horizon=1e9), 4)
+    with pytest.raises(ConfigError, match="inf flops"):
+        check_oracle_budget(64, norm, LindbladConfig(dt=0.01, horizon=1e308), 4)
     # integrate_with_snapshots checks the estimate before it allocates
     monkeypatch.setattr(lindblad, "MAX_ORACLE_BYTES", 100)
     rho0 = random_density(np.random.default_rng(12), (8,))
-    with pytest.raises(ConfigError, match="dt"):
+    with pytest.raises(ConfigError, match="horizon"):
         integrate(rho0, None, GrwParams(alpha=0.25, lam=0.1), {0: Grid(8, 1.0)},
                   LindbladConfig(dt=0.1, horizon=1.0))
 
@@ -350,7 +354,7 @@ def test_integrate_unitary_case_matches_exact_conjugation():
     got = integrate(rho0, col, params, {0: Grid(8, 1.0)}, config)
     u = scipy.linalg.expm(-1j * scipy.linalg.circulant(col) * config.horizon)
     expected = u @ rho0.entries @ u.conj().T
-    assert np.max(np.abs(got.entries - expected)) <= 1e-8
+    assert np.max(np.abs(got.entries - expected)) <= 1e-12
 
 
 def test_integrate_pure_dephasing_matches_closed_form():
@@ -377,23 +381,16 @@ def test_integrate_preserves_trace_hermiticity_positivity():
     assert rho_t.min_eigenvalue() >= -1e-6
 
 
-def test_integrate_rejects_oversized_step():
-    rng = np.random.default_rng(7)
-    rho0 = random_density(rng, (GRID.points,))
-    with pytest.raises(StepConditionError):
-        integrate(rho0, free_hamiltonian(GRID, mass=10.0), GrwParams(alpha=0.0625, lam=10.0),
-                  {0: GRID}, LindbladConfig(dt=0.1, horizon=1.0))
-
-
-def test_snapshots_must_align_with_steps():
-    rng = np.random.default_rng(8)
-    rho0 = random_density(rng, (8,))
+@pytest.mark.parametrize("hamiltonian,time", [("free", 1.5), ("none", -0.5)])
+def test_snapshot_times_must_lie_within_the_window(hamiltonian, time):
+    # past the horizon the series would never reach the time; before 0 the
+    # closed form exp(t lam R) would grow instead of decay
+    rho0 = random_density(np.random.default_rng(8), (8,))
     grid = Grid(8, 1.0)
-    with pytest.raises(ConfigError, match="does not land"):
-        integrate_with_snapshots(
-            rho0, free_hamiltonian(grid, mass=100.0), GrwParams(alpha=0.25, lam=0.1), {0: grid},
-            LindbladConfig(dt=0.1, horizon=1.0), snapshot_times=[0.333],
-        )
+    h = free_hamiltonian(grid, mass=100.0) if hamiltonian == "free" else None
+    with pytest.raises(ConfigError, match="outside"):
+        integrate_with_snapshots(rho0, h, GrwParams(alpha=0.25, lam=0.1), {0: grid},
+                                 LindbladConfig(dt=0.1, horizon=1.0), snapshot_times=[0.5, time])
 
 
 # -- ensemble comparison -----------------------------------------------------------
@@ -403,10 +400,12 @@ def test_oracle_budget_counts_the_mixture_comparison():
     config = LindbladConfig(dt=0.01, horizon=5.0)
     # the sums, a buffer of MIXTURE_CHUNK rows per checkpoint and one block of 64 rows
     assert mixture_bytes(64, 2000, 64) == 16 * 2000 * (64 * 64 + (MIXTURE_CHUNK + 64) * 64)
-    check_oracle_budget(64, False, config, 2000)  # the oracle alone fits
+    check_oracle_budget(64, None, config, 2000)  # the oracle alone fits
     with pytest.raises(ConfigError, match="checkpoints"):
-        check_oracle_budget(64, False, config, 2000, 64)
-    check_oracle_budget(256, True, config, 4, 16)  # the largest benchmark comparison
+        check_oracle_budget(64, None, config, 2000, 64)
+    # the largest benchmark comparison
+    norm = generator_norm(Propagator(free_hamiltonian(Grid(256, 1.0), mass=10.0)), 1.0)
+    check_oracle_budget(256, norm, config, 4, 16)
 
 
 def test_mixture_bytes_bound_what_the_comparison_allocates():
