@@ -29,13 +29,13 @@ from .scenarios import (
     run_oracle_comparison,
     run_singlet_spacetime,
 )
-from .schema import COUNT, FINITE, NON_NEGATIVE, POSITIVE, Key, check_value, from_values, keys_of
+from .schema import COUNT, FINITE, POSITIVE, SEED, Key, check_value, from_values, keys_of
 from .spin import OrthoTriple
 
 _AXES = "1,0,0;0,1,0;0,0,1"
 
 _SCENARIO_COMMON = {
-    "seed": Key(int, None, "master seed (required; drives every random stream)", NON_NEGATIVE),
+    "seed": Key(int, None, "master seed (required; keys every random draw)", SEED),
     "out": Key(str, None, "path for the JSON report (stdout when omitted)"),
     "csv": Key(str, None, "optional path for the per-trial CSV table"),
     "workers": Key(int, 1, "worker processes for trial execution", COUNT),

@@ -25,17 +25,16 @@ as one complex (B, d) array, in event rounds.  In each round every row
 takes its own next event.  Rows advance by their own gaps, with per-row
 phases and one row-wise FFT pair.  Rows that jump get their jump tables
 from one batched rfft/irfft circular convolution of |psi|^2 with g^2,
-draw their centres by the inverse CDF of ``rng.draw_rows`` (the rule of
-``rng.draw_index``, which starts at site 0, so a tie between maxima
-cannot move the centre drawn for a given uniform), and are localized
-and renormalized row by row.  Each row keeps its own random stream and
-consumption order, every kernel acts on each row alone and names the
-output of each binary operation, so a row's bits do not depend on B;
-``BLOCK_BYTES`` bounds the (B, d) array.  There is one default code
-path: ``evolve_trajectory`` is a one-row block, and ``jump_density``,
-``jump_mass``, ``apply_jump`` and ``Propagator.advance`` run one row of
-the block kernels.  No kernel calls BLAS: norms and sums are elementwise
-products and ``np.sum``.
+draw their centres by the inverse CDF of ``rng.draw_rows`` (which
+starts at site 0, so a tie between maxima cannot move the centre drawn
+for a given uniform), and are localized and renormalized row by row.
+Every draw of a row is addressed by its (seed, trial, index, tag), every
+kernel acts on each row alone and names the output of each binary
+operation, so a row's bits do not depend on B; ``BLOCK_BYTES`` bounds
+the (B, d) array.  There is one default code path: ``evolve_trajectory``
+is a one-row block, and ``jump_density``, ``jump_mass``, ``apply_jump``
+and ``Propagator.advance`` run one row of the block kernels.  No kernel
+calls BLAS: norms and sums are elementwise products and ``np.sum``.
 
 The ``equivariant`` mode runs one trajectory at a time, and all its
 state updates commute bit-exactly with cyclic grid translations: norms
@@ -43,7 +42,7 @@ and inner sums use math.fsum (order-independent, correctly rounded),
 the propagator is applied as an fsum circulant matvec, and jump centres
 come from a cumulative table anchored at its argmax.  Translating the
 initial state by s sites then reproduces the original trajectory
-translated by s, for the same random stream.  The default mode has
+translated by s, for the same seed and trial.  The default mode has
 identical statistics.
 """
 from __future__ import annotations
@@ -57,7 +56,7 @@ import numpy as np
 
 from .errors import ConfigError, GridAdequacyError, StepConditionError, ZeroNormError
 from .hilbert import MAX_TOTAL_DIM, SPECTRAL_TOL, Operator, StateVector, SubsystemShape
-from .rng import draw_index, draw_rows
+from .rng import JUMPS, draw_rows, uniforms
 from .schema import NON_NEGATIVE, POSITIVE, check_fields, checked, integer
 
 TRAJECTORY_NORM_TOL = 1e-9
@@ -373,30 +372,49 @@ def apply_jump(
 
 
 def sample_jump_times(
-    rates: Mapping[int, float], horizon: float, rng: np.random.Generator
-) -> list[tuple[float, int]]:
-    """Merged per-particle Poisson arrivals, sorted by time.
+    rates: Mapping[int, float], horizon: float, seed: int, trials: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Merged per-particle Poisson arrivals of each trial, sorted by time,
+    each with the uniform that draws its centre.
 
-    Particle p's arrivals are an independent Poisson process of rate
-    ``rates[p]`` (exponential inter-arrival times; a zero rate draws
-    nothing).  The streams are consumed in ascending particle order and
-    simultaneous arrivals keep that order, so the schedule is a
-    deterministic function of the generator state.
+    Particle p's arrivals are a Poisson process of rate ``rates[p]``: for
+    its k-th arrival, draw 2k of tag ``rng.JUMPS + p`` gives the gap
+    -log1p(-u) / rate before it and draw 2k + 1 its centre uniform.  They
+    are drawn in rounds over the trials still short of the horizon;
+    simultaneous arrivals keep ascending particle order.  Returns the jump
+    counts and (n, max count + 1) arrays of times (+inf after the last),
+    particles (-1 after the last) and centre uniforms, row i for
+    ``trials[i]``.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    events: list[tuple[float, int]] = []
+    trials, n = np.asarray(trials), len(trials)
+    events = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))]
     for p in sorted(rates):
         if rates[p] == 0.0:
             continue
-        t = 0.0
-        while True:
-            t += rng.exponential(1.0 / rates[p])
-            if t >= horizon:
-                break
-            events.append((t, p))
-    events.sort()
-    return events
+        mean = rates[p] * horizon
+        # arrivals per round: nearly every trial passes the horizon in the first
+        size = 4 * math.ceil(min(mean / 4 + math.sqrt(mean) + 1, 2**10))
+        live, now, start = np.arange(n), np.zeros((n, 1)), 0
+        while live.size:
+            u = uniforms(seed, trials[live], JUMPS + p, start + 2 * size, start)
+            gaps = -np.log1p(-u[:, 0::2])
+            # a running sum from each row's last arrival, so rounds do not move its bits
+            t = np.cumsum(np.concatenate((now, gaps / rates[p]), axis=1), axis=1)[:, 1:]
+            r, c = np.nonzero(t < horizon)
+            events.append((live[r], t[r, c], np.full(r.size, p), u[r, 2 * c + 1]))
+            short = t[:, -1] < horizon
+            live, now, start = live[short], t[short, -1:], start + 2 * size
+    rows, times, particles, centres = (np.concatenate(x) for x in zip(*events))
+    order = np.lexsort((particles, times, rows))
+    n_jumps = np.bincount(rows, minlength=n)
+    slots = np.arange(rows.size) - np.repeat(np.cumsum(n_jumps) - n_jumps, n_jumps)
+    width = int(n_jumps.max(initial=0)) + 1  # every row ends in an +inf jump time
+    out = np.full((n, width), np.inf), np.full((n, width), -1), np.zeros((n, width))
+    for table, values in zip(out, (times, particles, centres)):
+        table[rows[order], slots] = values[order]
+    return (n_jumps, *out)
 
 
 # -- Hamiltonians and propagation -------------------------------------------
@@ -548,17 +566,19 @@ def evolve_block(
     grid_map: Mapping[int, Grid],
     horizon: float,
     dt: float,
-    rngs: Sequence[np.random.Generator],
+    seed: int,
+    trials: Sequence[int],
     *,
     sample_times: Sequence[float] | None = None,
     rate_factors: Mapping[int, float] | None = None,
     final_only: bool = False,
 ) -> Block:
-    """Run one stochastic realization per generator in ``rngs``, all from ``psi0``.
+    """Run one stochastic realization per trial in ``trials``, all from ``psi0``.
 
     The arguments mean what they mean for ``evolve_trajectory``; row i
-    is the realization that ``evolve_trajectory`` runs on ``rngs[i]``.
-    With ``final_only`` only the state at the last sample time is kept.
+    is the realization that ``evolve_trajectory`` runs for trial
+    ``trials[i]`` of ``seed``.  With ``final_only`` only the state at
+    the last sample time is kept.
 
     The rows form one complex (B, d) array, evolved in event rounds: in
     each round every row takes its own next event.  Rows advance by their
@@ -567,20 +587,11 @@ def evolve_block(
     """
     times = _checked_sample_times(psi0, propagator, grid_map, horizon, dt, sample_times)
     rates = _rates(params, grid_map, rate_factors)
-    n, shape = len(rngs), psi0.shape
-
-    # each row's stream: all its jump times first, then one uniform per jump
-    schedules = [sample_jump_times(rates, horizon, rng) for rng in rngs]
-    n_jumps = np.array([len(s) for s in schedules], dtype=int)
-    width = int(n_jumps.max(initial=0)) + 1  # every row ends in an +inf jump time
-    jump_times = np.full((n, width), np.inf)
-    jump_particles = np.full((n, width), -1)
+    shape = psi0.shape
+    n_jumps, jump_times, jump_particles, centre_draws = sample_jump_times(
+        rates, horizon, seed, trials)
+    n, width = jump_times.shape
     jump_centres = np.zeros((n, width))
-    uniforms = np.zeros((n, width))
-    for i, (schedule, rng) in enumerate(zip(schedules, rngs)):
-        if schedule:
-            jump_times[i, :len(schedule)], jump_particles[i, :len(schedule)] = zip(*schedule)
-            uniforms[i, :len(schedule)] = rng.random(len(schedule))
 
     sample_at = np.append(np.array(times, dtype=float), np.inf)
     last = len(times) - 1
@@ -628,7 +639,7 @@ def evolve_block(
             rows, cols = jumping[mine], columns[mine]
             picked = amps[rows]
             tables = _jump_tables(marginal_weights(picked, shape, p), grid, params)
-            sites = draw_rows(tables, uniforms[rows, cols])
+            sites = draw_rows(tables, centre_draws[rows, cols])
             _localize(picked, shape, p, grid, params.alpha, sites)
             amps[rows] = picked
             jump_centres[rows, cols] = grid.origin + sites * grid.spacing
@@ -643,7 +654,8 @@ def evolve_trajectory(
     grid_map: Mapping[int, Grid],
     horizon: float,
     dt: float,
-    rng: np.random.Generator,
+    seed: int,
+    trial: int,
     *,
     sample_times: Sequence[float] | None = None,
     rate_factors: Mapping[int, float] | None = None,
@@ -660,33 +672,33 @@ def evolve_trajectory(
     (used for pointer amplification, always explicit).  Without
     ``sample_times`` the state is sampled every ``dt`` from 0.
 
-    Random stream consumption order: all jump times first (particles in
-    ascending index order), then one uniform per jump in time order.
-    The default mode is a one-row ``evolve_block``.
+    Random draws: the realization is trial ``trial`` of master seed
+    ``seed`` (``rng``).  For particle p's k-th jump, draw 2k of tag
+    ``rng.JUMPS + p`` gives the gap before it (inverse-CDF exponential)
+    and draw 2k + 1 its centre (``sample_jump_times``).  Both modes use
+    the same draws; the default mode is a one-row ``evolve_block``.
     """
     if equivariant:
-        return _evolve_equivariant(psi0, propagator, params, grid_map, horizon, dt, rng,
-                                   sample_times, rate_factors)
-    block = evolve_block(psi0, propagator, params, grid_map, horizon, dt, [rng],
+        return _evolve_equivariant(psi0, propagator, params, grid_map, horizon, dt, seed,
+                                   trial, sample_times, rate_factors)
+    block = evolve_block(psi0, propagator, params, grid_map, horizon, dt, seed, [trial],
                          sample_times=sample_times, rate_factors=rate_factors)
     return Trajectory(tuple(StateVector(psi0.shape, s[0]) for s in block.states), block.jumps(0))
 
 
 def _evolve_equivariant(
-    psi0: StateVector,
-    propagator: Propagator | None,
-    params: GrwParams,
-    grid_map: Mapping[int, Grid],
-    horizon: float,
-    dt: float,
-    rng: np.random.Generator,
-    sample_times: Sequence[float] | None,
-    rate_factors: Mapping[int, float] | None,
+    psi0: StateVector, propagator: Propagator | None, params: GrwParams,
+    grid_map: Mapping[int, Grid], horizon: float, dt: float, seed: int, trial: int,
+    sample_times: Sequence[float] | None, rate_factors: Mapping[int, float] | None,
 ) -> Trajectory:
     times = _checked_sample_times(psi0, propagator, grid_map, horizon, dt, sample_times)
     rates = _rates(params, grid_map, rate_factors)
+    n_jumps, jump_times, jump_particles, centre_draws = sample_jump_times(
+        rates, horizon, seed, [trial])
+    count = int(n_jumps[0])
     # (time, kind 0=sample/1=jump, payload); samples go first at equal times
-    schedule = [(t, 1, p) for t, p in sample_jump_times(rates, horizon, rng)]
+    schedule = [(t, 1, p) for t, p in zip(jump_times[0, :count].tolist(),
+                                          jump_particles[0, :count].tolist())]
     schedule += [(t, 0, -1) for t in times]
     schedule.sort(key=lambda e: (e[0], e[1]))
 
@@ -712,7 +724,8 @@ def _evolve_equivariant(
         # a cumulative sum anchored at the argmax commutes with cyclic
         # translations of the table whenever the maximum is unique
         anchor = int(np.argmax(table))
-        k = (anchor + draw_index(np.roll(table, -anchor), rng.random())) % grid.points
+        u = centre_draws[:, len(jumps)]
+        k = (anchor + int(draw_rows(np.roll(table, -anchor)[None, :], u)[0])) % grid.points
         center = grid.origin + k * grid.spacing
         amps = np.array(
             apply_jump(state, payload, center, grid, params, equivariant=True).amplitudes

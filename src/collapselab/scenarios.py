@@ -1,11 +1,14 @@
 """End-to-end experiments: position EPR with a collapsing pointer, the
 singlet measurement story, and trajectory-vs-oracle ensemble checks.
 
-Every scenario is driven by a master seed; trial i uses the derived
-stream (master_seed, i), so reports are bit-identical no matter how
-trials are distributed over workers.  Trajectory scenarios evolve their
-trials in blocks (``grw.evolve_block``) of ``grw.block_rows`` trials, and
-no report depends on that size either.
+Every scenario is driven by a master seed.  Each random draw is a pure
+function of (master seed, trial, index, tag) (``rng``): a singlet
+trial's B and A outcomes are its draws 0 and 1 of tag ``rng.OUTCOMES``,
+an ``epr`` trial's b outcome is its draw 0 of that tag, and trajectories
+draw their jump schedules and centres as ``grw.evolve_trajectory``
+says.  Trials run in blocks, each block's draws come from one array
+computation, and reports are bit-identical however trials are split into
+blocks (``grw.block_rows`` for trajectories) or spread over workers.
 """
 from __future__ import annotations
 
@@ -51,9 +54,9 @@ from .lindblad import (
     integrate_with_snapshots,
 )
 from .report import ExperimentReport
-from .rng import stream
-from .schema import COUNT, FINITE, NON_NEGATIVE, POSITIVE, Check, check_fields, checked, integer
-from .schema import report_config, setting
+from .rng import OUTCOMES, uniforms
+from .schema import COUNT, FINITE, NON_NEGATIVE, POSITIVE, SEED, Check, check_fields, checked
+from .schema import check_value, integer, report_config, setting
 from .spin import (
     OrthoTriple,
     TripleBranches,
@@ -73,10 +76,13 @@ POINTER_BRANCH_THRESHOLD = 0.99  # below this on both branches a trial is inconc
 # trials).  Grid sizes are bounded by hilbert.MAX_TOTAL_DIM instead.
 MAX_TRIALS = 10**6  # every trial's record stays in memory until the report is written
 MAX_EVENTS = 10**6  # trials * (lambda * rate factor * horizon + checkpoints)
+SINGLET_BLOCK = 4096  # trials per block of a singlet run
 
 
-def _check_budget(trials: int, trials_key: str, events_per_trial: float = 0.0) -> None:
-    """Reject a run whose expected size would exhaust time or memory."""
+def _check_budget(seed: int, trials: int, trials_key: str, events_per_trial: float = 0.0) -> None:
+    """Reject a run whose seed is out of range or whose expected size would
+    exhaust time or memory."""
+    check_value("seed", seed, SEED)
     if trials > MAX_TRIALS:
         raise ConfigError(f"key '{trials_key}' = {trials} exceeds the work budget of {MAX_TRIALS}")
     events = trials * events_per_trial
@@ -92,17 +98,27 @@ def pool_size(workers: int, n: int) -> int:
 
 
 def _map_indexed(fn: Callable[[Item], T], items: Sequence[Item], workers: int) -> Iterator[T]:
-    """fn over ``items`` (trial indices or blocks of them) in order, computed
-    as the caller consumes the results."""
+    """fn over ``items`` (blocks of trial indices) in order, computed as the
+    caller consumes the results.  A pool task maps fn over a chunk of items,
+    and at most 2 * workers tasks are submitted ahead of the consumer, so
+    finished blocks cannot pile up; a task per item would cost each one the
+    executor's round trip (~0.5 ms of the parent's CPU)."""
     workers = pool_size(workers, len(items))
     if workers <= 1:
         yield from map(fn, items)
         return
+    from collections import deque
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only pools need it
 
     with ProcessPoolExecutor(max_workers=workers) as ex:
         chunk = max(1, len(items) // (workers * 8))
-        yield from ex.map(fn, items, chunksize=chunk)
+        pending: deque = deque()
+        for start in range(0, len(items), chunk):
+            if len(pending) == 2 * workers:
+                yield from pending.popleft().result()
+            pending.append(ex.submit(list, map(fn, items[start:start + chunk])))
+        while pending:
+            yield from pending.popleft().result()
 
 
 def _blocks(n: int, rows: int) -> list[range]:
@@ -140,7 +156,7 @@ class EprConfig:
     coupling_sites: int = setting(24, "pointer displacement in sites (0 = no measurement)",
                                   integer(0), key="coupling")
     horizon: float = setting(5.0, "measurement duration", POSITIVE)
-    master_seed: int = checked(NON_NEGATIVE, default=0)
+    master_seed: int = checked(SEED, default=0)
     workers: int = checked(COUNT, default=1)
 
     def __post_init__(self) -> None:
@@ -183,23 +199,15 @@ def _epr_initial_state(config: EprConfig) -> tuple[StateVector, Grid]:
 def _epr_block(
     config: EprConfig, psi: StateVector, grid: Grid, params: GrwParams, trials: range
 ) -> list[dict]:
-    rngs = [stream(config.master_seed, i) for i in trials]
     # without a Hamiltonian and with explicit sample times, the step only has to be positive
-    block = evolve_block(
-        psi,
-        None,
-        params,
-        {2: grid},
-        config.horizon,
-        config.horizon,
-        rngs,
-        sample_times=[config.horizon],
-        rate_factors={2: float(config.amplification)},
-    )
+    block = evolve_block(psi, None, params, {2: grid}, config.horizon, config.horizon,
+                         config.master_seed, trials, sample_times=[config.horizon],
+                         rate_factors={2: float(config.amplification)})
     final = block.states[-1]
     region_a = marginal_weights(final, psi.shape, 0)
     region_b = marginal_weights(final, psi.shape, 1)
     pointer_mean = mean_positions(marginal_weights(final, psi.shape, 2), grid)
+    draws_b = uniforms(config.master_seed, trials, OUTCOMES, 1)[:, 0].tolist()
     records = []
     for row, index in enumerate(trials):
         w1, w3 = float(region_a[row, 0]), float(region_a[row, 1])
@@ -208,8 +216,7 @@ def _epr_block(
         if conclusive:
             outcome_a = "delta1" if w1 > w3 else "delta3"
         prob_b_delta2 = float(region_b[row, 0])
-        # drawn after the trial's jumps, from the trial's own stream
-        outcome_b = "delta2" if rngs[row].random() < prob_b_delta2 else "delta4"
+        outcome_b = "delta2" if draws_b[row] < prob_b_delta2 else "delta4"
         records.append({
             "trial": index,
             "conclusive": conclusive,
@@ -245,7 +252,7 @@ def run_epr_position(config: EprConfig) -> ExperimentReport:
     """Measure particle a's region via the collapsing pointer; record the
     selected branch and the conditional location of particle b."""
     t0 = time.perf_counter()
-    _check_budget(config.trials, "trials",
+    _check_budget(config.master_seed, config.trials, "trials",
                   config.base_rate * config.amplification * config.horizon + 1)
     psi, grid = _epr_initial_state(config)
     # the oracle runs first, so an input it rejects fails before any trial
@@ -302,61 +309,47 @@ def _triple_as_lists(triple: OrthoTriple | None) -> list[list[float]] | None:
 _OUTCOME_VALUES = tuple("".join(map(str, TripleOutcome.with_zero_at(k).values)) for k in range(3))
 
 
-class _SingletTable:
-    """The branch table of one singlet run.  The state and both triples are
-    fixed for the run, so every trial draws from the same outcomes: B's,
-    each with its record fields (product fidelity included), and A's, after
-    each B outcome or on the unmeasured pair.  An entry is built and checked
-    when a trial first receives it, so each trial meets the checks that
-    measuring its own copy of the state would."""
-
-    def __init__(self, triple_b: OrthoTriple, triple_a: OrthoTriple | None,
-                 measure_b: bool) -> None:
-        self.triple_b = triple_b
-        self.triple_a = triple_a
-        self.measure_b = measure_b
-        self._b: TripleBranches | None = None
-        # B outcome (None without B) -> (B's record fields, A's measurement)
-        self._after_b: dict[int | None, tuple[dict, TripleBranches | None]] = {}
-
-    def _a_measurement(self, psi: StateVector) -> TripleBranches | None:
-        return None if self.triple_a is None else TripleBranches(psi, 0, self.triple_a)
-
-    def after_b(self, rng: np.random.Generator) -> tuple[dict, TripleBranches | None]:
-        """B's record fields and the measurement left for A, drawing B's
-        outcome from ``rng`` when B measures."""
-        if not self.measure_b:
-            if None not in self._after_b:
-                self._after_b[None] = ({}, self._a_measurement(singlet_state()))
-            return self._after_b[None]
-        if self._b is None:
-            self._b = TripleBranches(singlet_state(), 1, self.triple_b)
-        k, psi = self._b.draw(rng.random())
-        if k not in self._after_b:
-            direction = self.triple_b.axes[k]
-            expected = np.kron(zero_ket(direction), zero_ket(direction))
+def _singlet_block(
+    triple_b: OrthoTriple, triple_a: OrthoTriple | None, measure_b: bool, seed: int,
+    trials: range,
+) -> tuple[list[dict], np.ndarray, np.ndarray]:
+    """A block's records and its B and A outcomes (-1 on a wing that does
+    not measure).  The state and both triples are fixed for the run, so B's
+    outcomes are drawn as one array, then A's, grouped by the B outcome
+    they follow.  Each drawn branch is normalized and checked (product
+    fidelity included) as measuring the trial's own copy of the pair
+    would, so a zero-mass branch raises only if drawn."""
+    u = uniforms(seed, trials, OUTCOMES, 2)  # B's draw, then A's
+    b, a = np.full(len(trials), -1), np.full(len(trials), -1)
+    if measure_b:
+        b_measurement = TripleBranches(singlet_state(), 1, triple_b)
+        b = b_measurement.outcomes(u[:, 0])
+    fields_of = {}  # (B outcome, A outcome) -> a record's fields after "trial"
+    for kb in np.unique(b).tolist():
+        psi, fields, rows = singlet_state(), {}, b == kb
+        if kb >= 0:
+            psi = b_measurement.state(kb)
+            expected = np.kron(zero_ket(triple_b.axes[kb]), zero_ket(triple_b.axes[kb]))
             fidelity = abs(np.vdot(expected, psi.amplitudes)) ** 2
             if abs(fidelity - 1.0) > 1e-12:
                 raise InvariantViolationError(
                     f"post-measurement state is not the expected product (fid {fidelity})"
                 )
-            fields = {"b_values": _OUTCOME_VALUES[k], "b_zero_axis": k,
+            fields = {"b_values": _OUTCOME_VALUES[kb], "b_zero_axis": kb,
                       "product_fidelity": fidelity}
-            self._after_b[k] = (fields, self._a_measurement(psi))
-        return self._after_b[k]
-
-
-def _singlet_trial(table: _SingletTable, master_seed: int, index: int) -> dict:
-    rng = stream(master_seed, index)
-    fields, a_measurement = table.after_b(rng)
-    rec: dict = {"trial": index, **fields}
-    if a_measurement is not None:
-        k, _ = a_measurement.draw(rng.random())
-        rec["a_values"] = _OUTCOME_VALUES[k]
-        rec["a_zero_axis"] = k
-        if table.measure_b:
-            rec["agree_all_axes"] = rec["a_values"] == rec["b_values"]
-    return rec
+        if triple_a is not None:
+            a_measurement = TripleBranches(psi, 0, triple_a)
+            a[rows] = a_measurement.outcomes(u[rows, 1])
+        for ka in np.unique(a[rows]).tolist():
+            fields_of[kb, ka] = rec = dict(fields)
+            if ka >= 0:
+                a_measurement.state(ka)  # normalizes the drawn branch, as measuring would
+                rec.update(a_values=_OUTCOME_VALUES[ka], a_zero_axis=ka)
+                if measure_b:
+                    rec["agree_all_axes"] = ka == kb
+    records = [{"trial": i, **fields_of[kb, ka]}
+               for i, kb, ka in zip(trials, b.tolist(), a.tolist())]
+    return records, b, a
 
 
 def run_singlet_spacetime(
@@ -373,28 +366,21 @@ def run_singlet_spacetime(
     trial.  Disable ``measure_b`` for the no-B control used by the
     parameter-independence comparison."""
     t0 = time.perf_counter()
-    _check_budget(trials, "trials")
-    table = _SingletTable(triple_b, triple_a, measure_b)
-    rows = list(_map_indexed(partial(_singlet_trial, table, seed), range(trials), workers))
+    _check_budget(seed, trials, "trials")
+    blocks = list(_map_indexed(partial(_singlet_block, triple_b, triple_a, measure_b, seed),
+                               _blocks(trials, SINGLET_BLOCK), workers))
+    rows = [r for records, _, _ in blocks for r in records]
+    b = np.concatenate([block[1] for block in blocks])
+    a = np.concatenate([block[2] for block in blocks])
     aggregates: dict = {"trials": trials}
     if measure_b:
-        counts_b = [0, 0, 0]
-        for r in rows:
-            counts_b[r["b_zero_axis"]] += 1
-        aggregates["freq_b_zero_axis"] = [c / trials for c in counts_b]
+        aggregates["freq_b_zero_axis"] = (np.bincount(b, minlength=3) / trials).tolist()
     if triple_a is not None:
-        counts_a = [0, 0, 0]
-        for r in rows:
-            counts_a[r["a_zero_axis"]] += 1
-        aggregates["freq_a_zero_axis"] = [c / trials for c in counts_a]
+        aggregates["freq_a_zero_axis"] = (np.bincount(a, minlength=3) / trials).tolist()
     if triple_a is not None and measure_b:
-        joint = np.zeros((3, 3))
-        agree = 0
-        for r in rows:
-            joint[r["a_zero_axis"], r["b_zero_axis"]] += 1
-            agree += bool(r["agree_all_axes"])
+        joint = np.bincount(3 * a + b, minlength=9).reshape(3, 3)
         aggregates["joint_zero_axis_freq"] = (joint / trials).tolist()
-        aggregates["agreement_frequency"] = agree / trials
+        aggregates["agreement_frequency"] = np.count_nonzero(a == b) / trials
         aggregates["exact_joint_table"] = joint_probability_table(triple_a, triple_b).tolist()
     return ExperimentReport(
         scenario="singlet_spacetime",
@@ -498,17 +484,9 @@ def _ensemble_block(
     ensemble: _Ensemble, master_seed: int, trials: range, *, final_only: bool = False
 ) -> Block:
     config = ensemble.config
-    return evolve_block(
-        ensemble.psi0,
-        ensemble.propagator,
-        ensemble.params,
-        {0: ensemble.grid},
-        config.horizon,
-        config.dt,
-        [stream(master_seed, i) for i in trials],
-        sample_times=ensemble.times,
-        final_only=final_only,
-    )
+    return evolve_block(ensemble.psi0, ensemble.propagator, ensemble.params,
+                        {0: ensemble.grid}, config.horizon, config.dt, master_seed, trials,
+                        sample_times=ensemble.times, final_only=final_only)
 
 
 def run_oracle_comparison(
@@ -522,7 +500,8 @@ def run_oracle_comparison(
     if ensemble_size < 100:
         raise ConfigError("ensemble size must be at least 100")
     t0 = time.perf_counter()
-    _check_budget(ensemble_size, "k", config.rate * config.horizon + config.checkpoints)
+    _check_budget(master_seed, ensemble_size, "k",
+                  config.rate * config.horizon + config.checkpoints)
     lconf = LindbladConfig(dt=config.dt, horizon=config.horizon)
     ensemble, hamiltonian = _ensemble_setup(config)
     grid = ensemble.grid
@@ -588,7 +567,8 @@ def run_grw_ensemble(
     """Trajectory ensemble summary: jump counts, branch selection and
     single-peak localization statistics for a multi-packet start."""
     t0 = time.perf_counter()
-    _check_budget(ensemble_size, "trajectories", config.rate * config.horizon + config.checkpoints)
+    _check_budget(master_seed, ensemble_size, "trajectories",
+                  config.rate * config.horizon + config.checkpoints)
     ensemble, _ = _ensemble_setup(config)
     blocks = _blocks(ensemble_size, block_rows(config.grid_points))
     trials = [t for records in _map_indexed(

@@ -38,6 +38,7 @@ FINITE = Check("finite", lambda v: (type(v) is float or isinstance(v, Real))
 POSITIVE = Check("finite and positive", lambda v: FINITE.test(v) and v > 0)
 NON_NEGATIVE = Check("finite and non-negative", lambda v: FINITE.test(v) and v >= 0)
 COUNT = integer(1)
+SEED = integer(0, 2**128 - 1)  # a master seed is the 128-bit key of rng.philox
 
 
 def check_value(key: str, value: Any, check: Check | None) -> None:

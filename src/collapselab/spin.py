@@ -29,7 +29,7 @@ from .hilbert import (
     apply_on_subsystem,
     expm_hermitian,
 )
-from .rng import draw_index
+from .rng import draw_rows
 
 _SQ2I = 1.0 / math.sqrt(2.0)
 
@@ -236,8 +236,8 @@ def triple_branches(
 class TripleBranches:
     """A triple measurement of one fixed state, for any number of draws:
     the outcome probabilities, checked to sum to 1, and the branches, each
-    normalized when first drawn, so a zero-mass branch raises only if
-    drawn."""
+    normalized when its state is first asked for, so a zero-mass branch
+    raises only if drawn."""
 
     def __init__(self, psi: StateVector, particle: int, triple: OrthoTriple) -> None:
         self.probs, self._branches = triple_branches(psi, particle, triple)
@@ -247,13 +247,21 @@ class TripleBranches:
             )
         self._states: dict[int, StateVector] = {}
 
+    def outcomes(self, u: np.ndarray) -> np.ndarray:
+        """The axis holding the 0 for each uniform of ``u``."""
+        return draw_rows(np.broadcast_to(self.probs, (len(u), 3)), u)
+
+    def state(self, k: int) -> StateVector:
+        """The normalized post-measurement state of outcome ``k``."""
+        if k not in self._states:
+            self._states[k] = self._branches[k].normalize()
+        return self._states[k]
+
     def draw(self, u: float) -> tuple[int, StateVector]:
         """The axis holding the 0 for the uniform ``u``, and the normalized
         post-measurement state."""
-        k = draw_index(self.probs, u)
-        if k not in self._states:
-            self._states[k] = self._branches[k].normalize()
-        return k, self._states[k]
+        k = int(self.outcomes(np.array([u]))[0])
+        return k, self.state(k)
 
 
 def triple_measurement(

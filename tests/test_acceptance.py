@@ -33,7 +33,6 @@ from collapselab.ks import (
     unit_propagate,
 )
 from collapselab.lindblad import LindbladConfig, dephasing_rate, integrate
-from collapselab.rng import stream
 from collapselab.scenarios import (
     EprConfig,
     OracleComparisonConfig,
@@ -178,7 +177,7 @@ def test_criterion_08_localization_suppresses_superpositions():
     for start in range(0, runs, rows):
         block = evolve_block(
             psi, None, params, {0: grid}, 10.0, 0.1,
-            [stream(108, i) for i in range(start, min(runs, start + rows))], sample_times=[10.0],
+            108, range(start, min(runs, start + rows)), sample_times=[10.0],
         )
         final = marginal_weights(block.states[-1], psi.shape, 0)
         m1 = window_masses(final, grid, 24.0, 8.0)
@@ -291,10 +290,10 @@ def test_criterion_12_translation_covariance():
     shift = 5
     times = [0.5, 1.0, 1.5, 2.0]
 
-    base = evolve_trajectory(psi, prop, params, {0: grid}, 2.0, 0.02, stream(112, 0),
+    base = evolve_trajectory(psi, prop, params, {0: grid}, 2.0, 0.02, 112, 0,
                              sample_times=times, equivariant=True)
     shifted = evolve_trajectory(translate_state(psi, 0, shift), prop, params, {0: grid},
-                                2.0, 0.02, stream(112, 0), sample_times=times,
+                                2.0, 0.02, 112, 0, sample_times=times,
                                 equivariant=True)
     exact = len(base.jumps) > 0 and all(
         np.array_equal(np.roll(s1.amplitudes, shift), s2.amplitudes)
@@ -310,10 +309,10 @@ def test_criterion_12_translation_covariance():
     psi_shifted = translate_state(psi, 0, shift)
     for i in range(seeds):
         t1 = evolve_trajectory(psi, prop, params, {0: grid}, 2.0, 0.02,
-                               stream(1120, i), sample_times=[2.0])
+                               1120, i, sample_times=[2.0])
         base_means.append(position_mean(t1.states[-1], 0, grid))
         t2 = evolve_trajectory(psi_shifted, prop, params, {0: grid}, 2.0, 0.02,
-                               stream(1121, i), sample_times=[2.0])
+                               1121, i, sample_times=[2.0])
         shifted_means.append(position_mean(t2.states[-1], 0, grid))
     # no-jump trajectories put a deterministic atom in both samples; quantize
     # well below the grid scale so float noise cannot split equal atoms

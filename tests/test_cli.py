@@ -163,6 +163,18 @@ def test_negative_seed_rejected_for_every_seeded_command(capsys):
         assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["singlet", "epr", "grw-run", "oracle-compare"])
+def test_seed_range_is_the_128_bit_philox_key(command, tmp_path, capsys):
+    # 2**128 would overflow the key; it is a config error, not an internal one
+    assert run_cli([command, "--seed", str(2**128)]) == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "internal" not in err
+    out = tmp_path / "r.json"
+    args = _PROPERTY_BASE[command][2:]  # the tiny run, without its seed
+    assert run_cli([command, *args, "--seed", str(2**128 - 1), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["master_seed"] == 2**128 - 1
+
+
 @pytest.mark.parametrize("args,key", [
     (["epr", "--trials", "2", "--delta1", "nan"], "delta1"),
     (["ks-check", "--rays", "builtin:ks33", "--tolerance", "nan"], "tolerance"),

@@ -29,13 +29,20 @@ from collapselab.grw import (
     window_mass,
 )
 from collapselab.hilbert import StateVector, SubsystemShape, partial_trace, tensor_product
-from collapselab.rng import draw_index, draw_rows, stream
+from collapselab.rng import draw_rows
 
 GRID = Grid(64, 1.0)
 PARAMS = GrwParams(alpha=0.0625, lam=1.0, mass=10.0)  # localization width 4 spacings
 
 WIDE_GRID = Grid(128, 1.0)
 WIDE_PARAMS = GrwParams(alpha=0.01, lam=1.0)  # localization width 10 spacings
+
+
+def draw_index(weights, u):
+    """The scalar inverse-CDF rule: the first index whose cumulative weight
+    exceeds u times the total (the last index at most)."""
+    c = np.cumsum(weights)
+    return min(int(np.searchsorted(c, u * c[-1], side="right")), weights.size - 1)
 
 
 def direct_jump_table(psi, grid, alpha):
@@ -144,8 +151,7 @@ def test_tied_maxima_nudged_by_an_ulp_draw_the_same_centre(monkeypatch, nudged):
         # every jumping row of a block draws from this table
         monkeypatch.setattr(grw, "_jump_tables",
                             lambda weights, *args, table=table: np.tile(table, (len(weights), 1)))
-        block = evolve_block(psi, None, PARAMS, {0: GRID}, 5.0, 0.05,
-                             [stream(9, i) for i in range(8)])
+        block = evolve_block(psi, None, PARAMS, {0: GRID}, 5.0, 0.05, 9, range(8))
         centres.append([list(block.jump_centres[i, :n]) for i, n in enumerate(block.n_jumps)])
     assert {c for row in centres[0] for c in row} == {24.0, 40.0}
     assert centres[0] == centres[1]
@@ -161,20 +167,20 @@ def test_block_draw_is_the_inverse_cdf_of_draw_index():
 
 
 def test_block_rows_match_single_trajectories():
-    # a block's rows are the trajectories evolve_trajectory runs on the same streams
+    # a block's rows are the trajectories evolve_trajectory runs for the same trials
     psi = two_peak_state(GRID, (24.0, 40.0), (0.6, 0.4), 2.0)
     prop = Propagator(free_hamiltonian(GRID, mass=10.0))
     times = [0.5, 1.0, 2.0]
-    block = evolve_block(psi, prop, PARAMS, {0: GRID}, 2.0, 0.02,
-                         [stream(13, i) for i in range(5)], sample_times=times)
+    block = evolve_block(psi, prop, PARAMS, {0: GRID}, 2.0, 0.02, 13, range(5),
+                         sample_times=times)
     for i in range(5):
-        traj = evolve_trajectory(psi, prop, PARAMS, {0: GRID}, 2.0, 0.02, stream(13, i),
+        traj = evolve_trajectory(psi, prop, PARAMS, {0: GRID}, 2.0, 0.02, 13, i,
                                  sample_times=times)
         assert traj.jumps == block.jumps(i)
         for s, state in enumerate(traj.states):
             assert np.array_equal(state.amplitudes, block.states[s, i])
-    last = evolve_block(psi, prop, PARAMS, {0: GRID}, 2.0, 0.02,
-                        [stream(13, i) for i in range(5)], sample_times=times, final_only=True)
+    last = evolve_block(psi, prop, PARAMS, {0: GRID}, 2.0, 0.02, 13, range(5),
+                        sample_times=times, final_only=True)
     assert np.array_equal(last.states, block.states[-1:])
 
 
@@ -221,23 +227,24 @@ def test_jump_zero_probability_center_rejected():
 
 
 def test_zero_rate_gives_no_jumps():
-    assert sample_jump_times(dict.fromkeys(range(3), 0.0), 10.0, stream(0)) == []
+    n_jumps, times, particles, _ = sample_jump_times(dict.fromkeys(range(3), 0.0), 10.0, 0,
+                                                      range(4))
+    assert n_jumps.tolist() == [0] * 4
+    assert times.shape == (4, 1) and np.all(times == np.inf) and np.all(particles == -1)
 
 
 def test_poisson_mean_count():
-    rng = stream(100)
     runs = 10_000
-    counts = [len(sample_jump_times({0: 2.0}, 5.0, rng)) for _ in range(runs)]
+    counts, *_ = sample_jump_times({0: 2.0}, 5.0, 100, range(runs))
     mean = np.mean(counts)
     sigma = math.sqrt(10.0) / math.sqrt(runs)
     assert abs(mean - 10.0) <= 3 * sigma
 
 
 def test_merged_two_particle_counts_are_poisson():
-    rng = stream(101)
     lam, horizon, runs = 1.5, 2.0, 4000
     rates = {0: lam, 1: lam}
-    counts = np.array([len(sample_jump_times(rates, horizon, rng)) for _ in range(runs)])
+    counts, *_ = sample_jump_times(rates, horizon, 101, range(runs))
     mu = 2 * lam * horizon
     top = int(counts.max())
     observed = np.bincount(counts, minlength=top + 1).astype(float)
@@ -252,9 +259,11 @@ def test_merged_two_particle_counts_are_poisson():
 
 def test_jump_times_follow_per_particle_rates():
     # particles are keyed by factor index; a zero rate consumes no draws
-    events = sample_jump_times({2: 3.0, 0: 0.0}, 2.0, stream(103))
-    assert events == sample_jump_times({2: 3.0}, 2.0, stream(103))
-    assert events and all(p == 2 for _, p in events)
+    drawn = sample_jump_times({2: 3.0, 0: 0.0}, 2.0, 103, [0])
+    alone = sample_jump_times({2: 3.0}, 2.0, 103, [0])
+    assert all(np.array_equal(x, y) for x, y in zip(drawn, alone))
+    n_jumps, _, particles, _ = drawn
+    assert n_jumps[0] > 0 and np.all(particles[0, :n_jumps[0]] == 2)
 
 
 def test_trajectory_jumps_follow_the_sampled_schedule():
@@ -262,19 +271,21 @@ def test_trajectory_jumps_follow_the_sampled_schedule():
     small = Grid(16, 1.0)
     psi = tensor_product(gaussian_packet(small, 8.0, 2.0), gaussian_packet(small, 4.0, 2.0))
     params = GrwParams(alpha=0.25, lam=0.5)
-    traj = evolve_trajectory(psi, None, params, {0: small, 1: small}, 4.0, 0.1, stream(104),
+    traj = evolve_trajectory(psi, None, params, {0: small, 1: small}, 4.0, 0.1, 104, 0,
                              rate_factors={1: 3.0})
-    schedule = sample_jump_times({0: 0.5, 1: 1.5}, 4.0, stream(104))
+    n_jumps, times, particles, _ = sample_jump_times({0: 0.5, 1: 1.5}, 4.0, 104, [0])
+    schedule = list(zip(times[0, :n_jumps[0]].tolist(), particles[0, :n_jumps[0]].tolist()))
     assert [(j.time, j.particle) for j in traj.jumps] == schedule
     assert {p for _, p in schedule} == {0, 1}
 
 
 def test_jump_times_sorted_within_horizon():
-    events = sample_jump_times(dict.fromkeys(range(4), 3.0), 2.0, stream(102))
-    times = [t for t, _ in events]
+    n_jumps, times, particles, _ = sample_jump_times(dict.fromkeys(range(4), 3.0), 2.0, 102,
+                                                      [0])
+    times, particles = times[0, :n_jumps[0]].tolist(), particles[0, :n_jumps[0]].tolist()
     assert times == sorted(times)
     assert all(0.0 < t < 2.0 for t in times)
-    assert all(0 <= p < 4 for _, p in events)
+    assert all(0 <= p < 4 for p in particles)
 
 
 # -- propagation -------------------------------------------------------------------
@@ -329,7 +340,7 @@ def test_propagator_rejects_non_circulant_or_non_hermitian_h():
 def test_trajectory_no_dynamics_is_constant():
     psi = two_peak_state(GRID, (24.0, 40.0), (0.5, 0.5), 2.0)
     traj = evolve_trajectory(
-        psi, None, GrwParams(alpha=PARAMS.alpha, lam=0.0), {0: GRID}, 1.0, 0.1, stream(1)
+        psi, None, GrwParams(alpha=PARAMS.alpha, lam=0.0), {0: GRID}, 1.0, 0.1, 1, 0
     )
     assert traj.jumps == ()
     for state in traj.states:
@@ -341,7 +352,7 @@ def test_trajectory_unitarity_with_hamiltonian():
     prop = Propagator(free_hamiltonian(GRID, mass=10.0))
     traj = evolve_trajectory(
         psi, prop, GrwParams(alpha=PARAMS.alpha, lam=0.0, mass=10.0),
-        {0: GRID}, 2.0, 0.02, stream(2),
+        {0: GRID}, 2.0, 0.02, 2, 0,
     )
     for state in traj.states:
         assert abs(state.norm() - 1.0) <= 1e-10
@@ -349,7 +360,7 @@ def test_trajectory_unitarity_with_hamiltonian():
 
 def test_trajectory_norms_and_jump_record():
     psi = two_peak_state(GRID, (24.0, 40.0), (0.6, 0.4), 2.0)
-    traj = evolve_trajectory(psi, None, PARAMS, {0: GRID}, 5.0, 0.05, stream(3))
+    traj = evolve_trajectory(psi, None, PARAMS, {0: GRID}, 5.0, 0.05, 3, 0)
     for state in traj.states:
         assert abs(state.norm() - 1.0) <= 1e-9
     jump_times = [j.time for j in traj.jumps]
@@ -363,7 +374,7 @@ def test_step_condition_enforced():
     psi = two_peak_state(GRID, (24.0, 40.0), (0.5, 0.5), 2.0)
     prop = Propagator(free_hamiltonian(GRID, mass=1.0))  # max energy ~ pi^2/2
     with pytest.raises(StepConditionError):
-        evolve_trajectory(psi, prop, GrwParams(alpha=0.0625, lam=0.0), {0: GRID}, 1.0, 0.05, stream(4))
+        evolve_trajectory(psi, prop, GrwParams(alpha=0.0625, lam=0.0), {0: GRID}, 1.0, 0.05, 4, 0)
 
 
 def test_localization_statistics_match_born_weights():
@@ -375,7 +386,7 @@ def test_localization_statistics_match_born_weights():
     picked = []
     for i in range(runs):
         traj = evolve_trajectory(
-            psi, None, params, {0: GRID}, 10.0, 0.1, stream(200, i), sample_times=[10.0]
+            psi, None, params, {0: GRID}, 10.0, 0.1, 200, i, sample_times=[10.0]
         )
         final = traj.states[-1]
         m1 = window_mass(final, 0, GRID, 24.0, 8.0)
@@ -393,11 +404,11 @@ def test_seed_matched_translation_covariance_is_exact():
     shift = 9
     times = [0.7, 1.4, 2.0]
     base = evolve_trajectory(
-        psi, prop, PARAMS, {0: GRID}, 2.0, 0.02, stream(5, 0),
+        psi, prop, PARAMS, {0: GRID}, 2.0, 0.02, 5, 0,
         sample_times=times, equivariant=True,
     )
     translated = evolve_trajectory(
-        translate_state(psi, 0, shift), prop, PARAMS, {0: GRID}, 2.0, 0.02, stream(5, 0),
+        translate_state(psi, 0, shift), prop, PARAMS, {0: GRID}, 2.0, 0.02, 5, 0,
         sample_times=times, equivariant=True,
     )
     assert len(base.jumps) == len(translated.jumps) > 0
@@ -414,7 +425,7 @@ def test_rate_factors_scale_jump_counts():
     counts = []
     for i in range(50):
         traj = evolve_trajectory(
-            pointer, None, params, {0: GRID}, 5.0, 0.1, stream(6, i),
+            pointer, None, params, {0: GRID}, 5.0, 0.1, 6, i,
             sample_times=[5.0], rate_factors={0: 25.0},
         )
         counts.append(len(traj.jumps))

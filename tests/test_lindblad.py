@@ -44,7 +44,6 @@ from collapselab.lindblad import (
     taylor_substeps,
     trace_distance,
 )
-from collapselab.rng import stream
 
 GRID = Grid(64, 1.0)
 PARAMS = GrwParams(alpha=0.0625, lam=1.0, mass=10.0)
@@ -337,7 +336,7 @@ def test_hamiltonian_column_must_span_the_whole_space():
     with pytest.raises(ConfigError, match="total dimension"):
         integrate_with_snapshots(rho, col, params, {2: grid}, LindbladConfig(dt=0.01, horizon=0.1))
     with pytest.raises(ConfigError, match="total dimension"):
-        evolve_trajectory(psi, Propagator(col), params, {2: grid}, 0.1, 0.01, stream(0))
+        evolve_trajectory(psi, Propagator(col), params, {2: grid}, 0.1, 0.01, 0, 0)
     with pytest.raises(ConfigError, match="real"):
         lindblad_rhs(rho, 1j * free_hamiltonian(Grid(64, 1.0), mass=10.0), params, {2: grid})
 
@@ -431,7 +430,7 @@ def test_mixture_bytes_bound_what_the_comparison_allocates():
 def test_compare_single_matching_pure_state():
     psi = gaussian_packet(GRID, 20.0, 2.0)
     block = evolve_block(
-        psi, None, GrwParams(alpha=0.0625, lam=0.0), {0: GRID}, 1.0, 0.1, [stream(0)],
+        psi, None, GrwParams(alpha=0.0625, lam=0.0), {0: GRID}, 1.0, 0.1, 0, [0],
         sample_times=[1.0],
     )
     (report,) = compare_mixtures([block.states], {1.0: psi.density_matrix()})
@@ -446,7 +445,7 @@ def test_compare_deterministic_ensemble_against_unitary_oracle():
     params = GrwParams(alpha=0.0625, lam=0.0, mass=10.0)
     times = [1.0, 2.0]
     block = evolve_block(psi, Propagator(h), params, {0: GRID}, 2.0, 0.02,
-                         [stream(1, i) for i in range(20)], sample_times=times)
+                         1, range(20), sample_times=times)
     config = LindbladConfig(dt=0.01, horizon=2.0)
     _, snaps = integrate_with_snapshots(
         psi.density_matrix(), h, params, {0: GRID}, config, snapshot_times=times
@@ -464,7 +463,7 @@ def test_compare_rejects_empty_and_missing_times():
     with pytest.raises(ValueError):
         ensemble_compare(np.zeros((GRID.points, GRID.points), dtype=complex), 0, rho, at=1.0)
     block = evolve_block(
-        psi, None, GrwParams(alpha=0.0625, lam=0.0), {0: GRID}, 1.0, 0.1, [stream(2)],
+        psi, None, GrwParams(alpha=0.0625, lam=0.0), {0: GRID}, 1.0, 0.1, 2, [0],
         sample_times=[1.0],
     )
     # one checkpoint state against two oracle states
@@ -479,7 +478,7 @@ def test_compare_chunked_mixture_matches_outer_product_sum(monkeypatch):
     k = 300
     assert k % MIXTURE_CHUNK != 0
     block = evolve_block(psi, None, params, {0: grid}, 0.5, 0.05,
-                         [stream(3, i) for i in range(k)], sample_times=[0.5])
+                         3, range(k), sample_times=[0.5])
     oracle = integrate(psi.density_matrix(), None, params, {0: grid},
                        LindbladConfig(dt=0.01, horizon=0.5))
     acc = np.zeros((32, 32), dtype=complex)
@@ -509,7 +508,7 @@ def test_distance_decreases_with_ensemble_size():
     for rep in range(reps):
         blocks = [
             evolve_block(psi, None, params, {0: GRID}, 2.0, 0.02,
-                         [stream(500 + rep, i) for i in range(start, start + rows)],
+                         500 + rep, range(start, start + rows),
                          sample_times=[2.0]).states
             for start in range(0, 10_000, rows)
         ]

@@ -18,8 +18,8 @@ from collapselab.scenarios import (
     run_oracle_comparison,
     run_singlet_spacetime,
 )
-from collapselab.rng import stream
-from collapselab.spin import OrthoTriple, singlet_state, triple_measurement, zero_ket
+from collapselab.rng import OUTCOMES, uniforms
+from collapselab.spin import OrthoTriple, TripleBranches, TripleOutcome, singlet_state, zero_ket
 
 AXES = OrthoTriple.from_vectors([1, 0, 0], [0, 1, 0], [0, 0, 1])
 
@@ -64,21 +64,24 @@ def test_singlet_reproducible_and_worker_independent():
 
 
 def _singlet_records_by_measurement(triple_b, triple_a, measure_b, trials, seed):
-    """The singlet records from measuring each trial's own copy of the pair."""
+    """The singlet records from measuring each trial's own copy of the pair
+    with the trial's own draws: B's is draw 0, A's draw 1."""
     rows = []
     for i in range(trials):
-        rng = stream(seed, i)
+        u_b, u_a = uniforms(seed, [i], OUTCOMES, 2)[0]
         psi = singlet_state()
         rec = {"trial": i}
         if measure_b:
-            out_b, psi = triple_measurement(psi, 1, triple_b, rng)
+            k, psi = TripleBranches(psi, 1, triple_b).draw(u_b)
+            out_b = TripleOutcome.with_zero_at(k)
             d = triple_b.axes[out_b.zero_axis]
             rec["b_values"] = "".join(str(v) for v in out_b.values)
             rec["b_zero_axis"] = out_b.zero_axis
             rec["product_fidelity"] = abs(np.vdot(np.kron(zero_ket(d), zero_ket(d)),
                                                   psi.amplitudes)) ** 2
         if triple_a is not None:
-            out_a, psi = triple_measurement(psi, 0, triple_a, rng)
+            k, psi = TripleBranches(psi, 0, triple_a).draw(u_a)
+            out_a = TripleOutcome.with_zero_at(k)
             rec["a_values"] = "".join(str(v) for v in out_a.values)
             rec["a_zero_axis"] = out_a.zero_axis
             if measure_b:
@@ -238,6 +241,63 @@ def test_grw_ensemble_localization_summary():
 def test_library_callers_get_the_command_line_checks(build, key):
     with pytest.raises(ConfigError, match=key):
         build()
+
+
+@pytest.mark.parametrize("run", [
+    lambda seed: run_singlet_spacetime(AXES, AXES, 2, seed),
+    lambda seed: run_epr_position(EprConfig(trials=2, master_seed=seed)),
+    lambda seed: run_grw_ensemble(OracleComparisonConfig(), 2, seed),
+    lambda seed: run_oracle_comparison(OracleComparisonConfig(), 100, seed),
+])
+def test_library_seeds_must_fit_the_philox_key(run):
+    for seed in (-1, 2**128, 1.5):
+        with pytest.raises(ConfigError, match="seed"):
+            run(seed)
+    assert run(2**128 - 1).master_seed == 2**128 - 1
+
+
+@pytest.mark.parametrize("case", ["same", "distinct", "no_b"])
+def test_singlet_reports_identical_across_block_sizes_and_workers(monkeypatch, case):
+    triple_b = OrthoTriple.random(np.random.default_rng(41))
+    triple_a = OrthoTriple.random(np.random.default_rng(42)) if case == "distinct" else triple_b
+    reports = []
+    for block, workers in ((scenarios.SINGLET_BLOCK, 1), (7, 1), (7, 2)):
+        monkeypatch.setattr(scenarios, "SINGLET_BLOCK", block)
+        reports.append(run_singlet_spacetime(triple_b, triple_a, 300, 43, workers=workers,
+                                             measure_b=case != "no_b").to_json())
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_pool_keeps_a_bounded_window_of_tasks(monkeypatch):
+    import concurrent.futures
+
+    submitted = []
+
+    class Inline:
+        """Runs each task when it is submitted, and records it."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            submitted.append(args)
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
+    monkeypatch.setattr(scenarios.os, "cpu_count", lambda: 2)
+    # 160 items over 2 workers: tasks of 160 // 16 = 10 items, at most 4 ahead
+    for i, result in enumerate(scenarios._map_indexed(lambda x: x * x, range(160), 2)):
+        assert result == i * i
+        assert len(submitted) <= i // 10 + 4
+    assert len(submitted) == 16
 
 
 def test_pool_size_is_capped_by_cores_and_trials():
