@@ -21,7 +21,8 @@ _BUMPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # added to the key after each
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:
-    """Generator for the stream addressed by (master seed, index path)."""
+    """Generator for the stream addressed by (master seed, index path).  No
+    run draws from it; ``perfbench/traced.py`` still names it as a span."""
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=tuple(key))
     return np.random.Generator(np.random.PCG64(ss))
 
