@@ -30,10 +30,12 @@ starts at site 0, so a tie between maxima cannot move the centre drawn
 for a given uniform), and are localized and renormalized row by row.
 Every draw of a row is addressed by its (seed, trial, index, tag), every
 kernel acts on each row alone and names the output of each binary
-operation, so a row's bits do not depend on B; ``BLOCK_BYTES`` bounds
-the (B, d) array.  There is one default code path: ``evolve_trajectory``
-is a one-row block, and ``jump_density``, ``jump_mass``, ``apply_jump``
-and ``Propagator.advance`` run one row of the block kernels.  No kernel
+operation, so a row's bits do not depend on B.  ``block_rows`` sizes a
+block at 64 rows or 64 KiB of the (B, d) array, whichever is more, so
+the fixed cost of a round is shared by at least 64 rows.  There is one
+default code path: ``evolve_trajectory`` is a one-row block, and
+``jump_density``, ``jump_mass``, ``apply_jump`` and
+``Propagator.advance`` run one row of the block kernels.  No kernel
 calls BLAS: norms and sums are elementwise products and ``np.sum``.
 
 The ``equivariant`` mode runs one trajectory at a time, and all its
@@ -62,10 +64,15 @@ from .schema import NON_NEGATIVE, POSITIVE, check_fields, checked, integer
 TRAJECTORY_NORM_TOL = 1e-9
 JUMP_MASS_HARD_LIMIT = 1e-3
 ZERO_NORM_FLOOR = 1e-14
-# Bytes of one (B, d) complex array of an evolve_block block: B = 64 rows at
-# d = 64, 16 at d = 256.  Larger blocks save little more per-event overhead but
-# hold more memory: 512 rows raised the peak RSS of oracle-compare at M = 64,
-# K = 10^4 from 50 to 57 MB.
+# A block of evolve_block holds at least BLOCK_MIN_ROWS rows and at least
+# BLOCK_BYTES in its (B, d) complex array: B = 256 at d = 16 and B = 64 for
+# every d >= 64.  Each event round costs a roughly fixed number of ufunc and FFT
+# calls, and a block takes as many rounds as its busiest row, which grows
+# slowly with B: a serial epr --trials 4000 (d = 256) ran 8555 rounds in
+# 16-row blocks and 2340 in 64-row blocks.  At d = 64 larger blocks still cut
+# overhead but hold more memory: 512 rows raised the peak RSS of
+# oracle-compare at M = 64, K = 10^4 from 50 to 57 MB.
+BLOCK_MIN_ROWS = 64
 BLOCK_BYTES = 64 * 2**10
 GRID_POINTS = integer(8, MAX_TOTAL_DIM)
 
@@ -185,8 +192,9 @@ def localization_operator(grid: Grid, alpha: float, center: float) -> Operator:
 
 
 def block_rows(dim: int) -> int:
-    """Rows B of a block of dim-dimensional states: the (B, dim) array fits BLOCK_BYTES."""
-    return max(1, BLOCK_BYTES // (np.dtype(complex).itemsize * dim))
+    """Rows B of a block of dim-dimensional states: BLOCK_MIN_ROWS, or as many
+    as fill BLOCK_BYTES of the (B, dim) array if that is more."""
+    return max(BLOCK_MIN_ROWS, BLOCK_BYTES // (np.dtype(complex).itemsize * dim))
 
 
 def _abs2_rows(rows: np.ndarray) -> np.ndarray:
@@ -742,10 +750,15 @@ def gaussian_packet(grid: Grid, center: float, width: float) -> StateVector:
     x = grid.coordinates()
     d = x - center
     d -= grid.length * np.round(d / grid.length)
-    amps = np.exp(-(d**2) / (4.0 * (width * width))).astype(complex)
+    unresolved = f"the grid cannot resolve a packet of width {width} at {center}"
+    spread = 4.0 * (width * width)
+    if not spread > 0.0:  # the width squares to 0
+        raise GridAdequacyError(unresolved)
+    with np.errstate(over="ignore"):  # a site far out in widths: exp(-inf) = 0
+        amps = np.exp(-(d**2) / spread).astype(complex)
     norm = float(np.linalg.norm(amps))
-    if not norm >= ZERO_NORM_FLOOR:  # zero, or NaN from a width that squares to 0
-        raise GridAdequacyError(f"the grid cannot resolve a packet of width {width} at {center}")
+    if not norm >= ZERO_NORM_FLOOR:  # narrower than the spacing, between grid points
+        raise GridAdequacyError(unresolved)
     return StateVector(SubsystemShape((grid.points,)), amps / norm)
 
 

@@ -21,15 +21,21 @@ def run_cli(args):
     return main(args)
 
 
-def _modules_loaded_by_cli_import(package: str) -> str:
-    """The modules of ``package`` a fresh interpreter holds after importing the CLI."""
+def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(collapselab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def _modules_loaded_by_cli_import(package: str) -> str:
+    """The modules of ``package`` a fresh interpreter holds after importing the CLI."""
     code = ("import sys, collapselab.cli; "
             f"print(sorted(m for m in sys.modules if m.partition('.')[0] == {package!r}))")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                            check=True, timeout=60)
+    result = _run_python(code)
+    assert result.returncode == 0, result.stderr
     return result.stdout.strip()
 
 
@@ -280,14 +286,15 @@ def test_oracle_compare_reports_identical_across_worker_counts(tmp_path, hamilto
     ["epr", "--trials", "600"],
 ], ids=["oracle-none", "oracle-free", "grw-run", "epr"])
 def test_reports_identical_across_block_sizes(tmp_path, monkeypatch, args):
-    # one row per block, the default, and blocks of at least 256 KiB, where
-    # NumPy reuses large temporaries in place and an unnamed output could
+    # one row per block, the default, and blocks of 256 rows (at least 256 KiB),
+    # where NumPy reuses large temporaries in place and an unnamed output could
     # reorder a complex product
-    assert grw.block_rows(64) == 64 and grw.block_rows(256) == 16
+    assert grw.block_rows(16) == 256
+    assert grw.block_rows(64) == grw.block_rows(256) == grw.block_rows(4096) == 64
     outputs = []
-    for block_bytes in (1, grw.BLOCK_BYTES, 256 * 2**10):
-        monkeypatch.setattr(grw, "BLOCK_BYTES", block_bytes)
-        out, csv = tmp_path / f"b{block_bytes}.json", tmp_path / f"b{block_bytes}.csv"
+    for name, rows in {"b1": lambda dim: 1, "default": grw.block_rows, "b256": lambda dim: 256}.items():
+        monkeypatch.setattr(scenarios, "block_rows", rows)
+        out, csv = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
         assert run_cli(args + ["--seed", "11", "--workers", "1", "--out", str(out),
                                "--csv", str(csv)]) == 0
         outputs.append((out.read_bytes(), csv.read_bytes()))
@@ -325,6 +332,20 @@ def test_grid_adequacy_error_exit_code(tmp_path, capsys):
                     "--points", "8", "--alpha", "0.001", "--peaks", "4:1.0"])
     assert code == 3
     assert "grid" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("args", [
+    ["grw-run", "--trajectories", "2"],
+    ["epr", "--trials", "2"],
+], ids=["grw-run", "epr"])
+def test_packet_width_that_squares_to_zero_prints_only_the_error(args):
+    # in a fresh process, so a NumPy warning would reach stderr as a user sees it
+    result = _run_python("import sys; from collapselab.cli import main; sys.exit(main(sys.argv[1:]))",
+                         *args, "--packet-width", "1e-200", "--seed", "1")
+    assert result.returncode == 3
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("numerical error: the grid cannot resolve a packet of width 1e-200 at ")
 
 
 # -- ks subcommands ------------------------------------------------------------------

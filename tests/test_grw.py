@@ -131,6 +131,16 @@ def test_jump_density_inadequate_grid_rejected():
         jump_density(psi, 0, grid, GrwParams(alpha=0.001, lam=1.0))
 
 
+@pytest.mark.filterwarnings("error")
+def test_packets_narrower_than_the_spacing_raise_no_numpy_warning():
+    # the variance is denormal: sites away from the centre overflow to exp(-inf) = 0
+    np.testing.assert_array_equal(gaussian_packet(GRID, 16.0, 1e-160).amplitudes,
+                                  np.eye(GRID.points)[16])
+    for center, width in ((16.0, 1e-200), (16.5, 1e-10)):  # squares to 0; between sites
+        with pytest.raises(GridAdequacyError, match="cannot resolve"):
+            gaussian_packet(GRID, center, width)
+
+
 def test_equivariant_and_fast_tables_agree():
     psi = two_peak_state(GRID, (24.0, 40.0), (0.6, 0.4), 2.0)
     fast = jump_density(psi, 0, GRID, PARAMS)

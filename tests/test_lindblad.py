@@ -11,6 +11,7 @@ from collapselab.grw import (
     Grid,
     GrwParams,
     Propagator,
+    block_rows,
     circulant,
     evolve_block,
     evolve_trajectory,
@@ -404,7 +405,7 @@ def test_oracle_budget_counts_the_mixture_comparison():
         check_oracle_budget(64, None, config, 2000, 64)
     # the largest benchmark comparison
     norm = generator_norm(Propagator(free_hamiltonian(Grid(256, 1.0), mass=10.0)), 1.0)
-    check_oracle_budget(256, norm, config, 4, 16)
+    check_oracle_budget(256, norm, config, 4, block_rows(256))
 
 
 def test_mixture_bytes_bound_what_the_comparison_allocates():
