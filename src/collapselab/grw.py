@@ -20,23 +20,29 @@ floats, from ``free_hamiltonian``), never as a dense matrix.
 ``Propagator`` reads its spectrum off the FFT of that column and
 advances a state by one FFT, a phase multiply and one inverse FFT.
 
-Trajectories are evolved in blocks (``evolve_block``): B realizations
-as one complex (B, d) array, in event rounds.  In each round every row
-takes its own next event.  Rows advance by their own gaps, with per-row
-phases and one row-wise FFT pair.  Rows that jump get their jump tables
-from one batched rfft/irfft circular convolution of |psi|^2 with g^2,
-draw their centres by the inverse CDF of ``rng.draw_rows`` (which
-starts at site 0, so a tie between maxima cannot move the centre drawn
-for a given uniform), and are localized and renormalized row by row.
-Every draw of a row is addressed by its (seed, trial, index, tag), every
+Trajectories are evolved in windows (``evolve_block``).  A window draws
+the jump schedules of all its trials first, in batches of B trials, and
+stably sorts the trials by event count.  Blocks of B sorted trials then
+run as one complex (B, d) array, in event rounds: in each round every
+row takes its own next event, and a block runs as many rounds as its
+busiest row, so blocks of like trials run fewer rounds.  Rows advance by
+their own gaps, with per-row phases and one row-wise FFT pair computed
+in place.  Rows that jump get their jump tables from one batched
+rfft/irfft circular convolution of |psi|^2 with g^2, draw their centres
+by the inverse CDF of ``rng.draw_rows`` (which starts at site 0, so a
+tie between maxima cannot move the centre drawn for a given uniform),
+and are localized and renormalized row by row.  Each row's states go to
+its trial's slot, so the caller sees the trials in its own order.  Every
+draw of a row is addressed by its (seed, trial, index, tag), every
 kernel acts on each row alone and names the output of each binary
-operation, so a row's bits do not depend on B.  ``block_rows`` sizes a
-block at 64 rows or 64 KiB of the (B, d) array, whichever is more, so
-the fixed cost of a round is shared by at least 64 rows.  There is one
-default code path: ``evolve_trajectory`` is a one-row block, and
-``jump_density``, ``jump_mass``, ``apply_jump`` and
-``Propagator.advance`` run one row of the block kernels.  No kernel
-calls BLAS: norms and sums are elementwise products and ``np.sum``.
+operation, so a row's bits depend neither on B nor on the rows it is
+evolved with.  ``block_rows`` sizes a block at 64 rows or 256 KiB of the
+(B, d) array, whichever is more, so the fixed cost of a round is shared
+by at least 64 rows.  There is one default code path:
+``evolve_trajectory`` is a one-trial window, and ``jump_density``,
+``jump_mass``, ``apply_jump`` and ``Propagator.advance`` run one row of
+the block kernels.  No kernel calls BLAS: norms and sums are elementwise
+products and ``np.sum``.
 
 The ``equivariant`` mode runs one trajectory at a time, and all its
 state updates commute bit-exactly with cyclic grid translations: norms
@@ -52,7 +58,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -65,15 +71,19 @@ TRAJECTORY_NORM_TOL = 1e-9
 JUMP_MASS_HARD_LIMIT = 1e-3
 ZERO_NORM_FLOOR = 1e-14
 # A block of evolve_block holds at least BLOCK_MIN_ROWS rows and at least
-# BLOCK_BYTES in its (B, d) complex array: B = 256 at d = 16 and B = 64 for
-# every d >= 64.  Each event round costs a roughly fixed number of ufunc and FFT
-# calls, and a block takes as many rounds as its busiest row, which grows
-# slowly with B: a serial epr --trials 4000 (d = 256) ran 8555 rounds in
-# 16-row blocks and 2340 in 64-row blocks.  At d = 64 larger blocks still cut
-# overhead but hold more memory: 512 rows raised the peak RSS of
-# oracle-compare at M = 64, K = 10^4 from 50 to 57 MB.
+# BLOCK_BYTES in its (B, d) complex array: B = 1024 at d = 16, 256 at d = 64 and
+# 64 for every d >= 256.  Each event round costs a roughly fixed number of ufunc
+# and FFT calls, and a block takes as many rounds as its busiest row: an
+# oracle-compare at M = 64, K = 10^4 (seed 1) ran 2345 rounds in 64-row blocks of
+# trials in trial order and runs 411 in 256-row blocks sorted by event count.
+# Its peak RSS is no higher than with 64-row blocks (a block's states go
+# straight to the caller's array); 512 KiB blocks would raise it by 0.4 MB.
 BLOCK_MIN_ROWS = 64
-BLOCK_BYTES = 64 * 2**10
+BLOCK_BYTES = 256 * 2**10
+# Rows per call of a row kernel that allocates temporaries (gathers, phases,
+# squares, jump tables): whatever B is, a block holds one (B, d) array of
+# amplitudes and temporaries of at most KERNEL_ROWS rows.
+KERNEL_ROWS = 64
 GRID_POINTS = integer(8, MAX_TOTAL_DIM)
 
 
@@ -157,6 +167,14 @@ def _template(points: int, spacing: float, alpha: float) -> np.ndarray:
     return g
 
 
+@lru_cache(maxsize=128)
+def _shifted_templates(points: int, spacing: float, alpha: float) -> np.ndarray:
+    """Row j is the template shifted to centre (points - j) mod points: a
+    read-only (points, points) view of the template repeated twice."""
+    g = _template(points, spacing, alpha)
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate((g, g)), points)[:points]
+
+
 def gaussian_template(grid: Grid, alpha: float) -> np.ndarray:
     return _template(grid.points, grid.spacing, alpha)
 
@@ -189,6 +207,11 @@ def localization_operator(grid: Grid, alpha: float, center: float) -> Operator:
 #
 # Each acts on every row of a C-contiguous complex (n, d) array on its own, and
 # every binary operation names its output, so a row's bits do not depend on n.
+
+
+def _pieces(n: int) -> Iterator[slice]:
+    """Rows 0 .. n - 1 in slices of KERNEL_ROWS."""
+    return (slice(start, start + KERNEL_ROWS) for start in range(0, n, KERNEL_ROWS))
 
 
 def block_rows(dim: int) -> int:
@@ -314,7 +337,7 @@ def _localize(
 ) -> None:
     """L(x_sites[i]) on ``particle`` of row i, then renormalize, in place."""
     m = grid.points
-    g = _template(m, grid.spacing, alpha)[(np.arange(m) - sites[:, None]) % m]
+    g = _shifted_templates(m, grid.spacing, alpha)[np.subtract(m, sites) % m]
     axis = shape.validate_index(particle) + 1
     across = [len(rows)] + [1] * (len(shape.dims) + 1)
     across[axis] = m
@@ -394,10 +417,21 @@ def sample_jump_times(
     particles (-1 after the last) and centre uniforms, row i for
     ``trials[i]``.
     """
+    n_jumps, *events = _jump_events(rates, horizon, seed, trials)
+    return (n_jumps, *_schedule_rows(n_jumps, np.cumsum(n_jumps) - n_jumps, events))
+
+
+def _jump_events(
+    rates: Mapping[int, float], horizon: float, seed: int, trials: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The arrivals of ``sample_jump_times`` as the jump counts and, trial
+    after trial and in time order within a trial, each jump's time, particle
+    and centre uniform."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     trials, n = np.asarray(trials), len(trials)
-    events = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=int), np.zeros(0))]
+    kind = np.min_scalar_type(-1 - max(rates, default=0))  # holds every particle and -1
+    events = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=kind), np.zeros(0))]
     for p in sorted(rates):
         if rates[p] == 0.0:
             continue
@@ -411,18 +445,29 @@ def sample_jump_times(
             # a running sum from each row's last arrival, so rounds do not move its bits
             t = np.cumsum(np.concatenate((now, gaps / rates[p]), axis=1), axis=1)[:, 1:]
             r, c = np.nonzero(t < horizon)
-            events.append((live[r], t[r, c], np.full(r.size, p), u[r, 2 * c + 1]))
+            events.append((live[r], t[r, c], np.full(r.size, p, dtype=kind), u[r, 2 * c + 1]))
             short = t[:, -1] < horizon
             live, now, start = live[short], t[short, -1:], start + 2 * size
     rows, times, particles, centres = (np.concatenate(x) for x in zip(*events))
     order = np.lexsort((particles, times, rows))
-    n_jumps = np.bincount(rows, minlength=n)
-    slots = np.arange(rows.size) - np.repeat(np.cumsum(n_jumps) - n_jumps, n_jumps)
-    width = int(n_jumps.max(initial=0)) + 1  # every row ends in an +inf jump time
-    out = np.full((n, width), np.inf), np.full((n, width), -1), np.zeros((n, width))
-    for table, values in zip(out, (times, particles, centres)):
-        table[rows[order], slots] = values[order]
-    return (n_jumps, *out)
+    return np.bincount(rows, minlength=n), times[order], particles[order], centres[order]
+
+
+def _schedule_rows(
+    counts: np.ndarray, starts: np.ndarray, events: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The padded schedule of the trials whose ``counts[i]`` jumps are entries
+    ``starts[i]`` on of the ``_jump_events`` arrays ``events``: (n, max count
+    + 1) arrays of times (+inf after the last), particles (-1 after the last)
+    and centre uniforms."""
+    columns = np.arange(int(counts.max(initial=0)) + 1)  # every row ends in an +inf time
+    held = columns < counts[:, None]
+    index = np.add(starts[:, None], columns)[held]
+    tables = (np.full(held.shape, np.inf), np.full(held.shape, -1, dtype=events[1].dtype),
+              np.zeros(held.shape))
+    for table, values in zip(tables, events):
+        table[held] = values[index]
+    return tables
 
 
 # -- Hamiltonians and propagation -------------------------------------------
@@ -473,16 +518,24 @@ class Propagator:
     def _phases(self, tau: float) -> np.ndarray:
         return np.exp(self.eigenvalues * (-1j * tau / self.hbar))
 
-    def advance_rows(self, rows: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        """Row i of a complex (n, d) array advanced by ``taus[i]``."""
-        # exp(0 + i theta) with theta = -(tau / hbar) E: the bits of _phases(tau)
-        phases = np.zeros(rows.shape, dtype=complex)
-        np.multiply(np.negative(np.divide(taus, self.hbar))[:, None], self.eigenvalues,
-                    out=phases.imag)
-        np.exp(phases, out=phases)
-        spectrum = np.fft.fft(rows, axis=1)
-        np.multiply(phases, spectrum, out=spectrum)
-        return np.fft.ifft(spectrum, axis=1)
+    def advance_rows(
+        self, rows: np.ndarray, taus: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Row i of a complex (n, d) array advanced by ``taus[i]``, written to
+        ``out`` (which may be ``rows`` itself, for an advance in place) or to a
+        new array.  The transforms write their output in place and the phases
+        are applied KERNEL_ROWS rows at a time, so the only temporary is a
+        (KERNEL_ROWS, d) array of phases."""
+        spectrum = np.fft.fft(rows, axis=1, out=out)
+        for piece in _pieces(len(spectrum)):
+            part = spectrum[piece]
+            # exp(0 + i theta) with theta = -(tau / hbar) E: the bits of _phases(tau)
+            phases = np.zeros(part.shape, dtype=complex)
+            np.multiply(np.negative(np.divide(taus[piece], self.hbar))[:, None],
+                        self.eigenvalues, out=phases.imag)
+            np.exp(phases, out=phases)
+            np.multiply(phases, part, out=part)
+        return np.fft.ifft(spectrum, axis=1, out=spectrum)
 
     def advance(self, amplitudes: np.ndarray, tau: float) -> np.ndarray:
         return self.advance_rows(np.asarray(amplitudes)[None, :], np.array([tau]))[0]
@@ -548,8 +601,10 @@ class Block:
     """Realizations evolved together by ``evolve_block``, one per row.
 
     ``states[s, i]`` is row i's normalized state at its s-th kept sample
-    time.  Row i's jumps are the first ``n_jumps[i]`` entries of row i of
-    ``jump_times``, ``jump_particles`` and ``jump_centres``.
+    time.  ``jump_times``, ``jump_particles`` and ``jump_centres`` list
+    every jump, row after row and in time order within a row: row i's
+    ``n_jumps[i]`` jumps follow those of rows 0 .. i - 1.  ``rounds`` is
+    the number of event rounds the blocks of the window ran.
     """
 
     states: np.ndarray
@@ -557,14 +612,25 @@ class Block:
     jump_times: np.ndarray
     jump_particles: np.ndarray
     jump_centres: np.ndarray
+    rounds: int
 
     def jumps(self, row: int) -> tuple[JumpEvent, ...]:
-        n = self.n_jumps[row]
+        mine = slice(int(np.sum(self.n_jumps[:row])), int(np.sum(self.n_jumps[:row + 1])))
         return tuple(
             JumpEvent(float(t), int(p), float(c))
-            for t, p, c in zip(self.jump_times[row, :n], self.jump_particles[row, :n],
-                               self.jump_centres[row, :n])
+            for t, p, c in zip(self.jump_times[mine], self.jump_particles[mine],
+                               self.jump_centres[mine])
         )
+
+
+def _window_events(
+    rates: Mapping[int, float], horizon: float, seed: int, trials: Sequence[int], batch: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_jump_events`` of ``trials``, drawn in batches of at most ``batch``
+    trials: a batch's draws peak at a few arrays of its own size."""
+    parts = [_jump_events(rates, horizon, seed, trials[start:start + batch])
+             for start in range(0, len(trials), batch) or [0]]
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def evolve_block(
@@ -580,36 +646,70 @@ def evolve_block(
     sample_times: Sequence[float] | None = None,
     rate_factors: Mapping[int, float] | None = None,
     final_only: bool = False,
+    out: np.ndarray | None = None,
 ) -> Block:
     """Run one stochastic realization per trial in ``trials``, all from ``psi0``.
 
     The arguments mean what they mean for ``evolve_trajectory``; row i
     is the realization that ``evolve_trajectory`` runs for trial
     ``trials[i]`` of ``seed``.  With ``final_only`` only the state at
-    the last sample time is kept.
+    the last sample time is kept.  The states go to a new (kept samples,
+    n, d) array, or to the first n rows of ``out``, a complex (kept
+    samples, >= n, d) array, and ``Block.states`` is that view.
 
-    The rows form one complex (B, d) array, evolved in event rounds: in
-    each round every row takes its own next event.  Rows advance by their
-    own gaps; samples are normalized copies; rows that jump draw their
-    centres from batched jump tables and are localized row by row.
+    The trials form one window.  Their jump schedules are drawn once, in
+    batches of B = ``block_rows(d)`` trials, and the trials are stably
+    sorted by event count (every trial has the same samples, so by jump
+    count).  Each run of B sorted trials is one block, evolved by
+    ``_evolve_rows`` into its trials' slots.
     """
     times = _checked_sample_times(psi0, propagator, grid_map, horizon, dt, sample_times)
     rates = _rates(params, grid_map, rate_factors)
-    shape = psi0.shape
-    n_jumps, jump_times, jump_particles, centre_draws = sample_jump_times(
-        rates, horizon, seed, trials)
-    n, width = jump_times.shape
-    jump_centres = np.zeros((n, width))
-
+    rows = block_rows(psi0.shape.total_dim)
+    n_jumps, *events = _window_events(rates, horizon, seed, trials, rows)
+    starts = np.cumsum(n_jumps) - n_jumps
+    n = len(n_jumps)
+    # a block copies its rows' centre uniforms first, so each becomes the centre it draws
+    jump_centres = events[2]
+    kept = min(1, len(times)) if final_only else len(times)
+    if out is None:
+        out = np.empty((kept, n, psi0.shape.total_dim), dtype=complex)
+    states = out[:, :n]
     sample_at = np.append(np.array(times, dtype=float), np.inf)
-    last = len(times) - 1
-    states = np.empty((min(1, len(times)) if final_only else len(times), n, shape.total_dim),
-                      dtype=complex)
+    order = np.argsort(n_jumps, kind="stable")
+    rounds = 0
+    for start in range(0, n, rows):
+        slots = order[start:start + rows]
+        schedule = _schedule_rows(n_jumps[slots], starts[slots], events)
+        rounds += _evolve_rows(psi0, propagator, params, grid_map, sample_at, len(times) - kept,
+                               schedule, slots, starts[slots], states, jump_centres)
+    return Block(states, n_jumps, events[0], events[1], jump_centres, rounds)
+
+
+def _evolve_rows(
+    psi0: StateVector, propagator: Propagator | None, params: GrwParams,
+    grid_map: Mapping[int, Grid], sample_at: np.ndarray, first_kept: int,
+    schedule: tuple[np.ndarray, np.ndarray, np.ndarray], slots: np.ndarray,
+    starts: np.ndarray, states: np.ndarray, jump_centres: np.ndarray,
+) -> int:
+    """Evolve one block and return the event rounds it ran.
+
+    Row i starts at ``psi0`` and runs row i of the padded ``schedule``
+    (``_schedule_rows``).  Its states at the sample times ``sample_at``
+    (+inf last), from the ``first_kept``-th on, go to
+    ``states[:, slots[i]]``, and its k-th jump centre to
+    ``jump_centres[starts[i] + k]``.  A round where every row moves
+    advances the block in place; otherwise the moving rows are gathered.
+    """
+    shape = psi0.shape
+    jump_times, jump_particles, centre_draws = schedule
+    n = len(slots)
     amps = np.repeat(np.array(psi0.amplitudes)[None, :], n, axis=0)
     now = np.zeros(n)
     next_jump = np.zeros(n, dtype=int)
     next_sample = np.zeros(n, dtype=int)
     every = np.arange(n)
+    rounds = 0
     while True:
         t_jump = jump_times[every, next_jump]
         t_sample = sample_at[next_sample]
@@ -617,24 +717,29 @@ def evolve_block(
         t = np.where(sampling, t_sample, t_jump)
         live = t < np.inf
         if not live.any():
-            break
+            return rounds
+        rounds += 1
         if propagator is not None:
             gap = np.subtract(t, now)
-            moving = np.flatnonzero(live & (gap > 0))
-            if moving.size:
-                amps[moving] = propagator.advance_rows(amps[moving], gap[moving])
+            moving = live & (gap > 0)
+            if moving.all():
+                propagator.advance_rows(amps, gap, out=amps)
+            else:
+                moved = np.flatnonzero(moving)
+                for piece in _pieces(moved.size):
+                    rows = moved[piece]
+                    picked = amps[rows]
+                    amps[rows] = propagator.advance_rows(picked, gap[rows], out=picked)
         np.copyto(now, t, where=live)
 
         rows = np.flatnonzero(live & sampling)
-        slots = next_sample[rows]
+        kept = next_sample[rows] - first_kept
         next_sample[rows] += 1
-        if final_only:
-            rows = rows[slots == last]
-            slots = np.zeros_like(rows)
-        if rows.size:
-            picked = amps[rows]
+        rows, kept = rows[kept >= 0], kept[kept >= 0]
+        for piece in _pieces(rows.size):
+            picked = amps[rows[piece]]
             _normalize_rows(picked, _row_norms(picked))
-            states[slots, rows] = picked
+            states[kept[piece], slots[rows[piece]]] = picked
 
         jumping = np.flatnonzero(live & ~sampling)
         columns = next_jump[jumping]
@@ -642,17 +747,15 @@ def evolve_block(
         next_jump[jumping] += 1
         for p, grid in grid_map.items():
             mine = particles == p
-            if not mine.any():
-                continue
-            rows, cols = jumping[mine], columns[mine]
-            picked = amps[rows]
-            tables = _jump_tables(marginal_weights(picked, shape, p), grid, params)
-            sites = draw_rows(tables, centre_draws[rows, cols])
-            _localize(picked, shape, p, grid, params.alpha, sites)
-            amps[rows] = picked
-            jump_centres[rows, cols] = grid.origin + sites * grid.spacing
-
-    return Block(states, n_jumps, jump_times, jump_particles, jump_centres)
+            p_rows, p_cols = jumping[mine], columns[mine]
+            for piece in _pieces(p_rows.size):
+                rows, cols = p_rows[piece], p_cols[piece]
+                picked = amps[rows]
+                tables = _jump_tables(marginal_weights(picked, shape, p), grid, params)
+                sites = draw_rows(tables, centre_draws[rows, cols])
+                _localize(picked, shape, p, grid, params.alpha, sites)
+                amps[rows] = picked
+                jump_centres[starts[rows] + cols] = grid.origin + sites * grid.spacing
 
 
 def evolve_trajectory(
@@ -684,7 +787,7 @@ def evolve_trajectory(
     ``seed`` (``rng``).  For particle p's k-th jump, draw 2k of tag
     ``rng.JUMPS + p`` gives the gap before it (inverse-CDF exponential)
     and draw 2k + 1 its centre (``sample_jump_times``).  Both modes use
-    the same draws; the default mode is a one-row ``evolve_block``.
+    the same draws; the default mode is a one-trial ``evolve_block``.
     """
     if equivariant:
         return _evolve_equivariant(psi0, propagator, params, grid_map, horizon, dt, seed,

@@ -72,13 +72,16 @@ For a single grid an FFT route exists (rho stored as sigma(kappa, r),
 the FFT over q of rho[q, q - r]), but below M = 512 it is slower than
 this GEMM.
 
-An ensemble of K trajectories is compared with the oracle as it
-streams (``compare_mixtures``): each block of trajectories' checkpoint
-states is copied into a bounded buffer and the block is dropped, so the
-comparison holds at most max(MIXTURE_BUFFER_BYTES, one MIXTURE_CHUNK of
-checkpoint states) of amplitudes plus the checkpoints * d^2 sums, not
-O(K * checkpoints * d); ``mixture_bytes`` counts them, and the oracle
-budget includes them for an ensemble comparison.
+An ensemble of K trajectories is compared with the oracle one window at
+a time (``Mixture``): a window of trajectories writes its checkpoint
+states into a buffer of at most max(MIXTURE_BUFFER_BYTES, one
+MIXTURE_CHUNK of checkpoint states), which is folded into the
+checkpoints * d^2 sums before the next window overwrites it, so the
+comparison never holds O(K * checkpoints * d) amplitudes.
+``compare_mixtures`` does the same for states that arrive as arrays, by
+copying them into the buffer.  ``mixture_bytes`` counts the sums, the
+buffer and the working rows of a window, and the oracle budget includes
+them for an ensemble comparison.
 """
 from __future__ import annotations
 
@@ -99,11 +102,12 @@ HERMITICITY_TOL = 1e-8
 POSITIVITY_FLOOR = -1e-6
 UNIT_ROUNDOFF = 2.0**-53
 MAX_TAYLOR_TERMS = 18  # right-hand sides per substep; 1/19! < UNIT_ROUNDOFF / 10
-MIXTURE_CHUNK = 256  # trials stacked per GEMM in compare_mixtures; fixes the summation order
-# Amplitudes compare_mixtures buffers between runs of GEMMs.  A threaded BLAS
-# call leaves its helper threads spinning for ~80 ms; folding every chunk
-# kept a core spinning through the whole 10^4-trial M = 64 benchmark run (CPU
-# time 3.0 s -> 5.2 s); an 8 MB buffer folds that run in five bursts.
+MIXTURE_CHUNK = 256  # trials stacked per GEMM in Mixture.fold; fixes the summation order
+# Amplitudes of a Mixture's buffer, one window of trajectories, between runs
+# of GEMMs.  A threaded BLAS call leaves its helper threads spinning for
+# ~80 ms; folding every chunk kept a core spinning through the whole
+# 10^4-trial M = 64 benchmark run (CPU time 3.0 s -> 5.2 s); an 8 MB buffer
+# folds that run in five bursts.
 MIXTURE_BUFFER_BYTES = 8 * 2**20
 
 
@@ -152,17 +156,20 @@ MAX_ORACLE_BYTES = 136_314_880
 
 
 def _mixture_capacity(checkpoints: int, dim: int) -> int:
-    """Trajectories compare_mixtures buffers: MIXTURE_BUFFER_BYTES, but at least MIXTURE_CHUNK."""
+    """Trajectories a Mixture buffers: MIXTURE_BUFFER_BYTES, but at least MIXTURE_CHUNK."""
     chunk_bytes = checkpoints * MIXTURE_CHUNK * dim * np.dtype(complex).itemsize
     return MIXTURE_CHUNK * max(1, MIXTURE_BUFFER_BYTES // chunk_bytes)
 
 
 def mixture_bytes(dim: int, checkpoints: int, block_rows: int) -> int:
-    """Live bytes of comparing a trajectory ensemble with the oracle: the
-    checkpoints * d^2 mixture sums, compare_mixtures' buffer and one block
-    of ``block_rows`` trajectories' checkpoint states."""
-    rows = _mixture_capacity(checkpoints, dim) + block_rows
-    return np.dtype(complex).itemsize * checkpoints * (dim * dim + rows * dim)
+    """Live bytes of comparing a trajectory ensemble with the oracle in
+    windows: the checkpoints * d^2 mixture sums, the buffer the windows are
+    evolved into, and the larger of one block's (B, d) amplitudes (B =
+    ``block_rows``, at most a window) and the MIXTURE_CHUNK conjugated rows
+    a fold multiplies."""
+    capacity = _mixture_capacity(checkpoints, dim)
+    rows = max(min(block_rows, capacity), MIXTURE_CHUNK)
+    return np.dtype(complex).itemsize * (checkpoints * (dim * dim + capacity * dim) + rows * dim)
 
 
 def generator_norm(propagator: Propagator, rate_bound: float) -> float:
@@ -451,6 +458,53 @@ def ensemble_compare(
     )
 
 
+def _check_states(states: np.ndarray, checkpoints: int, dim: int) -> None:
+    if states.ndim != 3 or states.shape[0] != checkpoints or states.shape[2] != dim:
+        raise ValueError(f"a block of shape {states.shape} does not hold states at the "
+                         f"oracle's {checkpoints} times on its {dim}-dimensional space")
+
+
+class Mixture:
+    """Sums of psi psi^dagger at each of ``times`` over a trajectory ensemble.
+
+    ``buffer`` is a (checkpoints, capacity, d) array of at most
+    MIXTURE_BUFFER_BYTES, and at least MIXTURE_CHUNK rows: room for one
+    window of trajectories, whose producer writes their states there
+    (``grw.evolve_block(out=buffer)``).  ``fold`` adds the states of a
+    window, from the buffer or from any array, to the sums: each
+    MIXTURE_CHUNK rows' psi psi^dagger from one GEMM.  Every fold but the
+    last must take a whole number of chunks; then the sums do not depend on
+    how the trajectories are split into windows and blocks.
+    """
+
+    def __init__(self, times: Sequence[float], dim: int):
+        self.times = list(times)
+        self.sums = np.zeros((len(self.times), dim, dim), dtype=complex)
+        capacity = _mixture_capacity(len(self.times), dim)
+        self.buffer = np.empty((len(self.times), capacity, dim), dtype=complex)
+        self.size = 0
+
+    @property
+    def capacity(self) -> int:
+        return self.buffer.shape[1]
+
+    def fold(self, states: np.ndarray) -> None:
+        """Add the rows of (checkpoints, n, d) ``states``."""
+        _check_states(states, len(self.times), self.sums.shape[1])
+        if self.size % MIXTURE_CHUNK:
+            raise ValueError("only the last fold may take a partial chunk")
+        for total, rows in zip(self.sums, states):
+            for start in range(0, rows.shape[0], MIXTURE_CHUNK):
+                chunk = rows[start:start + MIXTURE_CHUNK]
+                total += chunk.T @ chunk.conj()
+        self.size += states.shape[1]
+
+    def compare(self, oracle: Mapping[float, DensityMatrix]) -> list[EnsembleComparison]:
+        """The mixture against the oracle state at each of its times."""
+        return [ensemble_compare(total, self.size, oracle[t], t)
+                for total, t in zip(self.sums, self.times)]
+
+
 def compare_mixtures(
     blocks: Iterable[np.ndarray], oracle: Mapping[float, DensityMatrix]
 ) -> list[EnsembleComparison]:
@@ -458,40 +512,26 @@ def compare_mixtures(
 
     Each item of ``blocks`` is a (checkpoints, rows, d) array: the states
     of ``rows`` trajectories at the oracle's times, in the mapping's
-    order.  The states are folded in as they arrive: copied into a
-    (checkpoints, rows, d) buffer of at most MIXTURE_BUFFER_BYTES (and at
-    least MIXTURE_CHUNK rows), so no block has to be kept.  When the
-    buffer is full, and once more at the end, each checkpoint's sum gains
-    psi psi^dagger of every MIXTURE_CHUNK rows from one GEMM, so the sums
-    do not depend on how the trajectories are split into blocks.
+    order, of any number of rows.  The states are copied into a
+    ``Mixture``'s buffer as they arrive, so no block has to be kept, and
+    the buffer is folded when full and once more at the end.
     """
     times = list(oracle)
     d = oracle[times[0]].shape.total_dim
-    sums = np.zeros((len(times), d, d), dtype=complex)
-    capacity = _mixture_capacity(len(times), d)
-    buffer = np.empty((len(times), capacity, d), dtype=complex)
-
-    def fold(rows: int) -> None:
-        for total, states in zip(sums, buffer[:, :rows]):
-            for start in range(0, rows, MIXTURE_CHUNK):
-                chunk = states[start:start + MIXTURE_CHUNK]
-                total += chunk.T @ chunk.conj()
-
-    size = 0
+    mixture = Mixture(times, d)
+    filled = 0
     for block in blocks:
-        if block.ndim != 3 or block.shape[0] != len(times) or block.shape[2] != d:
-            raise ValueError(f"a block of shape {block.shape} does not hold states at the "
-                             f"oracle's {len(times)} times on its {d}-dimensional space")
+        _check_states(block, len(times), d)
         done = 0
         while done < block.shape[1]:
-            row = size % capacity
-            take = min(capacity - row, block.shape[1] - done)
-            buffer[:, row:row + take] = block[:, done:done + take]
+            take = min(mixture.capacity - filled, block.shape[1] - done)
+            mixture.buffer[:, filled:filled + take] = block[:, done:done + take]
             done += take
-            size += take
-            if row + take == capacity:
-                fold(capacity)
+            filled += take
+            if filled == mixture.capacity:
+                mixture.fold(mixture.buffer)
+                filled = 0
         del block  # the next block is built while the loop waits for it
-    if size % capacity:
-        fold(size % capacity)
-    return [ensemble_compare(total, size, oracle[t], t) for total, t in zip(sums, times)]
+    if filled:
+        mixture.fold(mixture.buffer[:, :filled])
+    return mixture.compare(oracle)

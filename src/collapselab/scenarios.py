@@ -6,9 +6,13 @@ function of (master seed, trial, index, tag) (``rng``): a singlet
 trial's B and A outcomes are its draws 0 and 1 of tag ``rng.OUTCOMES``,
 an ``epr`` trial's b outcome is its draw 0 of that tag, and trajectories
 draw their jump schedules and centres as ``grw.evolve_trajectory``
-says.  Trials run in blocks, each block's draws come from one array
-computation, and reports are bit-identical however trials are split into
-blocks (``grw.block_rows`` for trajectories) or spread over workers.
+says.  Trials run in windows, one pool task each, and each window's draws
+come from array computations over its trials.  A trajectory window is
+one ``grw.evolve_block`` call, which sorts its trials into blocks of
+``grw.block_rows``: a serial ``oracle-compare`` window fills the mixture
+buffer (``lindblad.Mixture``), a pooled one a share of it, and an ``epr``
+or ``grw-run`` window is WINDOW_BLOCKS blocks.  Reports are bit-identical
+however trials are split into windows and blocks or spread over workers.
 """
 from __future__ import annotations
 
@@ -47,9 +51,10 @@ from .hilbert import (
     tensor_product,
 )
 from .lindblad import (
+    MIXTURE_CHUNK,
     LindbladConfig,
+    Mixture,
     check_oracle_budget,
-    compare_mixtures,
     generator_norm,
     integrate_with_snapshots,
 )
@@ -77,6 +82,20 @@ POINTER_BRANCH_THRESHOLD = 0.99  # below this on both branches a trial is inconc
 MAX_TRIALS = 10**6  # every trial's record stays in memory until the report is written
 MAX_EVENTS = 10**6  # trials * (lambda * rate factor * horizon + checkpoints)
 SINGLET_BLOCK = 4096  # trials per block of a singlet run
+# Blocks per window of an epr or grw-run.  The window keeps the final states of
+# its trials (2 MiB at d = 64 and at d = 256) until their records are made.
+WINDOW_BLOCKS = 8
+
+
+def _check_packet_width(key: str, width: float, spacing: float) -> None:
+    """Reject a packet narrower than half the grid spacing.  Sampled on the
+    grid, such a packet no longer has the spread it was asked for: its
+    discrete normalization departs from the continuum one by up to
+    2 exp(-2 pi^2 width^2 / spacing^2) (Poisson summation), 1.4% at half a
+    spacing, and far below it the packet is one site or, between sites, none."""
+    if not width >= 0.5 * spacing:
+        raise ConfigError(f"key '{key}' = {width} is narrower than half the grid spacing "
+                          f"{spacing}; the grid cannot resolve the packet")
 
 
 def _check_budget(seed: int, trials: int, trials_key: str, events_per_trial: float = 0.0) -> None:
@@ -98,11 +117,10 @@ def pool_size(workers: int, n: int) -> int:
 
 
 def _map_indexed(fn: Callable[[Item], T], items: Sequence[Item], workers: int) -> Iterator[T]:
-    """fn over ``items`` (blocks of trial indices) in order, computed as the
-    caller consumes the results.  A pool task maps fn over a chunk of items,
-    and at most 2 * workers tasks are submitted ahead of the consumer, so
-    finished blocks cannot pile up; a task per item would cost each one the
-    executor's round trip (~0.5 ms of the parent's CPU)."""
+    """fn over ``items`` (windows of trial indices) in order, computed as the
+    caller consumes the results.  Each item is one pool task, and at most
+    ``workers`` tasks are submitted ahead of the consumer, so finished
+    windows cannot pile up."""
     workers = pool_size(workers, len(items))
     if workers <= 1:
         yield from map(fn, items)
@@ -111,19 +129,23 @@ def _map_indexed(fn: Callable[[Item], T], items: Sequence[Item], workers: int) -
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only pools need it
 
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        chunk = max(1, len(items) // (workers * 8))
         pending: deque = deque()
-        for start in range(0, len(items), chunk):
-            if len(pending) == 2 * workers:
-                yield from pending.popleft().result()
-            pending.append(ex.submit(list, map(fn, items[start:start + chunk])))
+        for item in items:
+            if len(pending) == workers:
+                yield pending.popleft().result()
+            pending.append(ex.submit(fn, item))
         while pending:
-            yield from pending.popleft().result()
+            yield pending.popleft().result()
 
 
 def _blocks(n: int, rows: int) -> list[range]:
     """Trial indices 0 .. n - 1 in consecutive blocks of ``rows``."""
     return [range(start, min(n, start + rows)) for start in range(0, n, rows)]
+
+
+def _windows(n: int, dim: int) -> list[range]:
+    """Trial indices 0 .. n - 1 in the windows of an epr or grw-run."""
+    return _blocks(n, WINDOW_BLOCKS * block_rows(dim))
 
 
 # -- position EPR with a collapsing pointer ----------------------------------
@@ -161,6 +183,7 @@ class EprConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        _check_packet_width("packet_width", self.packet_width, self.pointer_spacing)
         regions = (self.delta1, self.delta2, self.delta3, self.delta4)
         if any(abs(a - b) < 10.0 * self.packet_width for a, b in combinations(regions, 2)):
             raise ConfigError("regions must be pairwise separated by at least 10 packet widths")
@@ -196,7 +219,7 @@ def _epr_initial_state(config: EprConfig) -> tuple[StateVector, Grid]:
     return psi, grid
 
 
-def _epr_block(
+def _epr_window(
     config: EprConfig, psi: StateVector, grid: Grid, params: GrwParams, trials: range
 ) -> list[dict]:
     # without a Hamiltonian and with explicit sample times, the step only has to be positive
@@ -258,9 +281,9 @@ def run_epr_position(config: EprConfig) -> ExperimentReport:
     # the oracle runs first, so an input it rejects fails before any trial
     oracle_b = _epr_oracle_b_marginal(config, psi, grid)
     params = GrwParams(alpha=config.pointer_alpha, lam=config.base_rate)
-    blocks = _blocks(config.trials, block_rows(psi.shape.total_dim))
+    windows = _windows(config.trials, psi.shape.total_dim)
     trials = [t for records in _map_indexed(
-        partial(_epr_block, config, psi, grid, params), blocks, config.workers
+        partial(_epr_window, config, psi, grid, params), windows, config.workers
     ) for t in records]
 
     conclusive = [t for t in trials if t["conclusive"]]
@@ -432,6 +455,7 @@ class OracleComparisonConfig:
             raise ConfigError("key 'peaks': packet centers must be distinct")
         if abs(sum(self.peak_weights) - 1.0) > 1e-9:
             raise ConfigError("peak weights must sum to 1")
+        _check_packet_width("packet_width", self.packet_width, self.grid_spacing)
 
     def grid(self) -> Grid:
         return Grid(self.grid_points, self.grid_spacing)
@@ -480,13 +504,14 @@ def _ensemble_setup(config: OracleComparisonConfig) -> tuple[_Ensemble, np.ndarr
     return ensemble, hamiltonian
 
 
-def _ensemble_block(
-    ensemble: _Ensemble, master_seed: int, trials: range, *, final_only: bool = False
+def _ensemble_window(
+    ensemble: _Ensemble, master_seed: int, trials: range, *, final_only: bool = False,
+    out: np.ndarray | None = None,
 ) -> Block:
     config = ensemble.config
     return evolve_block(ensemble.psi0, ensemble.propagator, ensemble.params,
                         {0: ensemble.grid}, config.horizon, config.dt, master_seed, trials,
-                        sample_times=ensemble.times, final_only=final_only)
+                        sample_times=ensemble.times, final_only=final_only, out=out)
 
 
 def run_oracle_comparison(
@@ -512,38 +537,44 @@ def run_oracle_comparison(
     validate_step(config.dt, ensemble.propagator)
     norm = None if hamiltonian is None else generator_norm(ensemble.propagator, config.rate)
     check_oracle_budget(grid.points, norm, lconf, len(times), rows)
-    _, snapshots = integrate_with_snapshots(
+    snapshots = integrate_with_snapshots(
         ensemble.psi0.density_matrix(), hamiltonian, ensemble.params, {0: grid}, lconf,
         snapshot_times=times,
-    )
-    evolved = _map_indexed(
-        partial(_ensemble_block, ensemble, master_seed), _blocks(ensemble_size, rows), workers
-    )
-    jumps: list[int] = []
+    )[1]
+    mixture = Mixture(times, grid.points)
+    pool = pool_size(workers, ensemble_size)
+    # a serial run evolves each window straight into the mixture buffer; a
+    # pool's workers return theirs, and the parent holds up to pool + 1 of
+    # them, so their windows are cut to about a buffer together
+    chunks = max(1, mixture.capacity // MIXTURE_CHUNK // (pool + 1))
+    windows = _blocks(ensemble_size, mixture.capacity if pool <= 1 else chunks * MIXTURE_CHUNK)
+    out = mixture.buffer if pool_size(workers, len(windows)) <= 1 else None
+    evolved = _map_indexed(partial(_ensemble_window, ensemble, master_seed, out=out),
+                           windows, workers)
+    jumps = 0
     records: list[dict] | None = [] if config.record_trials else None
+    # not zip or enumerate: their reused result tuple would keep each window's
+    # Block alive while the next one is evolved
+    for block in evolved:
+        first = mixture.size
+        jumps += int(np.sum(block.n_jumps))
+        if records is not None:
+            weights = marginal_weights(block.states[-1], ensemble.psi0.shape, 0)
+            records.extend(
+                {"trial": first + row, "n_jumps": int(n), "final_mean_position": float(m)}
+                for row, (n, m) in enumerate(zip(block.n_jumps, mean_positions(weights, grid)))
+            )
+        mixture.fold(block.states)
+        del block  # before the next window is evolved
 
-    def checkpoint_states() -> Iterator[np.ndarray]:
-        # keep each trial's record; compare_mixtures folds the states and drops them
-        for block in evolved:
-            first = len(jumps)
-            jumps.extend(block.n_jumps.tolist())
-            if records is not None:
-                weights = marginal_weights(block.states[-1], ensemble.psi0.shape, 0)
-                records.extend(
-                    {"trial": first + row, "n_jumps": int(n), "final_mean_position": float(m)}
-                    for row, (n, m) in enumerate(zip(block.n_jumps, mean_positions(weights, grid)))
-                )
-            yield block.states
-            del block  # before the next block is evolved
-
-    comparisons = compare_mixtures(checkpoint_states(), {t: snapshots[t] for t in times})
+    comparisons = mixture.compare(snapshots)
     aggregates = {
         "ensemble_size": ensemble_size,
         "times": times,
         "distances": [c.distance for c in comparisons],
         "threshold": comparisons[0].threshold,
         "within_threshold": [bool(c.within_threshold) for c in comparisons],
-        "mean_jumps": float(np.mean(jumps)),
+        "mean_jumps": jumps / ensemble_size,  # the sum is exact, as np.mean's is
     }
     return ExperimentReport(
         scenario="oracle_comparison",
@@ -570,9 +601,9 @@ def run_grw_ensemble(
     _check_budget(master_seed, ensemble_size, "trajectories",
                   config.rate * config.horizon + config.checkpoints)
     ensemble, _ = _ensemble_setup(config)
-    blocks = _blocks(ensemble_size, block_rows(config.grid_points))
+    windows = _windows(ensemble_size, config.grid_points)
     trials = [t for records in _map_indexed(
-        partial(_grw_block, ensemble, master_seed), blocks, workers
+        partial(_grw_window, ensemble, master_seed), windows, workers
     ) for t in records]
     branch_counts = [0] * len(config.peak_centers)
     localized = 0
@@ -598,10 +629,10 @@ def run_grw_ensemble(
     )
 
 
-def _grw_block(ensemble: _Ensemble, master_seed: int, trials: range) -> list[dict]:
+def _grw_window(ensemble: _Ensemble, master_seed: int, trials: range) -> list[dict]:
     config = ensemble.config
     grid = ensemble.grid
-    block = _ensemble_block(ensemble, master_seed, trials, final_only=True)
+    block = _ensemble_window(ensemble, master_seed, trials, final_only=True)
     weights = marginal_weights(block.states[-1], ensemble.psi0.shape, 0)
     halfwidth = min(
         abs(grid.min_image(a - b))

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapselab
-from collapselab import grw, scenarios
+from collapselab import grw, lindblad, scenarios
 from collapselab.cli import KEY_SPECS, build_parser, main
 from collapselab.errors import ConfigError
 from collapselab.schema import NON_NEGATIVE, POSITIVE, check_value
@@ -286,14 +286,21 @@ def test_oracle_compare_reports_identical_across_worker_counts(tmp_path, hamilto
     ["epr", "--trials", "600"],
 ], ids=["oracle-none", "oracle-free", "grw-run", "epr"])
 def test_reports_identical_across_block_sizes(tmp_path, monkeypatch, args):
-    # one row per block, the default, and blocks of 256 rows (at least 256 KiB),
-    # where NumPy reuses large temporaries in place and an unnamed output could
-    # reorder a complex product
-    assert grw.block_rows(16) == 256
-    assert grw.block_rows(64) == grw.block_rows(256) == grw.block_rows(4096) == 64
+    # one row per block in small windows (8 trials for epr and grw-run, one
+    # mixture chunk for oracle-compare), the default, and blocks of 512 rows
+    # (512 KiB at d = 64), where NumPy reuses large temporaries in place and an
+    # unnamed output could reorder a complex product
+    assert grw.block_rows(16) == 1024
+    assert grw.block_rows(64) == 256
+    assert grw.block_rows(256) == grw.block_rows(4096) == 64
+    buffer_bytes = lindblad.MIXTURE_BUFFER_BYTES
     outputs = []
-    for name, rows in {"b1": lambda dim: 1, "default": grw.block_rows, "b256": lambda dim: 256}.items():
+    for name, rows, window_bytes in [("b1", lambda dim: 1, 1),
+                                     ("default", grw.block_rows, buffer_bytes),
+                                     ("b512", lambda dim: 512, buffer_bytes)]:
+        monkeypatch.setattr(grw, "block_rows", rows)
         monkeypatch.setattr(scenarios, "block_rows", rows)
+        monkeypatch.setattr(lindblad, "MIXTURE_BUFFER_BYTES", window_bytes)
         out, csv = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
         assert run_cli(args + ["--seed", "11", "--workers", "1", "--out", str(out),
                                "--csv", str(csv)]) == 0
@@ -342,10 +349,30 @@ def test_packet_width_that_squares_to_zero_prints_only_the_error(args):
     # in a fresh process, so a NumPy warning would reach stderr as a user sees it
     result = _run_python("import sys; from collapselab.cli import main; sys.exit(main(sys.argv[1:]))",
                          *args, "--packet-width", "1e-200", "--seed", "1")
-    assert result.returncode == 3
+    assert result.returncode == 2
     assert result.stdout == ""
     [line] = result.stderr.splitlines()
-    assert line.startswith("numerical error: the grid cannot resolve a packet of width 1e-200 at ")
+    assert line == ("error: key 'packet_width' = 1e-200 is narrower than half the grid "
+                    "spacing 1.0; the grid cannot resolve the packet")
+
+
+@pytest.mark.parametrize("command", [
+    ["grw-run", "--trajectories", "2"],
+    ["oracle-compare", "--k", "100"],
+], ids=["grw-run", "oracle-compare"])
+@pytest.mark.parametrize("centre", ["16", "16.5"], ids=["on-site", "between-sites"])
+@pytest.mark.parametrize("width", ["1e-160", "0.49"])
+def test_packet_narrower_than_half_a_spacing_is_a_config_error(capsys, command, centre, width):
+    # a one-site packet on a site used to run, and one between sites to fail as numerical
+    code = run_cli([*command, "--peaks", f"{centre}:1.0", "--packet-width", width, "--seed", "1"])
+    assert code == 2
+    assert "narrower than half the grid spacing" in capsys.readouterr().err
+
+
+def test_packet_of_half_a_spacing_runs(tmp_path):
+    out = tmp_path / "r.json"
+    assert run_cli(["grw-run", "--trajectories", "2", "--peaks", "16.5:1.0",
+                    "--packet-width", "0.5", "--seed", "1", "--out", str(out)]) == 0
 
 
 # -- ks subcommands ------------------------------------------------------------------

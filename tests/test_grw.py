@@ -162,8 +162,8 @@ def test_tied_maxima_nudged_by_an_ulp_draw_the_same_centre(monkeypatch, nudged):
         monkeypatch.setattr(grw, "_jump_tables",
                             lambda weights, *args, table=table: np.tile(table, (len(weights), 1)))
         block = evolve_block(psi, None, PARAMS, {0: GRID}, 5.0, 0.05, 9, range(8))
-        centres.append([list(block.jump_centres[i, :n]) for i, n in enumerate(block.n_jumps)])
-    assert {c for row in centres[0] for c in row} == {24.0, 40.0}
+        centres.append(block.jump_centres.tolist())
+    assert set(centres[0]) == {24.0, 40.0}
     assert centres[0] == centres[1]
 
 
@@ -192,6 +192,57 @@ def test_block_rows_match_single_trajectories():
     last = evolve_block(psi, prop, PARAMS, {0: GRID}, 2.0, 0.02, 13, range(5),
                         sample_times=times, final_only=True)
     assert np.array_equal(last.states, block.states[-1:])
+
+
+def test_permuted_trials_give_the_same_rows(monkeypatch):
+    # a window sorts its trials by event count into blocks; any order of the
+    # trials, in blocks of any size, gives each trial the same bits
+    psi = two_peak_state(GRID, (24.0, 40.0), (0.6, 0.4), 2.0)
+    prop = Propagator(free_hamiltonian(GRID, mass=10.0))
+    times = [0.5, 1.0, 2.0]
+    trials = np.arange(300)
+    ref = evolve_block(psi, prop, PARAMS, {0: GRID}, 2.0, 0.02, 17, trials, sample_times=times)
+    perm = np.random.default_rng(3).permutation(trials)
+    monkeypatch.setattr(grw, "block_rows", lambda dim: 37)
+    got = evolve_block(psi, prop, PARAMS, {0: GRID}, 2.0, 0.02, 17, perm, sample_times=times)
+    assert np.array_equal(got.states.view(float), ref.states[:, perm].view(float))
+    assert np.array_equal(got.n_jumps, ref.n_jumps[perm])
+    for row, trial in enumerate(perm[:40]):
+        assert got.jumps(row) == ref.jumps(trial)
+
+
+def test_a_window_runs_its_sorted_blocks_rounds():
+    # each round every live row takes one event, so a block runs as many rounds
+    # as its busiest row has events, and the window's blocks are its trials
+    # sorted by event count
+    psi = two_peak_state(GRID, (24.0, 40.0), (0.6, 0.4), 2.0)
+    times = [0.5, 1.0, 2.0]
+    block = evolve_block(psi, Propagator(free_hamiltonian(GRID, mass=10.0)), PARAMS, {0: GRID},
+                         2.0, 0.02, 19, range(700), sample_times=times)
+    rows = grw.block_rows(GRID.points)
+    events = np.sort(block.n_jumps) + len(times)
+    assert block.rounds == sum(events[start:start + rows].max() for start in range(0, 700, rows))
+    unsorted = block.n_jumps + len(times)
+    assert block.rounds < sum(unsorted[start:start + rows].max() for start in range(0, 700, rows))
+
+
+def test_in_place_advance_matches_advance_rows_bit_for_bit():
+    prop = Propagator(free_hamiltonian(GRID, mass=10.0), hbar=0.7)
+    rng = np.random.default_rng(4)
+    rows = rng.normal(size=(200, 64)) + 1j * rng.normal(size=(200, 64))
+    taus = rng.random(200)
+    # one phase array for all rows and out-of-place transforms
+    phases = np.zeros(rows.shape, dtype=complex)
+    phases.imag = np.negative(taus / 0.7)[:, None] * prop.eigenvalues
+    reference = np.fft.ifft(np.exp(phases) * np.fft.fft(rows, axis=1), axis=1)
+    copied = prop.advance_rows(rows, taus)
+    assert np.array_equal(copied.view(float), reference.view(float))
+    in_place = rows.copy()
+    assert prop.advance_rows(in_place, taus, out=in_place) is in_place
+    assert np.array_equal(in_place.view(float), reference.view(float))
+    for i in range(0, 200, 37):
+        assert np.array_equal(prop.advance(rows[i], taus[i]).view(float),
+                              reference[i].view(float))
 
 
 # -- applying jumps ---------------------------------------------------------------

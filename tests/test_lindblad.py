@@ -31,6 +31,7 @@ from collapselab.hilbert import (
 from collapselab.lindblad import (
     MIXTURE_CHUNK,
     LindbladConfig,
+    Mixture,
     check_oracle_budget,
     compare_mixtures,
     dephasing_rate,
@@ -398,8 +399,10 @@ def test_snapshot_times_must_lie_within_the_window(hamiltonian, time):
 
 def test_oracle_budget_counts_the_mixture_comparison():
     config = LindbladConfig(dt=0.01, horizon=5.0)
-    # the sums, a buffer of MIXTURE_CHUNK rows per checkpoint and one block of 64 rows
-    assert mixture_bytes(64, 2000, 64) == 16 * 2000 * (64 * 64 + (MIXTURE_CHUNK + 64) * 64)
+    # the sums, a buffer of MIXTURE_CHUNK rows per checkpoint and the larger of
+    # one 64-row block's amplitudes and a fold's chunk of MIXTURE_CHUNK rows
+    assert mixture_bytes(64, 2000, 64) == 16 * (2000 * (64 * 64 + MIXTURE_CHUNK * 64)
+                                                + MIXTURE_CHUNK * 64)
     check_oracle_budget(64, None, config, 2000)  # the oracle alone fits
     with pytest.raises(ConfigError, match="checkpoints"):
         check_oracle_budget(64, None, config, 2000, 64)
@@ -409,23 +412,47 @@ def test_oracle_budget_counts_the_mixture_comparison():
 
 
 def test_mixture_bytes_bound_what_the_comparison_allocates():
-    d, checkpoints, rows, blocks = 32, 40, 64, 6
-    psi = gaussian_packet(Grid(d, 1.0), 16.0, 2.0)
-    oracle = {float(t): psi.density_matrix() for t in range(checkpoints)}
-    state = np.broadcast_to(psi.amplitudes, (checkpoints, rows, d))
-
-    def stream_blocks():
-        for _ in range(blocks):
-            yield np.array(state)
-
+    # the windowed comparison of run_oracle_comparison: each window of
+    # trajectories is evolved straight into the mixture buffer, then folded
+    d, checkpoints, k = 32, 40, 600
+    grid = Grid(d, 1.0)
+    psi = two_peak_state(grid, (10.0, 20.0), (0.5, 0.5), 1.5)
+    params = GrwParams(alpha=0.25, lam=1.0, mass=10.0)
+    propagator = Propagator(free_hamiltonian(grid, mass=10.0))
+    times = [0.05 * (i + 1) for i in range(checkpoints)]
+    oracle = {t: psi.density_matrix() for t in times}  # oracle_cost counts these
     tracemalloc.start()
     try:
-        comparisons = compare_mixtures(stream_blocks(), oracle)
+        mixture = Mixture(times, d)
+        for start in range(0, k, mixture.capacity):
+            block = evolve_block(psi, propagator, params, {0: grid}, times[-1], 0.01, 7,
+                                 range(start, min(k, start + mixture.capacity)),
+                                 sample_times=times, out=mixture.buffer)
+            mixture.fold(block.states)
+            del block
+        comparisons = mixture.compare(oracle)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert all(c.distance <= 1e-12 for c in comparisons)
-    assert mixture_bytes(d, checkpoints, rows) <= peak <= 1.1 * mixture_bytes(d, checkpoints, rows)
+    assert mixture.capacity < k
+    assert [c.size for c in comparisons] == [k] * checkpoints
+    counted = mixture_bytes(d, checkpoints, block_rows(d))
+    assert counted <= peak <= 1.1 * counted
+
+
+def test_mixture_folds_whole_chunks_until_the_last():
+    psi = gaussian_packet(GRID, 20.0, 2.0)
+    mixture = Mixture([1.0], GRID.points)
+    mixture.fold(np.broadcast_to(psi.amplitudes, (1, MIXTURE_CHUNK, GRID.points)))
+    mixture.fold(np.broadcast_to(psi.amplitudes, (1, 100, GRID.points)))
+    # a chunk would now straddle two folds, and the sums would depend on the windows
+    with pytest.raises(ValueError, match="partial chunk"):
+        mixture.fold(np.broadcast_to(psi.amplitudes, (1, 100, GRID.points)))
+    with pytest.raises(ValueError, match="does not hold states"):
+        Mixture([0.5, 1.0], GRID.points).fold(np.zeros((1, 4, GRID.points), dtype=complex))
+    (report,) = mixture.compare({1.0: psi.density_matrix()})
+    assert report.size == MIXTURE_CHUNK + 100
+    assert report.distance <= 1e-12
 
 
 def test_compare_single_matching_pure_state():

@@ -1,13 +1,11 @@
 import math
 import os
-import weakref
 
 import numpy as np
 import pytest
 
-from collapselab import scenarios
+from collapselab import lindblad, scenarios
 from collapselab.errors import ConfigError, GridAdequacyError
-from collapselab.grw import block_rows
 from collapselab.lindblad import MIXTURE_CHUNK, LindbladConfig, check_oracle_budget
 from collapselab.scenarios import (
     EprConfig,
@@ -168,32 +166,46 @@ def test_oracle_comparison_reproducible():
     assert a.aggregates["threshold"] == 5.0 / math.sqrt(150)
 
 
-def test_oracle_comparison_keeps_at_most_one_chunk_of_trajectories(monkeypatch):
-    # the trajectories' states live one block at a time: each is folded into
-    # the mixture buffer and dropped before the next block is evolved
-    alive = peak = 0
-    sizes = []
+def test_oracle_comparison_evolves_each_window_into_the_mixture_buffer(monkeypatch):
+    # a serial run holds one window of trajectory states: each window is
+    # evolved straight into the mixture buffer, folded, and overwritten by the next
+    buffers, sizes = set(), []
 
-    def released() -> None:
-        nonlocal alive
-        alive -= 1
-
-    def tracked(*args, **kwargs):
-        nonlocal alive, peak
-        block = evolve(*args, **kwargs)
-        weakref.finalize(block.states, released)
-        alive += 1
-        peak = max(peak, alive)
+    def tracked(*args, out=None, **kwargs):
+        block = evolve(*args, out=out, **kwargs)
+        assert np.shares_memory(block.states, out)
+        buffers.add(id(out))
         sizes.append(block.states.shape[1])
         return block
 
     evolve = scenarios.evolve_block
     monkeypatch.setattr(scenarios, "evolve_block", tracked)
+    monkeypatch.setattr(lindblad, "MIXTURE_BUFFER_BYTES", 1)  # windows of one chunk
     k = 3 * MIXTURE_CHUNK + 17
     rep = run_oracle_comparison(OracleComparisonConfig(horizon=1.0), k, 5, workers=1)
     assert rep.aggregates["ensemble_size"] == k == sum(sizes)
-    assert peak == 1
-    assert max(sizes) == block_rows(64) < MIXTURE_CHUNK
+    assert sizes == [MIXTURE_CHUNK] * 3 + [17]
+    assert len(buffers) == 1
+
+
+def test_oracle_comparison_round_count_is_pinned(monkeypatch):
+    # event rounds of the benchmark's ensemble_m64 run at seed 1: 2345 in 64-row
+    # blocks of trials in trial order, 411 in 256-row blocks sorted by event count
+    # within each 2048-trial window
+    rounds = []
+
+    def counted(*args, **kwargs):
+        block = evolve(*args, **kwargs)
+        rounds.append(block.rounds)
+        return block
+
+    evolve = scenarios.evolve_block
+    monkeypatch.setattr(scenarios, "evolve_block", counted)
+    config = OracleComparisonConfig(hamiltonian="free", grid_points=64)
+    rep = run_oracle_comparison(config, 10_000, 1, workers=1)
+    assert all(rep.aggregates["within_threshold"])
+    assert len(rounds) == 5
+    assert sum(rounds) == 411
 
 
 def test_oracle_comparison_requires_minimum_ensemble():
@@ -293,10 +305,10 @@ def test_pool_keeps_a_bounded_window_of_tasks(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
     monkeypatch.setattr(scenarios.os, "cpu_count", lambda: 2)
-    # 160 items over 2 workers: tasks of 160 // 16 = 10 items, at most 4 ahead
-    for i, result in enumerate(scenarios._map_indexed(lambda x: x * x, range(160), 2)):
+    # 16 items over 2 workers: one task per item, at most 2 ahead of the consumer
+    for i, result in enumerate(scenarios._map_indexed(lambda x: x * x, range(16), 2)):
         assert result == i * i
-        assert len(submitted) <= i // 10 + 4
+        assert len(submitted) <= i + 2
     assert len(submitted) == 16
 
 
