@@ -28,6 +28,7 @@ from .grw import (
     Trajectory,
     apply_jump,
     evolve_block,
+    evolve_equivariant,
     evolve_trajectory,
     jump_density,
     localization_operator,
@@ -35,9 +36,9 @@ from .grw import (
 )
 from .lindblad import (
     LindbladConfig,
-    compare_mixtures,
+    Mixture,
     ensemble_compare,
-    integrate,
+    integrate_with_snapshots,
     lindblad_rhs,
     trace_distance,
 )

@@ -38,20 +38,20 @@ kernel acts on each row alone and names the output of each binary
 operation, so a row's bits depend neither on B nor on the rows it is
 evolved with.  ``block_rows`` sizes a block at 64 rows or 256 KiB of the
 (B, d) array, whichever is more, so the fixed cost of a round is shared
-by at least 64 rows.  There is one default code path:
-``evolve_trajectory`` is a one-trial window, and ``jump_density``,
-``jump_mass``, ``apply_jump`` and ``Propagator.advance`` run one row of
-the block kernels.  No kernel calls BLAS: norms and sums are elementwise
-products and ``np.sum``.
+by at least 64 rows.  ``evolve_trajectory`` is a one-trial window, and
+``jump_density``, ``jump_mass``, ``apply_jump`` and
+``Propagator.advance`` run one row of the block kernels.  No kernel
+calls BLAS: norms and sums are elementwise products and ``np.sum``.
 
-The ``equivariant`` mode runs one trajectory at a time, and all its
-state updates commute bit-exactly with cyclic grid translations: norms
-and inner sums use math.fsum (order-independent, correctly rounded),
-the propagator is applied as an fsum circulant matvec, and jump centres
-come from a cumulative table anchored at its argmax.  Translating the
-initial state by s sites then reproduces the original trajectory
-translated by s, for the same seed and trial.  The default mode has
-identical statistics.
+``evolve_equivariant`` runs one trajectory whose state updates commute
+bit-exactly with cyclic grid translations, with kernels of its own:
+norms and inner sums use math.fsum (order-independent, correctly
+rounded), the propagator is applied as an fsum circulant matvec on a
+single grid factor, and jump centres come from a cumulative table
+anchored at its argmax.  Translating the initial state by s sites then
+reproduces the original trajectory translated by s, for the same seed
+and trial.  It takes the same jump times as ``evolve_block`` and has
+the same statistics.
 """
 from __future__ import annotations
 
@@ -260,24 +260,6 @@ def window_masses(weights: np.ndarray, grid: Grid, center: float, halfwidth: flo
     return np.sum(weights.compress(np.abs(d) <= halfwidth, axis=1), axis=1)
 
 
-# -- equivariant kernels ----------------------------------------------------
-
-
-def _fsum_norm(vec: np.ndarray) -> float:
-    return math.sqrt(math.fsum(_abs2_rows(vec[None, :])[0]))
-
-
-def _circulant_matvec_fsum(col: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """out[q] = sum_p col[(q - p) mod M] vec[p], order-independent sums."""
-    m = vec.size
-    idx = np.arange(m)
-    out = np.empty(m, dtype=complex)
-    for q in range(m):
-        terms = col[(q - idx) % m] * vec
-        out[q] = complex(math.fsum(terms.real), math.fsum(terms.imag))
-    return out
-
-
 # -- jump law ----------------------------------------------------------------
 
 
@@ -357,49 +339,19 @@ def jump_mass(psi: StateVector, particle: int, grid: Grid, params: GrwParams) ->
     return float(_raw_jump_tables(w[None, :], grid, params.alpha)[1][0])
 
 
-def jump_density(
-    psi: StateVector,
-    particle: int,
-    grid: Grid,
-    params: GrwParams,
-    *,
-    equivariant: bool = False,
-) -> np.ndarray:
+def jump_density(psi: StateVector, particle: int, grid: Grid, params: GrwParams) -> np.ndarray:
     """Probability table over grid points for the next jump centre."""
     w = _position_weights(psi, particle, grid)
-    if not equivariant:
-        return _jump_tables(w[None, :], grid, params)[0]
-    g2 = gaussian_template(grid, params.alpha) ** 2
-    raw = np.array([math.fsum(np.roll(g2, k) * w) for k in range(grid.points)]) * grid.spacing
-    total = math.fsum(raw)
-    _check_jump_mass(np.array([total]))
-    return raw / total
+    return _jump_tables(w[None, :], grid, params)[0]
 
 
 def apply_jump(
-    psi: StateVector,
-    particle: int,
-    center: float,
-    grid: Grid,
-    params: GrwParams,
-    *,
-    equivariant: bool = False,
+    psi: StateVector, particle: int, center: float, grid: Grid, params: GrwParams
 ) -> StateVector:
     """L(center) psi / ||L(center) psi||, acting on one particle only."""
-    k = grid.index_of(center)
-    if not equivariant:
-        rows = np.array(psi.amplitudes)[None, :]
-        _localize(rows, psi.shape, particle, grid, params.alpha, np.array([k]))
-        return StateVector(psi.shape, rows[0])
-    gk = np.roll(gaussian_template(grid, params.alpha), k)
-    axis = psi.shape.validate_index(particle)
-    shape = [1] * len(psi.shape.dims)
-    shape[axis] = grid.points
-    arr = (psi.reshaped() * gk.reshape(shape)).reshape(-1)
-    norm = _fsum_norm(arr)
-    if norm < ZERO_NORM_FLOOR:
-        raise ZeroNormError(f"jump at {center} hit a zero-probability centre")
-    return StateVector(psi.shape, arr / norm)
+    rows = np.array(psi.amplitudes)[None, :]
+    _localize(rows, psi.shape, particle, grid, params.alpha, np.array([grid.index_of(center)]))
+    return StateVector(psi.shape, rows[0])
 
 
 def sample_jump_times(
@@ -496,10 +448,8 @@ class Propagator:
     O(M log M), and the propagator keeps only the M real eigenvalues (in
     FFT order, not sorted).  ``advance_rows`` advances each row of an
     (n, d) array by its own time; ``advance`` is its one-row case.
-    ``advance_equivariant`` instead applies the propagator as an fsum
-    circulant matvec with first column ``column(tau)``, which commutes
-    bit-exactly with translations.  Raises ConfigError for anything but a
-    real 1-D column that is even, the condition for H to be symmetric.
+    Raises ConfigError for anything but a real 1-D column that is even,
+    the condition for H to be symmetric.
     """
 
     def __init__(self, col: np.ndarray, hbar: float = 1.0):
@@ -515,9 +465,6 @@ class Propagator:
         self.eigenvalues = np.fft.fft(col).real
         self.max_energy = float(np.max(np.abs(self.eigenvalues)))
 
-    def _phases(self, tau: float) -> np.ndarray:
-        return np.exp(self.eigenvalues * (-1j * tau / self.hbar))
-
     def advance_rows(
         self, rows: np.ndarray, taus: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
@@ -529,7 +476,7 @@ class Propagator:
         spectrum = np.fft.fft(rows, axis=1, out=out)
         for piece in _pieces(len(spectrum)):
             part = spectrum[piece]
-            # exp(0 + i theta) with theta = -(tau / hbar) E: the bits of _phases(tau)
+            # exp(0 + i theta) with theta = -(tau / hbar) E
             phases = np.zeros(part.shape, dtype=complex)
             np.multiply(np.negative(np.divide(taus[piece], self.hbar))[:, None],
                         self.eigenvalues, out=phases.imag)
@@ -539,12 +486,6 @@ class Propagator:
 
     def advance(self, amplitudes: np.ndarray, tau: float) -> np.ndarray:
         return self.advance_rows(np.asarray(amplitudes)[None, :], np.array([tau]))[0]
-
-    def column(self, tau: float) -> np.ndarray:
-        return np.fft.ifft(self._phases(tau))
-
-    def advance_equivariant(self, amplitudes: np.ndarray, tau: float) -> np.ndarray:
-        return _circulant_matvec_fsum(self.column(tau), amplitudes)
 
 
 def validate_step(dt: float, propagator: Propagator | None) -> None:
@@ -648,14 +589,25 @@ def evolve_block(
     final_only: bool = False,
     out: np.ndarray | None = None,
 ) -> Block:
-    """Run one stochastic realization per trial in ``trials``, all from ``psi0``.
+    """Run one stochastic realization per trial in ``trials``, all from
+    ``psi0``, up to ``horizon``.
 
-    The arguments mean what they mean for ``evolve_trajectory``; row i
-    is the realization that ``evolve_trajectory`` runs for trial
-    ``trials[i]`` of ``seed``.  With ``final_only`` only the state at
-    the last sample time is kept.  The states go to a new (kept samples,
-    n, d) array, or to the first n rows of ``out``, a complex (kept
-    samples, >= n, d) array, and ``Block.states`` is that view.
+    Between events the state is advanced by ``propagator`` (None for no
+    Hamiltonian), whose circulant acts on the whole space; build it once
+    and reuse it across calls.  At each Poisson jump time a centre is
+    drawn from the jump density of the affected particle and the
+    localization applied.  Jumps occur only on subsystems present in
+    ``grid_map``; ``rate_factors`` scales the base rate per particle
+    (used for pointer amplification, always explicit).  Without
+    ``sample_times`` the state is sampled every ``dt`` from 0.
+
+    Random draws: row i is trial ``trials[i]`` of master seed ``seed``
+    (``rng``).  For particle p's k-th jump, draw 2k of tag ``rng.JUMPS +
+    p`` gives the gap before it (inverse-CDF exponential) and draw 2k + 1
+    its centre (``sample_jump_times``).  With ``final_only`` only the
+    state at the last sample time is kept.  The states go to a new (kept
+    samples, n, d) array, or to the first n rows of ``out``, a complex
+    (kept samples, >= n, d) array, and ``Block.states`` is that view.
 
     The trials form one window.  Their jump schedules are drawn once, in
     batches of B = ``block_rows(d)`` trials, and the trials are stably
@@ -770,38 +722,41 @@ def evolve_trajectory(
     *,
     sample_times: Sequence[float] | None = None,
     rate_factors: Mapping[int, float] | None = None,
-    equivariant: bool = False,
 ) -> Trajectory:
-    """Run one stochastic realization up to ``horizon``.
-
-    Between events the state is advanced by ``propagator`` (None for no
-    Hamiltonian), whose circulant acts on the whole space; build it once
-    and reuse it across calls.  At each Poisson jump time a
-    centre is drawn from the jump density of the affected particle and
-    the localization applied.  Jumps occur only on subsystems present
-    in ``grid_map``; ``rate_factors`` scales the base rate per particle
-    (used for pointer amplification, always explicit).  Without
-    ``sample_times`` the state is sampled every ``dt`` from 0.
-
-    Random draws: the realization is trial ``trial`` of master seed
-    ``seed`` (``rng``).  For particle p's k-th jump, draw 2k of tag
-    ``rng.JUMPS + p`` gives the gap before it (inverse-CDF exponential)
-    and draw 2k + 1 its centre (``sample_jump_times``).  Both modes use
-    the same draws; the default mode is a one-trial ``evolve_block``.
-    """
-    if equivariant:
-        return _evolve_equivariant(psi0, propagator, params, grid_map, horizon, dt, seed,
-                                   trial, sample_times, rate_factors)
+    """Trial ``trial`` of ``seed`` as a one-trial ``evolve_block``, whose
+    arguments these are, with its states and its jump record."""
     block = evolve_block(psi0, propagator, params, grid_map, horizon, dt, seed, [trial],
                          sample_times=sample_times, rate_factors=rate_factors)
     return Trajectory(tuple(StateVector(psi0.shape, s[0]) for s in block.states), block.jumps(0))
 
 
-def _evolve_equivariant(
-    psi0: StateVector, propagator: Propagator | None, params: GrwParams,
-    grid_map: Mapping[int, Grid], horizon: float, dt: float, seed: int, trial: int,
-    sample_times: Sequence[float] | None, rate_factors: Mapping[int, float] | None,
+# -- translation-equivariant trajectories ------------------------------------
+
+
+def evolve_equivariant(
+    psi0: StateVector,
+    propagator: Propagator | None,
+    params: GrwParams,
+    grid_map: Mapping[int, Grid],
+    horizon: float,
+    dt: float,
+    seed: int,
+    trial: int,
+    *,
+    sample_times: Sequence[float] | None = None,
+    rate_factors: Mapping[int, float] | None = None,
 ) -> Trajectory:
+    """Trial ``trial`` of ``seed``, with state updates that commute
+    bit-exactly with cyclic grid translations (module docstring).
+
+    The arguments, draws, jump times and jump particles are those of
+    ``evolve_trajectory``.  On a single grid factor the propagator is an
+    fsum circulant matvec; on several it is ``Propagator.advance``, so
+    with a Hamiltonian only single-factor runs are bit-exact.  A jump
+    centre is drawn by the same uniform from the same law, but from an
+    fsum jump table summed from its argmax, so it may differ from the one
+    ``evolve_trajectory`` draws.
+    """
     times = _checked_sample_times(psi0, propagator, grid_map, horizon, dt, sample_times)
     rates = _rates(params, grid_map, rate_factors)
     n_jumps, jump_times, jump_particles, centre_draws = sample_jump_times(
@@ -813,7 +768,8 @@ def _evolve_equivariant(
     schedule += [(t, 0, -1) for t in times]
     schedule.sort(key=lambda e: (e[0], e[1]))
 
-    single_factor = len(psi0.shape.dims) == 1
+    shape = psi0.shape
+    single_factor = len(shape.dims) == 1
     amps = np.array(psi0.amplitudes, dtype=complex)
     now = 0.0
     jumps: list[JumpEvent] = []
@@ -822,30 +778,67 @@ def _evolve_equivariant(
         gap = t - now
         if propagator is not None and gap > 0:
             if single_factor:
-                amps = propagator.advance_equivariant(amps, gap)
+                amps = _fsum_advance(propagator, amps, gap)
             else:
                 amps = propagator.advance(amps, gap)
         now = t
         if kind == 0:
-            sampled.append(StateVector(psi0.shape, amps / _fsum_norm(amps)))
+            sampled.append(StateVector(shape, amps / _fsum_norm(amps)))
             continue
         grid = grid_map[payload]
-        state = StateVector(psi0.shape, amps)
-        table = jump_density(state, payload, grid, params, equivariant=True)
+        table = _fsum_jump_table(marginal_weights(amps[None, :], shape, payload)[0], grid, params)
         # a cumulative sum anchored at the argmax commutes with cyclic
         # translations of the table whenever the maximum is unique
         anchor = int(np.argmax(table))
         u = centre_draws[:, len(jumps)]
         k = (anchor + int(draw_rows(np.roll(table, -anchor)[None, :], u)[0])) % grid.points
-        center = grid.origin + k * grid.spacing
-        amps = np.array(
-            apply_jump(state, payload, center, grid, params, equivariant=True).amplitudes
-        )
-        jumps.append(JumpEvent(t, payload, center))
+        amps = _fsum_localize(amps, shape, payload, grid, params.alpha, k)
+        jumps.append(JumpEvent(t, payload, grid.origin + k * grid.spacing))
     return Trajectory(tuple(sampled), tuple(jumps))
 
 
-# -- state builders and diagnostics ------------------------------------------
+def _fsum_norm(vec: np.ndarray) -> float:
+    return math.sqrt(math.fsum(_abs2_rows(vec[None, :])[0]))
+
+
+def _fsum_advance(propagator: Propagator, vec: np.ndarray, tau: float) -> np.ndarray:
+    """exp(-i H tau / hbar) vec as out[q] = sum_p col[(q - p) mod M] vec[p],
+    with col the propagator's first column and order-independent sums."""
+    col = np.fft.ifft(np.exp(propagator.eigenvalues * (-1j * tau / propagator.hbar)))
+    m = vec.size
+    idx = np.arange(m)
+    out = np.empty(m, dtype=complex)
+    for q in range(m):
+        terms = col[(q - idx) % m] * vec
+        out[q] = complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return out
+
+
+def _fsum_jump_table(weights: np.ndarray, grid: Grid, params: GrwParams) -> np.ndarray:
+    """The jump table of one particle's position weights, every sum an fsum."""
+    g2 = gaussian_template(grid, params.alpha) ** 2
+    raw = np.array([math.fsum(np.roll(g2, k) * weights) for k in range(grid.points)]) * grid.spacing
+    total = math.fsum(raw)
+    _check_jump_mass(np.array([total]))
+    return raw / total
+
+
+def _fsum_localize(
+    amps: np.ndarray, shape: SubsystemShape, particle: int, grid: Grid, alpha: float, k: int
+) -> np.ndarray:
+    """L(x_k) on ``particle``, renormalized by an fsum norm."""
+    across = [1] * len(shape.dims)
+    across[shape.validate_index(particle)] = grid.points
+    g = np.roll(gaussian_template(grid, alpha), k)
+    arr = (amps.reshape(shape.dims) * g.reshape(across)).reshape(-1)
+    norm = _fsum_norm(arr)
+    if norm < ZERO_NORM_FLOOR:
+        center = grid.origin + k * grid.spacing
+        raise ZeroNormError(f"jump at {center} hit a zero-probability centre")
+    return arr / norm
+
+
+# -- state builders ------------------------------------------------------------
 
 
 def gaussian_packet(grid: Grid, center: float, width: float) -> StateVector:
@@ -865,37 +858,17 @@ def gaussian_packet(grid: Grid, center: float, width: float) -> StateVector:
     return StateVector(SubsystemShape((grid.points,)), amps / norm)
 
 
-def superpose(states: Sequence[StateVector], amplitudes: Sequence[complex]) -> StateVector:
-    acc = np.zeros_like(states[0].amplitudes)
-    for s, a in zip(states, amplitudes):
-        acc = acc + a * s.amplitudes
-    return StateVector(states[0].shape, acc).normalize()
-
-
 def two_peak_state(
     grid: Grid, centers: Sequence[float], weights: Sequence[float], width: float
 ) -> StateVector:
     """Superposition of packets with given probability weights."""
-    packets = [gaussian_packet(grid, c, width) for c in centers]
-    return superpose(packets, [math.sqrt(w) for w in weights])
+    acc = np.zeros(grid.points, dtype=complex)
+    for c, w in zip(centers, weights):
+        acc = acc + math.sqrt(w) * gaussian_packet(grid, c, width).amplitudes
+    return StateVector(SubsystemShape((grid.points,)), acc).normalize()
 
 
 def translate_state(psi: StateVector, particle: int, sites: int) -> StateVector:
     """Cyclically shift one factor by an integer number of grid sites."""
     axis = psi.shape.validate_index(particle)
     return StateVector(psi.shape, np.roll(psi.reshaped(), sites, axis=axis).reshape(-1))
-
-
-def position_distribution(psi: StateVector, particle: int, grid: Grid) -> np.ndarray:
-    return _position_weights(psi, particle, grid)
-
-
-def position_mean(psi: StateVector, particle: int, grid: Grid) -> float:
-    w = _position_weights(psi, particle, grid)
-    return float(mean_positions(w[None, :], grid)[0])
-
-
-def window_mass(psi: StateVector, particle: int, grid: Grid, center: float, halfwidth: float) -> float:
-    """Probability mass within a minimal-image window around ``center``."""
-    w = _position_weights(psi, particle, grid)
-    return float(window_masses(w[None, :], grid, center, halfwidth)[0])

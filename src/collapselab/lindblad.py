@@ -78,8 +78,7 @@ states into a buffer of at most max(MIXTURE_BUFFER_BYTES, one
 MIXTURE_CHUNK of checkpoint states), which is folded into the
 checkpoints * d^2 sums before the next window overwrites it, so the
 comparison never holds O(K * checkpoints * d) amplitudes.
-``compare_mixtures`` does the same for states that arrive as arrays, by
-copying them into the buffer.  ``mixture_bytes`` counts the sums, the
+``mixture_bytes`` counts the sums, the
 buffer and the working rows of a window, and the oracle budget includes
 them for an ensemble comparison.
 """
@@ -88,7 +87,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -408,18 +407,6 @@ def integrate_with_snapshots(
     return final, snapshots
 
 
-def integrate(
-    rho0: DensityMatrix,
-    hamiltonian: np.ndarray | None,
-    params: GrwParams,
-    grids: Mapping[int, Grid],
-    config: LindbladConfig,
-) -> DensityMatrix:
-    """Statistical operator at the horizon (see integrate_with_snapshots)."""
-    final, _ = integrate_with_snapshots(rho0, hamiltonian, params, grids, config)
-    return final
-
-
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """(1/2) ||a - b||_1 via the spectrum of the Hermitian difference."""
     w = np.linalg.eigvalsh(a.entries - b.entries)
@@ -444,7 +431,7 @@ def ensemble_compare(
     """Trace distance between the empirical mixture and the oracle at time ``at``.
 
     ``mixture_sum`` is the sum of psi psi^dagger over ``size`` trajectory
-    states (``compare_mixtures`` folds it).  The threshold 5/sqrt(K) is
+    states (``Mixture.fold`` adds it up).  The threshold 5/sqrt(K) is
     the standard Monte Carlo error scale with an explicit safety factor.
     """
     if size < 1:
@@ -456,12 +443,6 @@ def ensemble_compare(
         distance=trace_distance(rho_mc, rho_oracle),
         threshold=5.0 / math.sqrt(size),
     )
-
-
-def _check_states(states: np.ndarray, checkpoints: int, dim: int) -> None:
-    if states.ndim != 3 or states.shape[0] != checkpoints or states.shape[2] != dim:
-        raise ValueError(f"a block of shape {states.shape} does not hold states at the "
-                         f"oracle's {checkpoints} times on its {dim}-dimensional space")
 
 
 class Mixture:
@@ -490,7 +471,10 @@ class Mixture:
 
     def fold(self, states: np.ndarray) -> None:
         """Add the rows of (checkpoints, n, d) ``states``."""
-        _check_states(states, len(self.times), self.sums.shape[1])
+        checkpoints, dim = len(self.times), self.sums.shape[1]
+        if states.ndim != 3 or states.shape[0] != checkpoints or states.shape[2] != dim:
+            raise ValueError(f"a block of shape {states.shape} does not hold states at the "
+                             f"oracle's {checkpoints} times on its {dim}-dimensional space")
         if self.size % MIXTURE_CHUNK:
             raise ValueError("only the last fold may take a partial chunk")
         for total, rows in zip(self.sums, states):
@@ -503,35 +487,3 @@ class Mixture:
         """The mixture against the oracle state at each of its times."""
         return [ensemble_compare(total, self.size, oracle[t], t)
                 for total, t in zip(self.sums, self.times)]
-
-
-def compare_mixtures(
-    blocks: Iterable[np.ndarray], oracle: Mapping[float, DensityMatrix]
-) -> list[EnsembleComparison]:
-    """The trajectory mixture against the oracle at each of its times.
-
-    Each item of ``blocks`` is a (checkpoints, rows, d) array: the states
-    of ``rows`` trajectories at the oracle's times, in the mapping's
-    order, of any number of rows.  The states are copied into a
-    ``Mixture``'s buffer as they arrive, so no block has to be kept, and
-    the buffer is folded when full and once more at the end.
-    """
-    times = list(oracle)
-    d = oracle[times[0]].shape.total_dim
-    mixture = Mixture(times, d)
-    filled = 0
-    for block in blocks:
-        _check_states(block, len(times), d)
-        done = 0
-        while done < block.shape[1]:
-            take = min(mixture.capacity - filled, block.shape[1] - done)
-            mixture.buffer[:, filled:filled + take] = block[:, done:done + take]
-            done += take
-            filled += take
-            if filled == mixture.capacity:
-                mixture.fold(mixture.buffer)
-                filled = 0
-        del block  # the next block is built while the loop waits for it
-    if filled:
-        mixture.fold(mixture.buffer[:, :filled])
-    return mixture.compare(oracle)

@@ -5,7 +5,7 @@ Every scenario is driven by a master seed.  Each random draw is a pure
 function of (master seed, trial, index, tag) (``rng``): a singlet
 trial's B and A outcomes are its draws 0 and 1 of tag ``rng.OUTCOMES``,
 an ``epr`` trial's b outcome is its draw 0 of that tag, and trajectories
-draw their jump schedules and centres as ``grw.evolve_trajectory``
+draw their jump schedules and centres as ``grw.sample_jump_times``
 says.  Trials run in windows, one pool task each, and each window's draws
 come from array computations over its trials.  A trajectory window is
 one ``grw.evolve_block`` call, which sorts its trials into blocks of
@@ -443,7 +443,8 @@ class OracleComparisonConfig:
     peak_weights: tuple[float, ...] = setting((0.5, 0.5), "", POSITIVE, key="peaks")
     packet_width: float = setting(2.0, "initial packet position spread", POSITIVE)
     horizon: float = setting(5.0, "total evolution time", POSITIVE)
-    dt: float = setting(0.01, "step bound / sampling resolution", POSITIVE)
+    dt: float = setting(0.01, "time step, only checked against 0.01*hbar/max|E|; samples "
+                        "are taken at the checkpoints", POSITIVE)
     checkpoints: int = setting(4, "number of equally spaced comparison times", COUNT)
     record_trials: bool = False
 
@@ -476,9 +477,9 @@ class OracleComparisonConfig:
 class _Ensemble:
     """What every trajectory of an oracle-compare or grw-run shares.
 
-    Built once per run and handed to the blocks of trials by ``partial``;
-    workers receive it pickled with each chunk of blocks (the propagator
-    is M floats).
+    Built once per run and handed to the windows of trials by ``partial``;
+    each window is one pool task, and a worker receives the ensemble
+    pickled with it (the propagator is M floats).
     """
 
     config: OracleComparisonConfig

@@ -16,10 +16,10 @@ from collapselab.grw import (
     Propagator,
     block_rows,
     evolve_block,
-    evolve_trajectory,
+    evolve_equivariant,
     free_hamiltonian,
     marginal_weights,
-    position_mean,
+    mean_positions,
     translate_state,
     two_peak_state,
     window_masses,
@@ -32,7 +32,7 @@ from collapselab.ks import (
     search_coloring,
     unit_propagate,
 )
-from collapselab.lindblad import LindbladConfig, dephasing_rate, integrate
+from collapselab.lindblad import LindbladConfig, dephasing_rate, integrate_with_snapshots
 from collapselab.scenarios import (
     EprConfig,
     OracleComparisonConfig,
@@ -153,7 +153,7 @@ def test_criterion_07_dephasing_closed_form():
 
     rho0 = StateVector(SubsystemShape((64,)), amps).density_matrix()
     config = LindbladConfig(dt=0.005, horizon=1.0)
-    rho_t = integrate(rho0, None, params, {0: grid}, config)
+    rho_t = integrate_with_snapshots(rho0, None, params, {0: grid}, config)[0]
     x = grid.coordinates()
     worst = 0.0
     pairs = [(24, 26), (24, 28), (24, 32), (20, 32), (24, 40)]
@@ -290,11 +290,10 @@ def test_criterion_12_translation_covariance():
     shift = 5
     times = [0.5, 1.0, 1.5, 2.0]
 
-    base = evolve_trajectory(psi, prop, params, {0: grid}, 2.0, 0.02, 112, 0,
-                             sample_times=times, equivariant=True)
-    shifted = evolve_trajectory(translate_state(psi, 0, shift), prop, params, {0: grid},
-                                2.0, 0.02, 112, 0, sample_times=times,
-                                equivariant=True)
+    base = evolve_equivariant(psi, prop, params, {0: grid}, 2.0, 0.02, 112, 0,
+                              sample_times=times)
+    shifted = evolve_equivariant(translate_state(psi, 0, shift), prop, params, {0: grid},
+                                 2.0, 0.02, 112, 0, sample_times=times)
     exact = len(base.jumps) > 0 and all(
         np.array_equal(np.roll(s1.amplitudes, shift), s2.amplitudes)
         for s1, s2 in zip(base.states, shifted.states)
@@ -304,20 +303,18 @@ def test_criterion_12_translation_covariance():
     )
 
     seeds = 1000
-    base_means = []
-    shifted_means = []
-    psi_shifted = translate_state(psi, 0, shift)
-    for i in range(seeds):
-        t1 = evolve_trajectory(psi, prop, params, {0: grid}, 2.0, 0.02,
-                               1120, i, sample_times=[2.0])
-        base_means.append(position_mean(t1.states[-1], 0, grid))
-        t2 = evolve_trajectory(psi_shifted, prop, params, {0: grid}, 2.0, 0.02,
-                               1121, i, sample_times=[2.0])
-        shifted_means.append(position_mean(t2.states[-1], 0, grid))
+
+    def final_means(state, seed):
+        block = evolve_block(state, prop, params, {0: grid}, 2.0, 0.02, seed, range(seeds),
+                             sample_times=[2.0])
+        return mean_positions(marginal_weights(block.states[-1], state.shape, 0), grid)
+
+    base_means = final_means(psi, 1120)
+    shifted_means = final_means(translate_state(psi, 0, shift), 1121)
     # no-jump trajectories put a deterministic atom in both samples; quantize
     # well below the grid scale so float noise cannot split equal atoms
-    sample_a = np.round(np.array(base_means) + shift * grid.spacing, 6)
-    sample_b = np.round(np.array(shifted_means), 6)
+    sample_a = np.round(base_means + shift * grid.spacing, 6)
+    sample_b = np.round(shifted_means, 6)
     _, p_value = scipy.stats.ks_2samp(sample_a, sample_b)
     ok = exact and p_value >= 0.01
     _line(12, "translation covariance", ok,

@@ -14,6 +14,7 @@ from collapselab.grw import (
     apply_jump,
     circulant,
     evolve_block,
+    evolve_equivariant,
     evolve_trajectory,
     free_hamiltonian,
     gaussian_packet,
@@ -21,12 +22,12 @@ from collapselab.grw import (
     jump_density,
     jump_mass,
     localization_operator,
-    position_distribution,
-    position_mean,
+    marginal_weights,
+    mean_positions,
     sample_jump_times,
     translate_state,
     two_peak_state,
-    window_mass,
+    window_masses,
 )
 from collapselab.hilbert import StateVector, SubsystemShape, partial_trace, tensor_product
 from collapselab.rng import draw_rows
@@ -36,6 +37,11 @@ PARAMS = GrwParams(alpha=0.0625, lam=1.0, mass=10.0)  # localization width 4 spa
 
 WIDE_GRID = Grid(128, 1.0)
 WIDE_PARAMS = GrwParams(alpha=0.01, lam=1.0)  # localization width 10 spacings
+
+
+def position_weights(psi):
+    """The position weights of a single-factor state, as a one-row array."""
+    return marginal_weights(psi.amplitudes[None, :], psi.shape, 0)
 
 
 def draw_index(weights, u):
@@ -144,7 +150,7 @@ def test_packets_narrower_than_the_spacing_raise_no_numpy_warning():
 def test_equivariant_and_fast_tables_agree():
     psi = two_peak_state(GRID, (24.0, 40.0), (0.6, 0.4), 2.0)
     fast = jump_density(psi, 0, GRID, PARAMS)
-    slow = jump_density(psi, 0, GRID, PARAMS, equivariant=True)
+    slow = grw._fsum_jump_table(position_weights(psi)[0], GRID, PARAMS)
     np.testing.assert_allclose(fast, slow, atol=1e-14)
 
 
@@ -263,7 +269,7 @@ def test_jump_selects_branch_of_distant_superposition():
     params = GrwParams(alpha=0.0625, lam=1.0)
     psi = two_peak_state(grid, (32.0, 80.0), (0.5, 0.5), 2.0)
     out = apply_jump(psi, 0, 32.0, grid, params)
-    assert window_mass(out, 0, grid, 32.0, 24.0) >= 1.0 - 1e-6
+    assert window_masses(position_weights(out), grid, 32.0, 24.0)[0] >= 1.0 - 1e-6
 
 
 def test_jump_on_product_state_leaves_other_factor_unchanged():
@@ -381,8 +387,8 @@ def test_propagator_matches_expm_oracle():
         got = prop.advance(psi, tau)
         assert np.max(np.abs(got - expected)) <= 1e-9
         assert abs(np.linalg.norm(got) - 1.0) <= 1e-12
-        first = scipy.linalg.expm(-1j * h * tau)[:, 0]
-        assert np.max(np.abs(prop.column(tau) - first)) <= 1e-9
+        # the fsum circulant matvec of evolve_equivariant
+        assert np.max(np.abs(grw._fsum_advance(prop, psi, tau) - expected)) <= 1e-9
 
 
 def test_propagator_rejects_non_circulant_or_non_hermitian_h():
@@ -444,17 +450,13 @@ def test_localization_statistics_match_born_weights():
     psi = two_peak_state(GRID, (24.0, 40.0), weights, 2.0)
     params = GrwParams(alpha=0.0625, lam=2.0)
     runs = 200
-    picked = []
-    for i in range(runs):
-        traj = evolve_trajectory(
-            psi, None, params, {0: GRID}, 10.0, 0.1, 200, i, sample_times=[10.0]
-        )
-        final = traj.states[-1]
-        m1 = window_mass(final, 0, GRID, 24.0, 8.0)
-        m2 = window_mass(final, 0, GRID, 40.0, 8.0)
-        assert max(m1, m2) >= 0.99
-        picked.append(0 if m1 > m2 else 1)
-    freq_1 = picked.count(0) / runs
+    block = evolve_block(psi, None, params, {0: GRID}, 10.0, 0.1, 200, range(runs),
+                         sample_times=[10.0])
+    final = marginal_weights(block.states[-1], psi.shape, 0)
+    m1 = window_masses(final, GRID, 24.0, 8.0)
+    m2 = window_masses(final, GRID, 40.0, 8.0)
+    assert np.all(np.maximum(m1, m2) >= 0.99)
+    freq_1 = np.count_nonzero(m1 > m2) / runs
     sigma = math.sqrt(weights[0] * weights[1] / runs)
     assert abs(freq_1 - weights[0]) <= 3 * sigma
 
@@ -464,20 +466,39 @@ def test_seed_matched_translation_covariance_is_exact():
     prop = Propagator(free_hamiltonian(GRID, mass=10.0))
     shift = 9
     times = [0.7, 1.4, 2.0]
-    base = evolve_trajectory(
-        psi, prop, PARAMS, {0: GRID}, 2.0, 0.02, 5, 0,
-        sample_times=times, equivariant=True,
-    )
-    translated = evolve_trajectory(
-        translate_state(psi, 0, shift), prop, PARAMS, {0: GRID}, 2.0, 0.02, 5, 0,
-        sample_times=times, equivariant=True,
-    )
+    base = evolve_equivariant(psi, prop, PARAMS, {0: GRID}, 2.0, 0.02, 5, 0,
+                              sample_times=times)
+    translated = evolve_equivariant(translate_state(psi, 0, shift), prop, PARAMS, {0: GRID},
+                                    2.0, 0.02, 5, 0, sample_times=times)
     assert len(base.jumps) == len(translated.jumps) > 0
     for j1, j2 in zip(base.jumps, translated.jumps):
         assert j1.time == j2.time
         assert (GRID.index_of(j2.center) - GRID.index_of(j1.center)) % GRID.points == shift
     for s1, s2 in zip(base.states, translated.states):
         assert np.array_equal(np.roll(s1.amplitudes, shift), s2.amplitudes)
+
+
+@pytest.mark.parametrize("factors", [1, 2])
+def test_equivariant_mode_takes_the_block_jump_schedule(factors):
+    # the same (seed, trial) gives both engines the same jump times and particles
+    if factors == 1:
+        psi = two_peak_state(GRID, (24.0, 40.0), (0.6, 0.4), 2.0)
+        grids, params, rate_factors = {0: GRID}, PARAMS, None
+    else:
+        small = Grid(16, 1.0)
+        psi = tensor_product(gaussian_packet(small, 8.0, 2.0), gaussian_packet(small, 4.0, 2.0))
+        grids, params, rate_factors = {0: small, 1: small}, GrwParams(alpha=0.25, lam=0.5), {1: 3.0}
+    # H acts on the whole space: any even column of the total dimension will do
+    prop = Propagator(free_hamiltonian(Grid(psi.shape.total_dim, 1.0), mass=10.0))
+    times = [1.0, 2.0]
+    block = evolve_block(psi, prop, params, grids, 2.0, 0.02, 17, range(6),
+                         sample_times=times, rate_factors=rate_factors)
+    for i in range(6):
+        traj = evolve_equivariant(psi, prop, params, grids, 2.0, 0.02, 17, i,
+                                  sample_times=times, rate_factors=rate_factors)
+        assert [(j.time, j.particle) for j in traj.jumps] == [
+            (j.time, j.particle) for j in block.jumps(i)]
+    assert set(block.jump_particles.tolist()) == set(grids)
 
 
 def test_rate_factors_scale_jump_counts():
@@ -495,11 +516,10 @@ def test_rate_factors_scale_jump_counts():
 
 
 def test_position_helpers():
-    psi = gaussian_packet(GRID, 20.0, 2.0)
-    w = position_distribution(psi, 0, GRID)
+    w = position_weights(gaussian_packet(GRID, 20.0, 2.0))
     assert abs(w.sum() - 1.0) <= 1e-12
-    assert abs(position_mean(psi, 0, GRID) - 20.0) <= 0.05
-    assert window_mass(psi, 0, GRID, 20.0, 10.0) >= 1.0 - 1e-6
+    assert abs(mean_positions(w, GRID)[0] - 20.0) <= 0.05
+    assert window_masses(w, GRID, 20.0, 10.0)[0] >= 1.0 - 1e-6
 
 
 def test_params_validation():

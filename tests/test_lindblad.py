@@ -33,11 +33,9 @@ from collapselab.lindblad import (
     LindbladConfig,
     Mixture,
     check_oracle_budget,
-    compare_mixtures,
     dephasing_rate,
     ensemble_compare,
     generator_norm,
-    integrate,
     integrate_with_snapshots,
     lindblad_rhs,
     mixture_bytes,
@@ -49,6 +47,19 @@ from collapselab.lindblad import (
 
 GRID = Grid(64, 1.0)
 PARAMS = GrwParams(alpha=0.0625, lam=1.0, mass=10.0)
+
+
+def evolved_mixture(psi, propagator, params, grid, horizon, dt, seed, trials, times):
+    """The trials' Mixture at ``times``, evolved in windows of whole
+    MIXTURE_CHUNKs straight into its buffer, as run_oracle_comparison does."""
+    mixture = Mixture(times, grid.points)
+    for start in range(0, len(trials), mixture.capacity):
+        block = evolve_block(psi, propagator, params, {0: grid}, horizon, dt, seed,
+                             trials[start:start + mixture.capacity], sample_times=times,
+                             out=mixture.buffer)
+        mixture.fold(block.states)
+        del block  # before the next window is evolved
+    return mixture
 
 
 def random_density(rng, dims):
@@ -311,8 +322,8 @@ def test_oracle_budget_rejects_on_the_estimate_alone(monkeypatch):
     monkeypatch.setattr(lindblad, "MAX_ORACLE_BYTES", 100)
     rho0 = random_density(np.random.default_rng(12), (8,))
     with pytest.raises(ConfigError, match="horizon"):
-        integrate(rho0, None, GrwParams(alpha=0.25, lam=0.1), {0: Grid(8, 1.0)},
-                  LindbladConfig(dt=0.1, horizon=1.0))
+        integrate_with_snapshots(rho0, None, GrwParams(alpha=0.25, lam=0.1), {0: Grid(8, 1.0)},
+                                 LindbladConfig(dt=0.1, horizon=1.0))
 
 
 def test_integrate_rejects_non_hermitian_hamiltonian():
@@ -320,8 +331,8 @@ def test_integrate_rejects_non_hermitian_hamiltonian():
     rho0 = random_density(rng, (8,))
     h = rng.normal(size=8)  # not even, so its circulant is not symmetric
     with pytest.raises(ConfigError, match="not even"):
-        integrate(rho0, h, GrwParams(alpha=0.25, lam=0.1), {0: Grid(8, 1.0)},
-                  LindbladConfig(dt=0.01, horizon=0.1))
+        integrate_with_snapshots(rho0, h, GrwParams(alpha=0.25, lam=0.1), {0: Grid(8, 1.0)},
+                                 LindbladConfig(dt=0.01, horizon=0.1))
 
 
 def test_hamiltonian_column_must_span_the_whole_space():
@@ -352,7 +363,7 @@ def test_integrate_unitary_case_matches_exact_conjugation():
     col = random_even_column(rng, 8)
     params = GrwParams(alpha=0.25, lam=0.0)
     config = LindbladConfig(dt=0.002, horizon=1.0)
-    got = integrate(rho0, col, params, {0: Grid(8, 1.0)}, config)
+    got, _ = integrate_with_snapshots(rho0, col, params, {0: Grid(8, 1.0)}, config)
     u = scipy.linalg.expm(-1j * scipy.linalg.circulant(col) * config.horizon)
     expected = u @ rho0.entries @ u.conj().T
     assert np.max(np.abs(got.entries - expected)) <= 1e-12
@@ -362,7 +373,7 @@ def test_integrate_pure_dephasing_matches_closed_form():
     psi = two_peak_state(GRID, (24.0, 40.0), (0.5, 0.5), 2.0)
     rho0 = psi.density_matrix()
     config = LindbladConfig(dt=0.01, horizon=2.0)
-    rho_t = integrate(rho0, None, PARAMS, {0: GRID}, config)
+    rho_t, _ = integrate_with_snapshots(rho0, None, PARAMS, {0: GRID}, config)
     x = GRID.coordinates()
     for q, p in [(24, 40), (22, 30), (24, 28)]:
         expected = rho0.entries[q, p] * math.exp(
@@ -376,7 +387,7 @@ def test_integrate_preserves_trace_hermiticity_positivity():
     rho0 = random_density(rng, (GRID.points,))
     h = free_hamiltonian(GRID, mass=10.0)
     config = LindbladConfig(dt=0.01, horizon=3.0)
-    rho_t = integrate(rho0, h, PARAMS, {0: GRID}, config)
+    rho_t, _ = integrate_with_snapshots(rho0, h, PARAMS, {0: GRID}, config)
     assert abs(np.trace(rho_t.entries) - 1.0) <= 1e-8
     assert np.max(np.abs(rho_t.entries - rho_t.entries.conj().T)) <= 1e-8
     assert rho_t.min_eigenvalue() >= -1e-6
@@ -423,13 +434,8 @@ def test_mixture_bytes_bound_what_the_comparison_allocates():
     oracle = {t: psi.density_matrix() for t in times}  # oracle_cost counts these
     tracemalloc.start()
     try:
-        mixture = Mixture(times, d)
-        for start in range(0, k, mixture.capacity):
-            block = evolve_block(psi, propagator, params, {0: grid}, times[-1], 0.01, 7,
-                                 range(start, min(k, start + mixture.capacity)),
-                                 sample_times=times, out=mixture.buffer)
-            mixture.fold(block.states)
-            del block
+        mixture = evolved_mixture(psi, propagator, params, grid, times[-1], 0.01, 7, range(k),
+                                  times)
         comparisons = mixture.compare(oracle)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -457,11 +463,9 @@ def test_mixture_folds_whole_chunks_until_the_last():
 
 def test_compare_single_matching_pure_state():
     psi = gaussian_packet(GRID, 20.0, 2.0)
-    block = evolve_block(
-        psi, None, GrwParams(alpha=0.0625, lam=0.0), {0: GRID}, 1.0, 0.1, 0, [0],
-        sample_times=[1.0],
-    )
-    (report,) = compare_mixtures([block.states], {1.0: psi.density_matrix()})
+    mixture = evolved_mixture(psi, None, GrwParams(alpha=0.0625, lam=0.0), GRID, 1.0, 0.1, 0,
+                              range(1), [1.0])
+    (report,) = mixture.compare({1.0: psi.density_matrix()})
     assert report.distance <= 1e-10
     assert report.size == 1
     assert report.time == 1.0
@@ -472,13 +476,12 @@ def test_compare_deterministic_ensemble_against_unitary_oracle():
     h = free_hamiltonian(GRID, mass=10.0)
     params = GrwParams(alpha=0.0625, lam=0.0, mass=10.0)
     times = [1.0, 2.0]
-    block = evolve_block(psi, Propagator(h), params, {0: GRID}, 2.0, 0.02,
-                         1, range(20), sample_times=times)
+    mixture = evolved_mixture(psi, Propagator(h), params, GRID, 2.0, 0.02, 1, range(20), times)
     config = LindbladConfig(dt=0.01, horizon=2.0)
     _, snaps = integrate_with_snapshots(
         psi.density_matrix(), h, params, {0: GRID}, config, snapshot_times=times
     )
-    comparisons = compare_mixtures([block.states], {t: snaps[t] for t in times})
+    comparisons = mixture.compare({t: snaps[t] for t in times})
     assert [c.time for c in comparisons] == times
     assert all(c.distance <= 1e-8 for c in comparisons)
 
@@ -487,7 +490,7 @@ def test_compare_rejects_empty_and_missing_times():
     psi = gaussian_packet(GRID, 20.0, 2.0)
     rho = psi.density_matrix()
     with pytest.raises(ValueError):
-        compare_mixtures([], {1.0: rho})
+        Mixture([1.0], GRID.points).compare({1.0: rho})
     with pytest.raises(ValueError):
         ensemble_compare(np.zeros((GRID.points, GRID.points), dtype=complex), 0, rho, at=1.0)
     block = evolve_block(
@@ -496,7 +499,7 @@ def test_compare_rejects_empty_and_missing_times():
     )
     # one checkpoint state against two oracle states
     with pytest.raises(ValueError):
-        compare_mixtures([block.states], {0.5: rho, 1.0: rho})
+        Mixture([0.5, 1.0], GRID.points).fold(block.states)
 
 
 def test_compare_chunked_mixture_matches_outer_product_sum(monkeypatch):
@@ -507,21 +510,22 @@ def test_compare_chunked_mixture_matches_outer_product_sum(monkeypatch):
     assert k % MIXTURE_CHUNK != 0
     block = evolve_block(psi, None, params, {0: grid}, 0.5, 0.05,
                          3, range(k), sample_times=[0.5])
-    oracle = integrate(psi.density_matrix(), None, params, {0: grid},
-                       LindbladConfig(dt=0.01, horizon=0.5))
+    oracle, _ = integrate_with_snapshots(psi.density_matrix(), None, params, {0: grid},
+                                         LindbladConfig(dt=0.01, horizon=0.5))
     acc = np.zeros((32, 32), dtype=complex)
     for state in block.states[0]:
         acc += np.outer(state, state.conj())
     expected = trace_distance(DensityMatrix(oracle.shape, acc / k), oracle)
-    (got,) = compare_mixtures([block.states], {0.5: oracle})
+    (got,) = evolved_mixture(psi, None, params, grid, 0.5, 0.05, 3, range(k),
+                             [0.5]).compare({0.5: oracle})
     assert got.size == k
     assert abs(got.distance - expected) <= 1e-13
-    # blocks of any size, and a buffer of one chunk that folds more often,
-    # add the same rows in the same order, to the same bits
-    split = [block.states[:, i:i + 7] for i in range(0, k, 7)]
+    # windows of any number of whole chunks, here a buffer of one chunk that
+    # folds more often, add the same rows in the same order, to the same bits
     monkeypatch.setattr(lindblad, "MIXTURE_BUFFER_BYTES", 1)
-    (small,) = compare_mixtures(split, {0.5: oracle})
-    assert small.distance == got.distance
+    small = evolved_mixture(psi, None, params, grid, 0.5, 0.05, 3, range(k), [0.5])
+    assert small.capacity == MIXTURE_CHUNK < k
+    assert small.compare({0.5: oracle})[0].distance == got.distance
 
 
 def test_distance_decreases_with_ensemble_size():
@@ -529,21 +533,14 @@ def test_distance_decreases_with_ensemble_size():
     psi = two_peak_state(GRID, (24.0, 40.0), (0.5, 0.5), 2.0)
     params = GrwParams(alpha=0.0625, lam=1.0)
     config = LindbladConfig(dt=0.02, horizon=2.0)
-    rho_t = integrate(psi.density_matrix(), None, params, {0: GRID}, config)
-    wins = 0
+    rho_t, _ = integrate_with_snapshots(psi.density_matrix(), None, params, {0: GRID}, config)
     reps = 20
-    rows = 500
-    for rep in range(reps):
-        blocks = [
-            evolve_block(psi, None, params, {0: GRID}, 2.0, 0.02,
-                         500 + rep, range(start, start + rows),
-                         sample_times=[2.0]).states
-            for start in range(0, 10_000, rows)
-        ]
-        (small,) = compare_mixtures([blocks[0][:, :100]], {2.0: rho_t})
-        (large,) = compare_mixtures(blocks, {2.0: rho_t})
-        d_small, d_large = small.distance, large.distance
-        wins += d_large < d_small
+
+    def distance(k, seed):
+        mixture = evolved_mixture(psi, None, params, GRID, 2.0, 0.02, seed, range(k), [2.0])
+        return mixture.compare({2.0: rho_t})[0].distance
+
+    wins = sum(distance(10_000, 500 + rep) < distance(100, 500 + rep) for rep in range(reps))
     assert wins >= 0.95 * reps
 
 
