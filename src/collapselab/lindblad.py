@@ -37,8 +37,9 @@ L rho = lam R * rho - (i/hbar)[H, rho], computed as a truncated Taylor
 series (the ``expmv`` scheme of Al-Mohy and Higham, "Computing the
 action of the matrix exponential", SIAM J. Sci. Comput. 33(2), 488-511,
 2011).  The time line is cut at 0, the snapshot times and the horizon;
-each interval of length Delta takes s = ceil(Delta ||L||) substeps of
-length tau = Delta / s, so tau ||L|| <= 1, with
+each interval of length Delta takes s = ceil(Delta ||L|| / theta)
+substeps of length tau = Delta / s, so tau ||L|| <= theta =
+TAYLOR_THETA = 4, with
 
     ||L|| <= 2 max|E| / hbar + lam max|R|
 
@@ -46,9 +47,12 @@ in the Hilbert-Schmidt norm (max|E| is ``Propagator.max_energy``).
 A substep adds the terms T_k = (tau / k) L T_(k-1), T_0 = rho, until two
 consecutive terms fall below the unit roundoff of the running sum,
 ||T_k|| + ||T_(k-1)|| <= 2^-53 ||rho||, and never past k =
-MAX_TAYLOR_TERMS = 18: for tau ||L|| <= 1 the terms after it sum to
-less than 10^-17 of the substep's starting norm.  Snapshot times need
-not fall on any grid.
+MAX_TAYLOR_TERMS = 32: for tau ||L|| <= 4 the terms after it sum to
+less than 10^-17 of the substep's starting norm (4^33 / 33! < 2^-53 / 10).
+Long substeps are what make the series cheap: the term count grows
+far slower than the substep, so the default free-H oracle, at
+Delta ||L|| ~ 2.5 per checkpoint interval, takes one substep per
+interval.  Snapshot times need not fall on any grid.
 
 Each term is one right-hand side, and the commutator costs one matrix
 product.  With K = H rho,
@@ -100,13 +104,13 @@ TRACE_TOL = 1e-8
 HERMITICITY_TOL = 1e-8
 POSITIVITY_FLOOR = -1e-6
 UNIT_ROUNDOFF = 2.0**-53
-MAX_TAYLOR_TERMS = 18  # right-hand sides per substep; 1/19! < UNIT_ROUNDOFF / 10
+TAYLOR_THETA = 4.0  # bound of tau ||L|| for one Taylor substep
+MAX_TAYLOR_TERMS = 32  # right-hand sides per substep; 4^33/33! < UNIT_ROUNDOFF / 10
 MIXTURE_CHUNK = 256  # trials stacked per GEMM in Mixture.fold; fixes the summation order
-# Amplitudes of a Mixture's buffer, one window of trajectories, between runs
-# of GEMMs.  A threaded BLAS call leaves its helper threads spinning for
-# ~80 ms; folding every chunk kept a core spinning through the whole
-# 10^4-trial M = 64 benchmark run (CPU time 3.0 s -> 5.2 s); an 8 MB buffer
-# folds that run in five bursts.
+# Amplitudes of a Mixture's buffer, one window of trajectories.  A window
+# sorts its trials by event count (``grw.evolve_block``), so a larger buffer
+# makes blocks of more alike trials and fewer event rounds; 8 MB holds the
+# 10^4-trial M = 64 benchmark run in five windows.
 MIXTURE_BUFFER_BYTES = 8 * 2**20
 
 
@@ -126,9 +130,9 @@ class LindbladConfig:
 
 def taylor_substeps(horizon: float, norm: float, snapshots: int) -> float:
     """Upper bound of the Taylor substeps of one integration: ceil(horizon
-    ||L||) over the whole window plus one partial substep per snapshot
-    interval (inf when horizon ||L|| overflows)."""
-    work = horizon * norm
+    ||L|| / TAYLOR_THETA) over the whole window plus one partial substep
+    per snapshot interval (inf when horizon ||L|| overflows)."""
+    work = horizon * norm / TAYLOR_THETA
     return float(math.ceil(work) + snapshots) if math.isfinite(work) else math.inf
 
 
@@ -321,8 +325,9 @@ def _taylor(
     buffers: tuple[np.ndarray, np.ndarray],
     work: tuple[np.ndarray, np.ndarray],
 ) -> None:
-    """rho <- exp(span L) rho in place, in ceil(span * norm) substeps."""
-    substeps = max(1, math.ceil(span * norm))
+    """rho <- exp(span L) rho in place, in ceil(span * norm / TAYLOR_THETA)
+    substeps of at most MAX_TAYLOR_TERMS right-hand sides each."""
+    substeps = max(1, math.ceil(span * norm / TAYLOR_THETA))
     tau = span / substeps
     for _ in range(substeps):
         term, nxt = buffers

@@ -21,11 +21,12 @@ def run_cli(args):
     return main(args)
 
 
-def _run_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+def _run_python(code: str, *args: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package,
+    with ``env`` (default: this process's environment) as its environment."""
     src = str(Path(collapselab.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, timeout=60)
 
@@ -47,6 +48,35 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_no_multiprocessing():
     # the process pool is imported by the runs that start one, not by every start-up
     assert _modules_loaded_by_cli_import("multiprocessing") == "[]"
+
+
+# the BLAS thread variables as numpy's first import sees them, then after the
+# package import; a meta-path probe records them when numpy is first looked up
+_THREAD_PROBE = """
+import json, os, sys
+names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+seen = []
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append([os.environ.get(v) for v in names])
+sys.meta_path.insert(0, Probe())
+import collapselab
+print(json.dumps(seen + [[os.environ.get(v) for v in names]]))
+"""
+
+
+@pytest.mark.parametrize("preset,expected", [
+    ({}, ["1", None]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["2", None]),
+    ({"OMP_NUM_THREADS": "2"}, [None, "2"]),
+], ids=["unset", "openblas", "omp"])
+def test_import_sets_one_blas_thread_unless_the_user_chose(preset, expected):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    result = _run_python(_THREAD_PROBE, env={**env, **preset})
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [expected, expected]
 
 
 # -- help and key enumeration --------------------------------------------------
@@ -198,7 +228,7 @@ def test_invalid_inputs_are_config_errors_naming_the_key(args, key, capsys):
 
 
 @pytest.mark.parametrize("args,key", [
-    # ~10^9 Taylor substeps; with lambda = 0 the trajectory budget does not fire first
+    # ~5*10^8 Taylor substeps; with lambda = 0 the trajectory budget does not fire first
     (["oracle-compare", "--k", "100", "--hamiltonian", "free", "--lambda", "0",
       "--horizon", "1e9"], "horizon"),
     (["grw-run", "--trajectories", "2", "--lambda", "1e8"], "lambda"),

@@ -44,6 +44,7 @@ from collapselab.lindblad import (
     taylor_substeps,
     trace_distance,
 )
+from collapselab.scenarios import OracleComparisonConfig, run_oracle_comparison
 
 GRID = Grid(64, 1.0)
 PARAMS = GrwParams(alpha=0.0625, lam=1.0, mass=10.0)
@@ -203,11 +204,6 @@ def test_integrate_matches_expm_of_the_dense_liouvillian():
         SubsystemShape((grid.points,)), np.asfortranarray(psi.density_matrix().entries)
     )
     assert not rho0.entries.flags.c_contiguous
-    config = LindbladConfig(dt=0.01, horizon=1.0)
-    times = [1.0 / 3.0, 1.0]  # snapshot times need not divide the horizon
-    final, snaps = integrate_with_snapshots(
-        rho0, h, params, {0: grid}, config, snapshot_times=times
-    )
 
     g = np.stack([
         np.real(np.diag(localization_operator(grid, params.alpha, k * grid.spacing).entries))
@@ -220,15 +216,24 @@ def test_integrate_matches_expm_of_the_dense_liouvillian():
     liouvillian = (-1j / params.hbar) * (np.kron(hm, eye) - np.kron(eye, hm.T)) + np.diag(
         params.lam * (c - 1.0).ravel()
     )
-    vec = np.array(rho0.entries).ravel()
-    now = 0.0
-    for t in times:
-        vec = scipy.linalg.expm((t - now) * liouvillian) @ vec
-        now = t
-        reference = vec.reshape(grid.points, grid.points)
-        assert np.max(np.abs(snaps[t].entries - reference)) <= 1e-13
-    assert np.max(np.abs(final.entries - reference)) <= 1e-13
-    assert np.array_equal(final.entries, final.entries.conj().T)
+    for horizon, times in [
+        (1.0, [1.0 / 3.0, 1.0]),  # snapshot times need not divide the horizon
+        (4.0, [2.0, 4.0]),  # one substep per interval, at tau ||L|| = 3.97 of TAYLOR_THETA = 4
+        (10.0, [10.0]),  # five substeps
+    ]:
+        final, snaps = integrate_with_snapshots(
+            rho0, h, params, {0: grid}, LindbladConfig(dt=0.01, horizon=horizon),
+            snapshot_times=times,
+        )
+        vec = np.array(rho0.entries).ravel()
+        now = 0.0
+        for t in times:
+            vec = scipy.linalg.expm((t - now) * liouvillian) @ vec
+            now = t
+            reference = vec.reshape(grid.points, grid.points)
+            assert np.max(np.abs(snaps[t].entries - reference)) <= 1e-13
+        assert np.max(np.abs(final.entries - reference)) <= 1e-13
+        assert np.array_equal(final.entries, final.entries.conj().T)
 
 
 @pytest.mark.parametrize("layout", ["none", "pointer"])
@@ -301,13 +306,13 @@ def test_overlap_kernel_is_an_exactly_symmetric_circulant():
 def test_oracle_budget_rejects_on_the_estimate_alone(monkeypatch):
     d = 256
     # the default free-H oracle-compare: ||L|| <= 2 max|E| + lam = 1.99, so
-    # ceil(5 * 1.99) substeps plus one per checkpoint interval
+    # ceil(5 * 1.99 / 4) substeps plus one per checkpoint interval
     norm = generator_norm(Propagator(free_hamiltonian(Grid(d, 1.0), mass=10.0)), 1.0)
-    assert taylor_substeps(5.0, norm, 4) == 14
+    assert taylor_substeps(5.0, norm, 4) == 7
     assert taylor_substeps(1e308, norm, 4) == math.inf
     # rho, rates and 4 snapshots; with H also H, 2 series terms and 2 work arrays
-    assert oracle_cost(d, 14, 4, True) == (14 * 18 * 4 * d**3, (24 + 4 * 16 + 8 + 4 * 16) * d**2)
-    assert oracle_cost(d, 14, 4, False) == (0, (24 + 4 * 16) * d**2)
+    assert oracle_cost(d, 7, 4, True) == (7 * 32 * 4 * d**3, (24 + 4 * 16 + 8 + 4 * 16) * d**2)
+    assert oracle_cost(d, 7, 4, False) == (0, (24 + 4 * 16) * d**2)
     config = LindbladConfig(dt=0.01, horizon=5.0)
     check_oracle_budget(256, norm, config, 4)  # the largest benchmark oracle
     with pytest.raises(ConfigError, match="points"):
@@ -324,6 +329,25 @@ def test_oracle_budget_rejects_on_the_estimate_alone(monkeypatch):
     with pytest.raises(ConfigError, match="horizon"):
         integrate_with_snapshots(rho0, None, GrwParams(alpha=0.25, lam=0.1), {0: Grid(8, 1.0)},
                                  LindbladConfig(dt=0.1, horizon=1.0))
+
+
+@pytest.mark.parametrize("points", [64, 256])
+def test_default_free_oracle_makes_82_right_hand_sides(monkeypatch, points):
+    # a substep's first right-hand side is of the state (trace 1), every later
+    # one of a series term (traceless), so the traces count the substeps
+    rhs, firsts = lindblad._rhs, []
+
+    def counted(rho, *args):
+        firsts.append(abs(np.trace(rho)) > 0.5)
+        return rhs(rho, *args)
+
+    monkeypatch.setattr(lindblad, "_rhs", counted)
+    config = OracleComparisonConfig(hamiltonian="free", grid_points=points)
+    run_oracle_comparison(config, 100, 1)
+    assert len(firsts) == 82
+    # one substep per checkpoint interval, within the budget's estimate
+    norm = generator_norm(Propagator(free_hamiltonian(Grid(points, 1.0), mass=10.0)), 1.0)
+    assert sum(firsts) == 4 <= taylor_substeps(config.horizon, norm, config.checkpoints)
 
 
 def test_integrate_rejects_non_hermitian_hamiltonian():
