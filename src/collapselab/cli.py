@@ -7,8 +7,9 @@ override file values, defaults fill the rest (all enumerated in
 digits), so the same invocation with the same seed writes byte-identical
 files; per-trial tables go to CSV on request.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical or
-grid-adequacy error, 4 internal invariant violation.
+Exit codes: 0 success, 2 configuration error (an ``--out`` or ``--csv``
+path that cannot be written included), 3 numerical or grid-adequacy
+error, 4 internal invariant violation.
 """
 from __future__ import annotations
 
@@ -279,14 +280,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_path(key: str, path: str) -> None:
+    """Reject an output path that cannot be written, before any work."""
+    if os.path.isdir(path):
+        raise ConfigError(f"key '{key}': {path} is a directory")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"key '{key}': directory {folder} does not exist")
+
+
 def _write_output(text: str, path: str | None, created: list[str]) -> None:
     if path is None:
         sys.stdout.write(text)
         return
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        _cleanup([tmp])
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
     created.append(path)
 
 
@@ -296,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     created: list[str] = []
     try:
         values = _merge(args.command, args)
+        for key in ("out", "csv"):
+            if values.get(key):
+                _check_output_path(key, values[key])
         report = _COMMANDS[args.command](values)
         _write_output(report.to_json(), values.get("out"), created)
         csv_path = values.get("csv")

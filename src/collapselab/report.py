@@ -5,13 +5,20 @@ Reports serialize to canonical JSON: keys sorted, floats rendered with
 variance.  Re-running a scenario with the same configuration and seed
 therefore produces byte-identical files.  Wall time is recorded on the
 object but excluded from the canonical form.
+
+Per-trial records are held as columns, one numpy array or list per
+field, from the scenario to the file; no object per trial is built.
+Each column's cells are rendered once per distinct value, and the JSON
+rows fill one template of the sorted keys with those texts, so the
+report's bytes are those of canonical_json over the row objects.
 """
 from __future__ import annotations
 
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import islice
+from typing import Any, Callable
 
 import numpy as np
 
@@ -103,48 +110,106 @@ def canonical_json(obj: Any) -> str:
     return "".join(out)
 
 
+Columns = dict[str, Any]  # field name -> numpy array or list, one cell per trial
+
+
 @dataclass
 class ExperimentReport:
-    """Aggregated outcome statistics of one scenario run."""
+    """Aggregated outcome statistics of one scenario run.
+
+    ``trials``, when present, holds the per-trial records as columns: a
+    mapping from field name to a numpy array or a list, all of one length,
+    row i of every column making trial i's record.  ``to_json`` writes
+    them as the list of row objects, keys sorted; ``trials_csv`` as a
+    table whose columns keep the mapping's order.
+    """
 
     scenario: str
     config: dict
     master_seed: int | None
     aggregates: dict
-    trials: list[dict] | None = None
+    trials: Columns | None = None
     schema_version: int = SCHEMA_VERSION
     wall_time_s: float | None = field(default=None, compare=False)
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        d = {
+    def __post_init__(self) -> None:
+        if self.trials is not None and len({len(c) for c in self.trials.values()}) > 1:
+            raise ValueError("trial columns must all have the same length")
+
+    def to_json(self, include_timing: bool = False) -> str:
+        fields = {
             "schema_version": self.schema_version,
             "scenario": self.scenario,
             "config": self.config,
             "master_seed": self.master_seed,
             "aggregates": self.aggregates,
         }
-        if self.trials is not None:
-            d["trials"] = self.trials
         if include_timing and self.wall_time_s is not None:
-            d["wall_time_s"] = self.wall_time_s
-        return d
-
-    def to_json(self, include_timing: bool = False) -> str:
-        return canonical_json(self.to_dict(include_timing=include_timing)) + "\n"
+            fields["wall_time_s"] = self.wall_time_s
+        texts = {key: [canonical_json(value)] for key, value in fields.items()}
+        if self.trials is not None:
+            texts["trials"] = _json_rows(self.trials)
+        out: list[str] = []
+        for key in sorted(texts):
+            out.append(("," if out else "{") + _escape(key) + ":")
+            out += texts[key]
+        out.append("}\n")
+        return "".join(out)
 
     def trials_csv(self) -> str:
         """Per-trial table as CSV (deterministic column order)."""
-        if not self.trials:
+        if not self.trials or not len(next(iter(self.trials.values()))):
             return ""
         import csv
 
-        columns = list(self.trials[0].keys())
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in self.trials:
-            writer.writerow([_csv_cell(row.get(c)) for c in columns])
+        writer.writerow(self.trials)
+        writer.writerows(zip(*(_column_texts(c, _csv_cell) for c in self.trials.values())))
         return buf.getvalue()
+
+
+_ROWS_PER_PIECE = 4096  # rows formatted at a time: one piece's row strings are alive at once
+
+
+def _json_rows(columns: Columns) -> list[str]:
+    """The canonical JSON list of the columns' row objects, as pieces of
+    text.  One template holds the sorted keys; each row fills it with its
+    cells' texts."""
+    keys = sorted(columns)
+    template = "{" + ",".join(_escape(k).replace("%", "%%") + ":%s" for k in keys) + "}"
+    rows = zip(*(_column_texts(columns[k], canonical_json) for k in keys))
+    pieces = ["["]
+    while chunk := list(islice(rows, _ROWS_PER_PIECE)):
+        if len(pieces) > 1:
+            pieces.append(",")
+        pieces.append(",".join(map(template.__mod__, chunk)))
+    pieces.append("]")
+    return pieces
+
+
+def _column_texts(column: Any, cell: Callable[[Any], str]) -> list[str]:
+    """``cell`` of every entry of ``column``, called once per distinct
+    value: once per bit pattern in a numeric array, once per object in a
+    list or object array.  Values are never merged by ==, so -0.0 and 0.0,
+    or True and 1, keep their own texts."""
+    if not len(column):
+        return []
+    if isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
+        rows = np.ascontiguousarray(column).reshape(len(column), -1)
+        size = rows.shape[1] * rows.itemsize
+        if not size:  # rows without entries all read the same
+            return [cell(column[0])] * len(column)
+        bits = np.dtype(f"u{size}") if size in (1, 2, 4, 8) else np.dtype((np.void, size))
+        distinct, inverse = np.unique(rows.view(bits).ravel(), return_inverse=True)
+        where = np.empty(len(distinct), dtype=np.intp)
+        where[inverse] = np.arange(len(column))  # a row holding each distinct value
+        texts = np.array([cell(v) for v in column[where].tolist()], dtype=object)
+        return texts[inverse].tolist()
+    values = list(column) if isinstance(column, np.ndarray) else column  # alive while ids are
+    ids = list(map(id, values))
+    texts_of = {i: cell(v) for i, v in dict(zip(ids, values)).items()}
+    return list(map(texts_of.__getitem__, ids))
 
 
 def _csv_cell(v: Any) -> str:
@@ -156,4 +221,6 @@ def _csv_cell(v: Any) -> str:
         return str(int(v))
     if isinstance(v, bool):
         return str(v).lower()
+    if isinstance(v, (list, tuple, np.ndarray)):
+        return canonical_json(v)
     return str(v)

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -75,11 +75,16 @@ T = TypeVar("T")
 Item = TypeVar("Item")
 
 POINTER_BRANCH_THRESHOLD = 0.99  # below this on both branches a trial is inconclusive
+_A_OUTCOMES = np.array([None, "delta1", "delta3"], dtype=object)  # inconclusive, then by branch
+_B_OUTCOMES = np.array(["delta2", "delta4"], dtype=object)
 
 # Work budgets, checked before a run starts: ten times the largest tier-1
 # or benchmark run (3*10^4 trials; 1.04*10^5 trajectory events, epr at 4000
 # trials).  Grid sizes are bounded by hilbert.MAX_TOTAL_DIM instead.
-MAX_TRIALS = 10**6  # every trial's record stays in memory until the report is written
+# Every trial's record stays in memory, as columns, until the report is
+# written: a 10^6-trial singlet peaks at ~400 MB RSS, ~370 bytes a trial,
+# most of it the report text (139 bytes a trial), held twice while joined.
+MAX_TRIALS = 10**6
 MAX_EVENTS = 10**6  # trials * (lambda * rate factor * horizon + checkpoints)
 SINGLET_BLOCK = 4096  # trials per block of a singlet run
 # Blocks per window of an epr or grw-run.  The window keeps the final states of
@@ -146,6 +151,12 @@ def _blocks(n: int, rows: int) -> list[range]:
 def _windows(n: int, dim: int) -> list[range]:
     """Trial indices 0 .. n - 1 in the windows of an epr or grw-run."""
     return _blocks(n, WINDOW_BLOCKS * block_rows(dim))
+
+
+def _joined(windows: Iterable[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """The trial columns of consecutive windows, joined into the run's columns."""
+    windows = list(windows)
+    return {key: np.concatenate([w[key] for w in windows]) for key in windows[0]}
 
 
 # -- position EPR with a collapsing pointer ----------------------------------
@@ -221,37 +232,28 @@ def _epr_initial_state(config: EprConfig) -> tuple[StateVector, Grid]:
 
 def _epr_window(
     config: EprConfig, psi: StateVector, grid: Grid, params: GrwParams, trials: range
-) -> list[dict]:
+) -> dict[str, np.ndarray]:
     # without a Hamiltonian and with explicit sample times, the step only has to be positive
     block = evolve_block(psi, None, params, {2: grid}, config.horizon, config.horizon,
                          config.master_seed, trials, sample_times=[config.horizon],
                          rate_factors={2: float(config.amplification)})
     final = block.states[-1]
     region_a = marginal_weights(final, psi.shape, 0)
-    region_b = marginal_weights(final, psi.shape, 1)
-    pointer_mean = mean_positions(marginal_weights(final, psi.shape, 2), grid)
-    draws_b = uniforms(config.master_seed, trials, OUTCOMES, 1)[:, 0].tolist()
-    records = []
-    for row, index in enumerate(trials):
-        w1, w3 = float(region_a[row, 0]), float(region_a[row, 1])
-        conclusive = max(w1, w3) >= POINTER_BRANCH_THRESHOLD
-        outcome_a = None
-        if conclusive:
-            outcome_a = "delta1" if w1 > w3 else "delta3"
-        prob_b_delta2 = float(region_b[row, 0])
-        outcome_b = "delta2" if draws_b[row] < prob_b_delta2 else "delta4"
-        records.append({
-            "trial": index,
-            "conclusive": conclusive,
-            "outcome_a": outcome_a,
-            "outcome_b": outcome_b,
-            "weight_delta1": w1,
-            "weight_delta3": w3,
-            "prob_b_delta2": prob_b_delta2,
-            "n_jumps": int(block.n_jumps[row]),
-            "pointer_mean": float(pointer_mean[row]),
-        })
-    return records
+    w1, w3 = region_a[:, 0], region_a[:, 1]
+    prob_b_delta2 = marginal_weights(final, psi.shape, 1)[:, 0]
+    conclusive = np.maximum(w1, w3) >= POINTER_BRANCH_THRESHOLD
+    draws_b = uniforms(config.master_seed, trials, OUTCOMES, 1)[:, 0]
+    return {
+        "trial": np.arange(trials.start, trials.stop),
+        "conclusive": conclusive.astype(object),
+        "outcome_a": _A_OUTCOMES[np.where(conclusive, np.where(w1 > w3, 1, 2), 0)],
+        "outcome_b": _B_OUTCOMES[np.where(draws_b < prob_b_delta2, 0, 1)],
+        "weight_delta1": w1,
+        "weight_delta3": w3,
+        "prob_b_delta2": prob_b_delta2,
+        "n_jumps": block.n_jumps,
+        "pointer_mean": mean_positions(marginal_weights(final, psi.shape, 2), grid),
+    }
 
 
 def _epr_oracle_b_marginal(
@@ -282,32 +284,30 @@ def run_epr_position(config: EprConfig) -> ExperimentReport:
     oracle_b = _epr_oracle_b_marginal(config, psi, grid)
     params = GrwParams(alpha=config.pointer_alpha, lam=config.base_rate)
     windows = _windows(config.trials, psi.shape.total_dim)
-    trials = [t for records in _map_indexed(
-        partial(_epr_window, config, psi, grid, params), windows, config.workers
-    ) for t in records]
+    trials = _joined(_map_indexed(
+        partial(_epr_window, config, psi, grid, params), windows, config.workers))
 
-    conclusive = [t for t in trials if t["conclusive"]]
-    n_c = len(conclusive)
-    a1 = sum(1 for t in conclusive if t["outcome_a"] == "delta1")
-    b2 = sum(1 for t in trials if t["outcome_b"] == "delta2")
-    cond_12 = [t for t in conclusive if t["outcome_a"] == "delta1"]
-    cond_34 = [t for t in conclusive if t["outcome_a"] == "delta3"]
-    good_12 = sum(1 for t in cond_12 if t["outcome_b"] == "delta2")
-    good_34 = sum(1 for t in cond_34 if t["outcome_b"] == "delta4")
+    n_c = int(np.count_nonzero(trials["conclusive"].astype(bool)))
+    a1 = trials["outcome_a"] == "delta1"
+    a3 = trials["outcome_a"] == "delta3"
+    b2 = trials["outcome_b"] == "delta2"
+    n_a1, n_a3, n_b2 = (int(np.count_nonzero(x)) for x in (a1, a3, b2))
+    good_12 = int(np.count_nonzero(a1 & b2))
+    good_34 = int(np.count_nonzero(a3 & ~b2))
 
     aggregates = {
         "trials": config.trials,
         "conclusive_trials": n_c,
         "inconclusive_trials": config.trials - n_c,
-        "freq_a_delta1": a1 / n_c if n_c else 0.0,
-        "freq_a_delta3": (n_c - a1) / n_c if n_c else 0.0,
-        "freq_b_delta2": b2 / config.trials,
-        "freq_b_delta4": (config.trials - b2) / config.trials,
-        "cond_b_delta2_given_a_delta1": good_12 / len(cond_12) if cond_12 else 0.0,
-        "cond_b_delta4_given_a_delta3": good_34 / len(cond_34) if cond_34 else 0.0,
+        "freq_a_delta1": n_a1 / n_c if n_c else 0.0,
+        "freq_a_delta3": (n_c - n_a1) / n_c if n_c else 0.0,
+        "freq_b_delta2": n_b2 / config.trials,
+        "freq_b_delta4": (config.trials - n_b2) / config.trials,
+        "cond_b_delta2_given_a_delta1": good_12 / n_a1 if n_a1 else 0.0,
+        "cond_b_delta4_given_a_delta3": good_34 / n_a3 if n_a3 else 0.0,
         "oracle_b_marginal_delta2": oracle_b[0],
         "oracle_b_marginal_delta4": oracle_b[1],
-        "mean_jumps": float(np.mean([t["n_jumps"] for t in trials])),
+        "mean_jumps": float(np.mean(trials["n_jumps"])),
     }
     return ExperimentReport(
         scenario="epr_position",
@@ -329,17 +329,18 @@ def _triple_as_lists(triple: OrthoTriple | None) -> list[list[float]] | None:
 
 
 # squared-spin values on a triple's axes, by the axis that holds the 0
-_OUTCOME_VALUES = tuple("".join(map(str, TripleOutcome.with_zero_at(k).values)) for k in range(3))
+_OUTCOME_VALUES = np.array(
+    ["".join(map(str, TripleOutcome.with_zero_at(k).values)) for k in range(3)], dtype=object)
 
 
 def _singlet_block(
     triple_b: OrthoTriple, triple_a: OrthoTriple | None, measure_b: bool, seed: int,
     trials: range,
-) -> tuple[list[dict], np.ndarray, np.ndarray]:
-    """A block's records and its B and A outcomes (-1 on a wing that does
-    not measure).  The state and both triples are fixed for the run, so B's
-    outcomes are drawn as one array, then A's, grouped by the B outcome
-    they follow.  Each drawn branch is normalized and checked (product
+) -> dict[str, np.ndarray]:
+    """A block's trial columns.  The state and both triples are fixed for
+    the run, so B's outcomes are drawn as one array, then A's, grouped by
+    the B outcome they follow, and each column indexes its field's values
+    by the outcomes.  Each drawn branch is normalized and checked (product
     fidelity included) as measuring the trial's own copy of the pair
     would, so a zero-mass branch raises only if drawn."""
     u = uniforms(seed, trials, OUTCOMES, 2)  # B's draw, then A's
@@ -347,32 +348,30 @@ def _singlet_block(
     if measure_b:
         b_measurement = TripleBranches(singlet_state(), 1, triple_b)
         b = b_measurement.outcomes(u[:, 0])
-    fields_of = {}  # (B outcome, A outcome) -> a record's fields after "trial"
+    fidelity = np.zeros(3)  # by B outcome
     for kb in np.unique(b).tolist():
-        psi, fields, rows = singlet_state(), {}, b == kb
+        psi, rows = singlet_state(), b == kb
         if kb >= 0:
             psi = b_measurement.state(kb)
             expected = np.kron(zero_ket(triple_b.axes[kb]), zero_ket(triple_b.axes[kb]))
-            fidelity = abs(np.vdot(expected, psi.amplitudes)) ** 2
-            if abs(fidelity - 1.0) > 1e-12:
+            fidelity[kb] = abs(np.vdot(expected, psi.amplitudes)) ** 2
+            if abs(fidelity[kb] - 1.0) > 1e-12:
                 raise InvariantViolationError(
-                    f"post-measurement state is not the expected product (fid {fidelity})"
+                    f"post-measurement state is not the expected product (fid {fidelity[kb]})"
                 )
-            fields = {"b_values": _OUTCOME_VALUES[kb], "b_zero_axis": kb,
-                      "product_fidelity": fidelity}
         if triple_a is not None:
             a_measurement = TripleBranches(psi, 0, triple_a)
             a[rows] = a_measurement.outcomes(u[rows, 1])
-        for ka in np.unique(a[rows]).tolist():
-            fields_of[kb, ka] = rec = dict(fields)
-            if ka >= 0:
+            for ka in np.unique(a[rows]).tolist():
                 a_measurement.state(ka)  # normalizes the drawn branch, as measuring would
-                rec.update(a_values=_OUTCOME_VALUES[ka], a_zero_axis=ka)
-                if measure_b:
-                    rec["agree_all_axes"] = ka == kb
-    records = [{"trial": i, **fields_of[kb, ka]}
-               for i, kb, ka in zip(trials, b.tolist(), a.tolist())]
-    return records, b, a
+    columns = {"trial": np.arange(trials.start, trials.stop)}
+    if measure_b:
+        columns.update(b_values=_OUTCOME_VALUES[b], b_zero_axis=b, product_fidelity=fidelity[b])
+    if triple_a is not None:
+        columns.update(a_values=_OUTCOME_VALUES[a], a_zero_axis=a)
+        if measure_b:
+            columns["agree_all_axes"] = (a == b).astype(object)
+    return columns
 
 
 def run_singlet_spacetime(
@@ -390,15 +389,15 @@ def run_singlet_spacetime(
     parameter-independence comparison."""
     t0 = time.perf_counter()
     _check_budget(seed, trials, "trials")
-    blocks = list(_map_indexed(partial(_singlet_block, triple_b, triple_a, measure_b, seed),
-                               _blocks(trials, SINGLET_BLOCK), workers))
-    rows = [r for records, _, _ in blocks for r in records]
-    b = np.concatenate([block[1] for block in blocks])
-    a = np.concatenate([block[2] for block in blocks])
+    columns = _joined(_map_indexed(
+        partial(_singlet_block, triple_b, triple_a, measure_b, seed),
+        _blocks(trials, SINGLET_BLOCK), workers))
     aggregates: dict = {"trials": trials}
     if measure_b:
+        b = columns["b_zero_axis"]
         aggregates["freq_b_zero_axis"] = (np.bincount(b, minlength=3) / trials).tolist()
     if triple_a is not None:
+        a = columns["a_zero_axis"]
         aggregates["freq_a_zero_axis"] = (np.bincount(a, minlength=3) / trials).tolist()
     if triple_a is not None and measure_b:
         joint = np.bincount(3 * a + b, minlength=9).reshape(3, 3)
@@ -415,7 +414,7 @@ def run_singlet_spacetime(
         },
         master_seed=seed,
         aggregates=aggregates,
-        trials=rows,
+        trials=columns,
         wall_time_s=time.perf_counter() - t0,
     )
 
@@ -553,7 +552,7 @@ def run_oracle_comparison(
     evolved = _map_indexed(partial(_ensemble_window, ensemble, master_seed, out=out),
                            windows, workers)
     jumps = 0
-    records: list[dict] | None = [] if config.record_trials else None
+    records: list[dict[str, np.ndarray]] | None = [] if config.record_trials else None
     # not zip or enumerate: their reused result tuple would keep each window's
     # Block alive while the next one is evolved
     for block in evolved:
@@ -561,10 +560,9 @@ def run_oracle_comparison(
         jumps += int(np.sum(block.n_jumps))
         if records is not None:
             weights = marginal_weights(block.states[-1], ensemble.psi0.shape, 0)
-            records.extend(
-                {"trial": first + row, "n_jumps": int(n), "final_mean_position": float(m)}
-                for row, (n, m) in enumerate(zip(block.n_jumps, mean_positions(weights, grid)))
-            )
+            records.append({"trial": np.arange(first, first + len(block.n_jumps)),
+                            "n_jumps": block.n_jumps,
+                            "final_mean_position": mean_positions(weights, grid)})
         mixture.fold(block.states)
         del block  # before the next window is evolved
 
@@ -582,7 +580,7 @@ def run_oracle_comparison(
         config=report_config(config),
         master_seed=master_seed,
         aggregates=aggregates,
-        trials=records,
+        trials=None if records is None else _joined(records),
         wall_time_s=time.perf_counter() - t0,
     )
 
@@ -603,22 +601,17 @@ def run_grw_ensemble(
                   config.rate * config.horizon + config.checkpoints)
     ensemble, _ = _ensemble_setup(config)
     windows = _windows(ensemble_size, config.grid_points)
-    trials = [t for records in _map_indexed(
-        partial(_grw_window, ensemble, master_seed), windows, workers
-    ) for t in records]
-    branch_counts = [0] * len(config.peak_centers)
-    localized = 0
-    for t in trials:
-        if t["branch"] >= 0:
-            branch_counts[t["branch"]] += 1
-            localized += 1
+    trials = _joined(_map_indexed(partial(_grw_window, ensemble, master_seed), windows, workers))
+    branch = trials["branch"]
+    branch_counts = np.bincount(branch[branch >= 0], minlength=len(config.peak_centers))
+    localized = int(np.count_nonzero(branch >= 0))
     aggregates = {
         "trajectories": ensemble_size,
         "localized_trajectories": localized,
         "localized_fraction": localized / ensemble_size,
-        "branch_frequencies": [c / ensemble_size for c in branch_counts],
+        "branch_frequencies": [c / ensemble_size for c in branch_counts.tolist()],
         "expected_branch_weights": list(config.peak_weights),
-        "mean_jumps": float(np.mean([t["n_jumps"] for t in trials])),
+        "mean_jumps": float(np.mean(trials["n_jumps"])),
     }
     return ExperimentReport(
         scenario="grw_run",
@@ -630,7 +623,7 @@ def run_grw_ensemble(
     )
 
 
-def _grw_window(ensemble: _Ensemble, master_seed: int, trials: range) -> list[dict]:
+def _grw_window(ensemble: _Ensemble, master_seed: int, trials: range) -> dict[str, np.ndarray]:
     config = ensemble.config
     grid = ensemble.grid
     block = _ensemble_window(ensemble, master_seed, trials, final_only=True)
@@ -643,15 +636,11 @@ def _grw_window(ensemble: _Ensemble, master_seed: int, trials: range) -> list[di
     masses = np.stack(
         [window_masses(weights, grid, c, halfwidth) for c in config.peak_centers], axis=1
     )
-    means = mean_positions(weights, grid)
-    records = []
-    for row, index in enumerate(trials):
-        best = int(np.argmax(masses[row]))
-        records.append({
-            "trial": index,
-            "n_jumps": int(block.n_jumps[row]),
-            "branch": best if masses[row, best] >= 0.99 else -1,
-            "peak_masses": [float(m) for m in masses[row]],
-            "final_mean_position": float(means[row]),
-        })
-    return records
+    best = np.argmax(masses, axis=1)
+    return {
+        "trial": np.arange(trials.start, trials.stop),
+        "n_jumps": block.n_jumps,
+        "branch": np.where(masses[np.arange(len(best)), best] >= 0.99, best, -1),
+        "peak_masses": masses,
+        "final_mean_position": mean_positions(weights, grid),
+    }

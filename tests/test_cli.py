@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -359,6 +360,44 @@ def test_failed_run_leaves_no_partial_files(tmp_path, capsys):
                     "--out", str(out), "--csv", str(csv)])
     assert code == 2
     assert not out.exists() and not csv.exists()
+
+
+@pytest.mark.parametrize("command,key,target", [
+    (["ck-trace", "--rays", "builtin:ks33"], "out", "missing/r.json"),
+    (["ck-trace", "--rays", "builtin:ks33"], "out", "folder"),
+    (["epr", "--trials", "2", "--seed", "1"], "csv", "missing/x.csv"),
+    (["epr", "--trials", "2", "--seed", "1"], "csv", "folder"),
+], ids=["out-missing-dir", "out-is-dir", "csv-missing-dir", "csv-is-dir"])
+def test_unusable_output_path_is_a_config_error(tmp_path, capsys, command, key, target):
+    (tmp_path / "folder").mkdir()
+    args = [*command, f"--{key}", str(tmp_path / target)]
+    if key == "csv":
+        args += ["--out", str(tmp_path / "r.json")]
+    assert run_cli(args) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: key '{key}': ")
+    # checked before any work: no report, no .tmp file
+    assert [p.name for p in tmp_path.iterdir()] == ["folder"]
+    assert list((tmp_path / "folder").iterdir()) == []
+
+
+@pytest.mark.parametrize("failing", [".json", ".csv"])
+def test_failed_write_removes_its_temporary_file(tmp_path, capsys, monkeypatch, failing):
+    replace = os.replace
+
+    def no_space(src, dst):
+        if dst.endswith(failing):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", no_space)
+    out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+    code = run_cli(["singlet", "--trials", "5", "--seed", "1", "--out", str(out),
+                    "--csv", str(csv)])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: cannot write {tmp_path / ('r' + failing)}: "
+                                       f"{os.strerror(errno.ENOSPC)}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # -- numerical error codes ----------------------------------------------------------

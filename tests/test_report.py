@@ -1,12 +1,15 @@
+import csv
+import io
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collapselab.report import ExperimentReport, canonical_json, format_float
+from collapselab.report import ExperimentReport, _csv_cell, canonical_json, format_float
 
 
 def test_float_formatting_round_trips():
@@ -116,10 +119,108 @@ def test_report_excludes_wall_time_by_default():
 def test_report_csv_deterministic():
     rep = ExperimentReport(
         "demo", {}, 7, {},
-        trials=[{"trial": 0, "value": 1 / 3, "flag": True},
-                {"trial": 1, "value": 2 / 3, "flag": False}],
+        trials={"trial": [0, 1], "value": [1 / 3, 2 / 3], "flag": [True, False]},
     )
     lines = rep.trials_csv().splitlines()
     assert lines[0] == "trial,value,flag"
     assert lines[1].startswith("0,0.3333333333333333")
     assert lines[1].endswith(",true")
+
+
+# -- per-trial columns ---------------------------------------------------------------
+
+_CELLS = (
+    _FLOATS
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | st.text()
+    | _FLOATS.map(np.float64)
+    | st.integers(-2**63, 2**63 - 1).map(np.int64)
+    | st.lists(_FLOATS, max_size=3)
+    | st.lists(_FLOATS, max_size=3).map(np.array)
+)
+_KEYS = st.text() | st.sampled_from(["%", "%s", "%%d", "{", "{0}", "}{", "trial", "\u00e9\u2603"])
+
+
+@st.composite
+def _columns(draw):
+    """Columns of n rows: lists that repeat objects and hold equal values
+    in distinct objects, and 1-D and 2-D numeric arrays."""
+    n = draw(st.integers(0, 12))
+    columns = {}
+    for key in draw(st.lists(_KEYS, min_size=1, max_size=5, unique=True)):
+        kind = draw(st.sampled_from(["list", "float", "int64", "int32", "2-D"]))
+        if kind == "list":
+            pool = draw(st.lists(_CELLS, min_size=1, max_size=4))
+            picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()),
+                                  min_size=n, max_size=n))
+            # a pickle round trip makes an equal value in a distinct object
+            columns[key] = [pickle.loads(pickle.dumps(v)) if copy else v for v, copy in picks]
+        elif kind == "2-D":
+            width = draw(st.integers(0, 3))
+            pool = draw(st.lists(st.lists(_FLOATS, min_size=width, max_size=width),
+                                 min_size=1, max_size=3))
+            rows = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+            columns[key] = np.array(rows, dtype=float).reshape(n, width)
+        else:
+            values = _FLOATS if kind == "float" else st.integers(
+                *((-2**63, 2**63 - 1) if kind == "int64" else (-2**31, 2**31 - 1)))
+            pool = draw(st.lists(values, min_size=1, max_size=3))
+            cells = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+            columns[key] = np.array(cells, dtype={"float": float, "int64": np.int64,
+                                                  "int32": np.int32}[kind])
+    return columns
+
+
+def _rows(columns):
+    n = len(next(iter(columns.values())))
+    return [{key: column[i] for key, column in columns.items()} for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_columns())
+@example({"%s": [True, 1, 1.0, True, 1], "{x}": np.array([-0.0, 0.0, -0.0, 0.0, 1.5]),
+          "peak_masses": np.array([[0.5, -0.0]] * 4 + [[0.5, 0.0]]),
+          "n": np.array([3, -3, 3, 0, 0], dtype=np.int64),
+          "text": ["\u00e9%s", None, "{0}", "\u00e9%s", "a,b"]})
+def test_trial_columns_match_the_reference_serializers(columns):
+    rows = _rows(columns)
+    report = ExperimentReport("demo", {"k": 1}, 7, {"x": 0.5}, trials=columns)
+    expected: list[str] = []
+    _reference_canonical({"schema_version": 1, "scenario": "demo", "config": {"k": 1},
+                          "master_seed": 7, "aggregates": {"x": 0.5}, "trials": rows}, expected)
+    assert report.to_json() == "".join(expected) + "\n"
+    buf = io.StringIO()
+    if rows:
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_csv_cell(v) for v in row.values()])
+    assert report.trials_csv() == buf.getvalue()
+
+
+@pytest.mark.parametrize("column", [
+    [1.0, float("nan")],
+    np.array([0.5, np.inf]),
+    np.array([[0.5, 1.0], [-np.inf, 1.0]]),
+    [[0.5], [float("nan")]],
+    [np.float64(1.0), np.float64(-np.inf)],
+], ids=["list", "array", "2-D", "nested", "numpy-scalars"])
+def test_trial_columns_reject_nan_and_inf(column):
+    report = ExperimentReport("demo", {}, 7, {}, trials={"trial": [0, 1], "v": column})
+    with pytest.raises(ValueError):
+        report.to_json()
+    with pytest.raises(ValueError):
+        report.trials_csv()
+
+
+def test_trial_columns_must_have_one_length():
+    with pytest.raises(ValueError):
+        ExperimentReport("demo", {}, 7, {}, trials={"a": [1, 2], "b": np.zeros(3)})
+
+
+def test_csv_list_cells_use_the_report_float_format():
+    masses = np.array([[4.5112876673254189e-10, 0.9999999999992838]])
+    report = ExperimentReport("demo", {}, 7, {}, trials={"trial": [0], "peak_masses": masses})
+    assert report.trials_csv().splitlines()[1] == '0,"[4.5112876673254189e-10,0.9999999999992838]"'

@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from collapselab import lindblad, scenarios
+from collapselab import lindblad, report, scenarios
 from collapselab.errors import ConfigError, GridAdequacyError
 from collapselab.lindblad import MIXTURE_CHUNK, LindbladConfig, check_oracle_budget
+from collapselab.report import ExperimentReport, canonical_json, format_float
 from collapselab.scenarios import (
     EprConfig,
     OracleComparisonConfig,
@@ -32,7 +33,7 @@ def test_singlet_same_triples_always_agree():
     exact = np.array(a["exact_joint_table"])
     assert np.max(np.abs(exact - np.diag(np.diag(exact)))) <= 1e-12
     assert abs(sum(a["freq_b_zero_axis"]) - 1.0) <= 1e-12
-    assert all(r["product_fidelity"] >= 1.0 - 1e-12 for r in rep.trials)
+    assert np.all(rep.trials["product_fidelity"] >= 1.0 - 1e-12)
 
 
 def test_singlet_b_first_collapse_recorded():
@@ -100,7 +101,30 @@ def test_singlet_records_match_per_trial_measurement(case, seed):
     rep = run_singlet_spacetime(triple_b, triple_a, trials, seed, measure_b=measure_b)
     expected = _singlet_records_by_measurement(triple_b, triple_a, measure_b, trials, seed)
     # field for field, in order, with exactly equal floats
-    assert [list(r.items()) for r in rep.trials] == [list(r.items()) for r in expected]
+    assert list(rep.trials) == list(expected[0])
+    for key, column in rep.trials.items():
+        assert len(column) == trials
+        assert column.tolist() == [r[key] for r in expected], key
+    # and so are their texts, which also tell True from 1
+    assert "".join(report._json_rows(rep.trials)) == canonical_json(expected)
+
+
+def test_trial_columns_cost_one_text_per_distinct_value(monkeypatch):
+    rep = run_singlet_spacetime(AXES, AXES, 30000, 7)
+    assert [k for k, c in rep.trials.items() if c.dtype.kind == "f"] == ["product_fidelity"]
+    assert len(np.unique(rep.trials["product_fidelity"])) <= 3  # one per B outcome
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return format_float(x)
+
+    monkeypatch.setattr(report, "format_float", counted)
+    trials_only = ExperimentReport(rep.scenario, {}, None, {}, trials=rep.trials)
+    for write in (trials_only.to_json, trials_only.trials_csv):
+        calls.clear()
+        write()
+        assert 1 <= len(calls) <= 3
 
 
 # -- EPR scenario -----------------------------------------------------------------
