@@ -20,7 +20,7 @@ from importlib import resources
 from typing import Any, Callable
 
 from .errors import ConfigError, InvariantViolationError, NumericalError
-from .ks import RaySet, build_structure, ck_argument_trace, search_coloring
+from .ks import RaySet, ck_argument_trace, search_coloring
 from .report import ExperimentReport
 from .scenarios import (
     EprConfig,
@@ -30,7 +30,7 @@ from .scenarios import (
     run_oracle_comparison,
     run_singlet_spacetime,
 )
-from .schema import COUNT, FINITE, POSITIVE, SEED, Key, check_value, from_values, keys_of
+from .schema import COUNT, FINITE, SEED, Key, check_value, from_values, keys_of
 from .spin import OrthoTriple
 
 _AXES = "1,0,0;0,1,0;0,0,1"
@@ -44,9 +44,7 @@ _SCENARIO_COMMON = {
 
 _RAY_KEYS = {
     "rays": Key(str, None, "ray-set file ('builtin:ks33' for the bundled set)"),
-    "tolerance": Key(float, 1e-9, "orthogonality tolerance for float rays", POSITIVE),
     "out": _SCENARIO_COMMON["out"],
-    "csv": Key(str, None, "rejected: these commands emit no per-trial table"),
 }
 
 # Keys of epr, grw-run and oracle-compare come from their config
@@ -211,20 +209,19 @@ def _cmd_oracle_compare(values: dict[str, Any]) -> ExperimentReport:
 
 def _cmd_ks_check(values: dict[str, Any]) -> ExperimentReport:
     path = _rays_path(values)
-    rays = RaySet.from_file(path, tolerance=values["tolerance"])
-    structure = build_structure(rays)
+    rays = RaySet.from_file(path)
     certificate = search_coloring(rays)
     witness = None
     if certificate.witness is not None:
         witness = [certificate.witness.values[i] for i in range(len(rays))]
     return ExperimentReport(
         scenario="ks_check",
-        config={"rays": os.path.basename(path), "tolerance": values["tolerance"]},
+        config={"rays": os.path.basename(path)},
         master_seed=None,
         aggregates={
             "n_rays": len(rays),
-            "n_pairs": len(structure.pairs),
-            "n_triples": len(structure.triples),
+            "n_pairs": len(rays.structure.pairs),
+            "n_triples": len(rays.structure.triples),
             "verdict": certificate.verdict,
             "nodes_explored": certificate.nodes_explored,
             "propagation_steps": certificate.propagation_steps,
@@ -235,14 +232,14 @@ def _cmd_ks_check(values: dict[str, Any]) -> ExperimentReport:
 
 def _cmd_ck_trace(values: dict[str, Any]) -> ExperimentReport:
     path = _rays_path(values)
-    rays = RaySet.from_file(path, tolerance=values["tolerance"])
+    rays = RaySet.from_file(path)
     try:
         trace = ck_argument_trace(rays)
     except ValueError as exc:
         raise ConfigError(str(exc))
     return ExperimentReport(
         scenario="ck_trace",
-        config={"rays": os.path.basename(path), "tolerance": values["tolerance"]},
+        config={"rays": os.path.basename(path)},
         master_seed=None,
         aggregates=trace.to_dict(),
     )
@@ -315,11 +312,8 @@ def main(argv: list[str] | None = None) -> int:
                 _check_output_path(key, values[key])
         report = _COMMANDS[args.command](values)
         _write_output(report.to_json(), values.get("out"), created)
-        csv_path = values.get("csv")
-        if csv_path:
-            if not report.trials:
-                raise ConfigError(f"'{args.command}' has no per-trial table for --csv")
-            _write_output(report.trials_csv(), csv_path, created)
+        if values.get("csv"):
+            _write_output(report.trials_csv(), values["csv"], created)
         return 0
     except ConfigError as exc:
         _cleanup(created)

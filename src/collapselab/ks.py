@@ -8,12 +8,17 @@ backtracking with unit propagation; ``ck_argument_trace`` composes an
 uncolorability certificate into the chain of implications that rules
 out direction-indexed response functions for the twinned pair.
 
+Every ray is exact: its components lie in Q[sqrt2] and are stored as
+primitive integer pairs in Z[sqrt2], so orthogonality and parallelism
+are decided in integer arithmetic, with no tolerance.  A ``RaySet``
+holds at most MAX_RAYS distinct rays and builds their orthogonality
+structure once; searches over a subset restrict that structure.
+
 Ray-set files: one ray per line, three whitespace-separated
 components, each a decimal or the symbolic form ``a+b*r2`` meaning
-a + b*sqrt(2); ``#`` starts a comment.  Each ray read from a file is
-scaled to primitive integer pairs in Z[sqrt2], so orthogonality and
-parallelism are decided exactly in integer arithmetic; rays built from
-raw floats fall back to the set's tolerance.
+a + b*sqrt(2); ``#`` starts a comment.  Repeated directions are kept
+once, and reading stops with a ConfigError as soon as more than
+MAX_RAYS distinct rays have been read.
 """
 from __future__ import annotations
 
@@ -23,14 +28,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InvariantViolationError
 
 MAX_RAYS = 200
-DEFAULT_TOLERANCE = 1e-9
 MAX_EXPONENT = 324  # decimal exponents beyond a double's range (4.9e-324 ... 1.8e308)
 _EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)$")
 
@@ -101,27 +105,12 @@ def parse_component(token: str) -> Quad:
 
 @dataclass(frozen=True)
 class Ray:
-    """A direction up to sign: canonical unit float vector, plus the
-    exact form when components live in Q[sqrt2]: the ray scaled to
-    integer pairs in Z[sqrt2] with no common factor, its first nonzero
-    component positive."""
+    """A direction up to sign, exact: its components in Z[sqrt2] as
+    integer pairs with no common factor, the first nonzero component
+    positive; ``vector`` is the same direction as a unit float vector."""
 
     vector: tuple[float, float, float]
-    exact: tuple[IntQuad, IntQuad, IntQuad] | None = None
-
-    @classmethod
-    def from_floats(cls, v: Iterable[float]) -> "Ray":
-        arr = np.asarray(list(v), dtype=float)
-        n = float(np.linalg.norm(arr))
-        if n < 1e-12:
-            raise ValueError("zero vector is not a ray")
-        arr = arr / n
-        for x in arr:
-            if abs(x) > 1e-12:
-                if x < 0:
-                    arr = -arr
-                break
-        return cls(tuple(float(x) for x in arr), None)
+    exact: tuple[IntQuad, IntQuad, IntQuad]
 
     @classmethod
     def from_exact(cls, comps: Sequence[Quad]) -> "Ray":
@@ -146,79 +135,21 @@ class Ray:
         floats = floats / np.linalg.norm(floats)
         return cls(tuple(float(x) for x in floats), exact)
 
-    def dot_float(self, other: "Ray") -> float:
-        return float(np.dot(self.vector, other.vector))
+    def is_orthogonal(self, other: "Ray") -> bool:
+        acc = (0, 0)
+        for u, v in zip(self.exact, other.exact):
+            p = _quad_mul(u, v)
+            acc = (acc[0] + p[0], acc[1] + p[1])
+        return _quad_is_zero(acc)
 
-    def is_orthogonal(self, other: "Ray", tol: float) -> bool:
-        if self.exact is not None and other.exact is not None:
-            acc = (0, 0)
-            for u, v in zip(self.exact, other.exact):
-                p = _quad_mul(u, v)
-                acc = (acc[0] + p[0], acc[1] + p[1])
-            return _quad_is_zero(acc)
-        return abs(self.dot_float(other)) <= tol
-
-    def is_parallel(self, other: "Ray", tol: float) -> bool:
-        if self.exact is not None and other.exact is not None:
-            a, b = self.exact, other.exact
-            for i, j in ((0, 1), (0, 2), (1, 2)):
-                cross = _quad_mul(a[i], b[j])
-                back = _quad_mul(a[j], b[i])
-                if not _quad_is_zero((cross[0] - back[0], cross[1] - back[1])):
-                    return False
-            return True
-        return abs(self.dot_float(other)) >= 1.0 - tol
-
-
-@dataclass(frozen=True)
-class RaySet:
-    """Deduplicated rays with the orthogonality tolerance used for
-    float-only pairs."""
-
-    rays: tuple[Ray, ...]
-    tolerance: float = DEFAULT_TOLERANCE
-
-    def __post_init__(self) -> None:
-        for i in range(len(self.rays)):
-            for j in range(i + 1, len(self.rays)):
-                if self.rays[i].is_parallel(self.rays[j], self.tolerance):
-                    raise ValueError(f"rays {i} and {j} coincide")
-
-    def __len__(self) -> int:
-        return len(self.rays)
-
-    @classmethod
-    def from_vectors(
-        cls, vectors: Iterable[Iterable[float]], tolerance: float = DEFAULT_TOLERANCE
-    ) -> "RaySet":
-        return cls._dedupe([Ray.from_floats(v) for v in vectors], tolerance)
-
-    @classmethod
-    def from_file(cls, path: str | Path, tolerance: float = DEFAULT_TOLERANCE) -> "RaySet":
-        rays = []
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            tokens = text.split()
-            try:
-                if len(tokens) != 3:
-                    raise ValueError(f"expected 3 components, got {len(tokens)}")
-                rays.append(Ray.from_exact([parse_component(t) for t in tokens]))
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-        return cls._dedupe(rays, tolerance)
-
-    @classmethod
-    def _dedupe(cls, rays: list[Ray], tolerance: float) -> "RaySet":
-        kept: list[Ray] = []
-        for r in rays:
-            if not any(r.is_parallel(k, tolerance) for k in kept):
-                kept.append(r)
-        return cls(tuple(kept), tolerance)
-
-    def subset(self, indices: Iterable[int]) -> "RaySet":
-        return RaySet(tuple(self.rays[i] for i in sorted(set(indices))), self.tolerance)
+    def is_parallel(self, other: "Ray") -> bool:
+        a, b = self.exact, other.exact
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            cross = _quad_mul(a[i], b[j])
+            back = _quad_mul(a[j], b[i])
+            if not _quad_is_zero((cross[0] - back[0], cross[1] - back[1])):
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -234,6 +165,70 @@ class OrthogonalityStructure:
             out.update(t)
         return out
 
+    def restricted(self, within: Iterable[int]) -> "OrthogonalityStructure":
+        """The pairs and triples whose rays all lie in ``within``, in order."""
+        keep = set(within)
+        return OrthogonalityStructure(
+            tuple(p for p in self.pairs if keep.issuperset(p)),
+            tuple(t for t in self.triples if keep.issuperset(t)),
+        )
+
+
+@dataclass(frozen=True)
+class RaySet:
+    """At most MAX_RAYS pairwise distinct rays and their orthogonality
+    structure, built once."""
+
+    rays: tuple[Ray, ...]
+    structure: OrthogonalityStructure = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if len(self.rays) > MAX_RAYS:
+            raise ValueError(f"ray count {len(self.rays)} exceeds the search cap {MAX_RAYS}")
+        for i in range(len(self.rays)):
+            for j in range(i + 1, len(self.rays)):
+                if self.rays[i].is_parallel(self.rays[j]):
+                    raise ValueError(f"rays {i} and {j} coincide")
+        object.__setattr__(self, "structure", build_structure(self))
+
+    def __len__(self) -> int:
+        return len(self.rays)
+
+    @classmethod
+    def from_vectors(cls, vectors: Iterable[Iterable[int | Fraction | str]]) -> "RaySet":
+        """The distinct rays of vectors with rational components."""
+        rays = (Ray.from_exact([(Fraction(x), Fraction(0)) for x in v]) for v in vectors)
+        return cls(_distinct(rays, "vectors"))
+
+    @classmethod
+    def from_file(cls, path: str | Path) -> "RaySet":
+        def rays() -> Iterator[Ray]:
+            for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+                text = line.strip()
+                if not text or text.startswith("#"):
+                    continue
+                tokens = text.split()
+                try:
+                    if len(tokens) != 3:
+                        raise ValueError(f"expected 3 components, got {len(tokens)}")
+                    yield Ray.from_exact([parse_component(t) for t in tokens])
+                except (ValueError, ZeroDivisionError, OverflowError) as exc:
+                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
+
+        return cls(_distinct(rays(), str(path)))
+
+
+def _distinct(rays: Iterable[Ray], source: str) -> tuple[Ray, ...]:
+    """The first ray of each direction, in order; stops with a ConfigError
+    naming ``source`` as soon as there are more than MAX_RAYS."""
+    kept: list[Ray] = []
+    for r in rays:
+        if not any(r.is_parallel(k) for k in kept):
+            kept.append(r)
+            if len(kept) > MAX_RAYS:
+                raise ConfigError(f"{source}: more than {MAX_RAYS} distinct rays, the search cap")
+    return tuple(kept)
+
 
 def build_structure(rays: RaySet) -> OrthogonalityStructure:
     """Enumerate orthogonal pairs and mutually orthogonal triples."""
@@ -241,7 +236,7 @@ def build_structure(rays: RaySet) -> OrthogonalityStructure:
     pair_set: set[tuple[int, int]] = set()
     for i in range(n):
         for j in range(i + 1, n):
-            if rays.rays[i].is_orthogonal(rays.rays[j], rays.tolerance):
+            if rays.rays[i].is_orthogonal(rays.rays[j]):
                 pair_set.add((i, j))
     triples = []
     for i, j in sorted(pair_set):
@@ -260,12 +255,6 @@ class Assignment:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", dict(self.values))
 
-    def get(self, i: int) -> int | None:
-        return self.values.get(i)
-
-    def is_total_over(self, indices: Iterable[int]) -> bool:
-        return all(i in self.values for i in indices)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -275,8 +264,7 @@ class CheckResult:
 
 def check_assignment(assignment: Assignment, structure: OrthogonalityStructure) -> CheckResult:
     """Validate the 101 rule over every triple and pair of the structure."""
-    needed = structure.ray_indices()
-    if not assignment.is_total_over(needed):
+    if not structure.ray_indices() <= assignment.values.keys():
         raise ValueError("assignment must be total over the rays in the structure")
     for i, j in structure.pairs:
         if assignment.values[i] == 0 and assignment.values[j] == 0:
@@ -385,30 +373,33 @@ def unit_propagate(
     return Assignment({i: v for i, v in enumerate(values) if v != -1})
 
 
-def search_coloring(rays: RaySet) -> SearchCertificate:
-    """Decide 101-colorability by propagating backtracking search.
+def search_coloring(rays: RaySet, within: Iterable[int] | None = None) -> SearchCertificate:
+    """Decide 101-colorability of ``rays``, or of the rays at the indices
+    ``within``, by propagating backtracking search; a witness is keyed
+    by the set's own indices.
 
     Deterministic: decision variables are ordered by descending triple
     membership count (ties by canonical ray order) and the values 0, 1
     are tried in that order, so node counts are reproducible and can be
-    pinned as regression values.
+    pinned as regression values.  The order depends on the rays, not on
+    their indices, so a restriction searches exactly as a set of only
+    those rays would.
     """
     n = len(rays)
-    if n > MAX_RAYS:
-        raise ValueError(f"ray count {n} exceeds the search cap {MAX_RAYS}")
-    structure = build_structure(rays)
+    indices = range(n) if within is None else sorted(set(within))
+    structure = rays.structure if within is None else rays.structure.restricted(indices)
     rules = _Rules(n, structure)
 
-    order = sorted(range(n), key=lambda i: (-len(rules.triples_of[i]), rays.rays[i].vector))
+    order = sorted(indices, key=lambda i: (-len(rules.triples_of[i]), rays.rays[i].vector))
     values = [-1] * n
     nodes = 0
     props = 0
 
     def dfs(pos: int) -> bool:
         nonlocal nodes, props
-        while pos < n and values[order[pos]] != -1:
+        while pos < len(order) and values[order[pos]] != -1:
             pos += 1
-        if pos == n:
+        if pos == len(order):
             return True
         i = order[pos]
         for v in (0, 1):
@@ -424,7 +415,7 @@ def search_coloring(rays: RaySet) -> SearchCertificate:
         return False
 
     if dfs(0):
-        witness = Assignment({i: values[i] for i in range(n)})
+        witness = Assignment({i: values[i] for i in indices})
         verdict = check_assignment(witness, structure)
         if not verdict.valid:
             raise InvariantViolationError(f"search produced an invalid witness: {verdict.violation}")
@@ -444,7 +435,7 @@ def minimal_uncolorable_core(rays: RaySet) -> tuple[int, ...]:
     current = list(range(len(rays)))
     for i in list(current):
         trial = [j for j in current if j != i]
-        if not search_coloring(rays.subset(trial)).colorable:
+        if not search_coloring(rays, trial).colorable:
             current = trial
     return tuple(current)
 
@@ -498,9 +489,8 @@ def ck_argument_trace(rays: RaySet) -> ArgumentTrace:
             "ray set is colorable, so no contradiction is derivable from it; "
             "use a Kochen-Specker set"
         )
-    structure = build_structure(rays)
+    structure = rays.structure
     core = minimal_uncolorable_core(rays)
-    core_triples = [t for t in structure.triples if all(i in core for i in t)]
     steps = (
         TraceStep(
             "twin-perfect-correlation",
@@ -536,7 +526,7 @@ def ck_argument_trace(rays: RaySet) -> ArgumentTrace:
                 "propagation_steps": certificate.propagation_steps,
                 "minimal_core_size": len(core),
                 "minimal_core_rays": [list(rays.rays[i].vector) for i in core],
-                "minimal_core_triples": len(core_triples),
+                "minimal_core_triples": len(structure.restricted(core).triples),
             },
         ),
     )

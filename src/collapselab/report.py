@@ -213,14 +213,8 @@ def _column_texts(column: Any, cell: Callable[[Any], str]) -> list[str]:
 
 
 def _csv_cell(v: Any) -> str:
+    """A cell's CSV text: strings as they are, None empty, anything else
+    its canonical JSON."""
     if v is None:
         return ""
-    if isinstance(v, (np.floating, float)):
-        return format_float(float(v))
-    if isinstance(v, (np.integer,)):
-        return str(int(v))
-    if isinstance(v, bool):
-        return str(v).lower()
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return canonical_json(v)
-    return str(v)
+    return v if isinstance(v, str) else canonical_json(v)

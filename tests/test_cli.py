@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapselab
-from collapselab import grw, lindblad, scenarios
+from collapselab import cli, grw, ks, lindblad, scenarios
 from collapselab.cli import KEY_SPECS, build_parser, main
 from collapselab.errors import ConfigError
 from collapselab.schema import NON_NEGATIVE, POSITIVE, check_value
@@ -20,6 +20,15 @@ from collapselab.schema import NON_NEGATIVE, POSITIVE, check_value
 
 def run_cli(args):
     return main(args)
+
+
+def exit_code(args):
+    """The process's exit code: main's return, or argparse's SystemExit
+    for an argument it rejects."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 def _run_python(code: str, *args: str, env: dict | None = None) -> subprocess.CompletedProcess:
@@ -223,7 +232,7 @@ def test_seed_range_is_the_128_bit_philox_key(command, tmp_path, capsys):
 ])
 def test_invalid_inputs_are_config_errors_naming_the_key(args, key, capsys):
     seed = ["--seed", "1"] if args[0] not in ("ks-check", "ck-trace") else []
-    assert run_cli(args + seed) == 2
+    assert exit_code(args + seed) == 2
     err = capsys.readouterr().err
     assert key in err and "internal" not in err
 
@@ -346,20 +355,30 @@ def test_stdout_when_no_out_path(capsys):
 
 
 def test_csv_rejected_when_no_trial_table(tmp_path, capsys):
-    code = run_cli(["ks-check", "--rays", "builtin:axes",
-                    "--csv", str(tmp_path / "x.csv")])
+    code = exit_code(["ks-check", "--rays", "builtin:axes",
+                      "--csv", str(tmp_path / "x.csv")])
     assert code == 2
+    assert "--csv" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 
-def test_failed_run_leaves_no_partial_files(tmp_path, capsys):
-    out = tmp_path / "r.json"
-    csv = tmp_path / "r.csv"
-    # CSV failure happens after the JSON was written: both must be gone
-    code = run_cli(["ks-check", "--rays", "builtin:ks33",
-                    "--out", str(out), "--csv", str(csv)])
-    assert code == 2
-    assert not out.exists() and not csv.exists()
+@pytest.mark.parametrize("command", ["ks-check", "ck-trace"])
+@pytest.mark.parametrize("key,value", [("tolerance", "0.9"), ("csv", "x.csv")])
+def test_ray_commands_reject_tolerance_and_csv_before_any_search(
+        command, key, value, tmp_path, monkeypatch, capsys):
+    def no_search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(ks, "search_coloring", no_search)
+    monkeypatch.setattr(cli, "search_coloring", no_search)
+    monkeypatch.setattr(cli, "ck_argument_trace", no_search)
+    config = tmp_path / "run.cfg"
+    config.write_text(f"rays = builtin:ks33\n{key} = {value}\n")
+    assert run_cli([command, "--config", str(config)]) == 2
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+    assert exit_code([command, "--rays", "builtin:ks33", f"--{key}", value]) == 2
+    assert f"--{key}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
 
 
 @pytest.mark.parametrize("command,key,target", [
@@ -472,6 +491,35 @@ def test_ks_check_reads_files(tmp_path):
     assert run_cli(["ks-check", "--rays", str(rays), "--out", str(out)]) == 0
 
 
+def test_ray_files_beyond_the_search_cap_are_config_errors(tmp_path, monkeypatch, capsys):
+    def no_structure(rays):
+        raise AssertionError("a structure was built")
+
+    monkeypatch.setattr(ks, "build_structure", no_structure)
+    rays = tmp_path / "many.rays"
+    # 2557 distinct integer rays; reading stops at the 201st
+    lines = [f"{i} {j} 1" for i in range(-25, 26) for j in range(-25, 26)][:2557]
+    rays.write_text("\n".join(lines) + "\n")
+    for command in ("ks-check", "ck-trace"):
+        assert run_cli([command, "--rays", str(rays)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {rays}: more than 200 distinct rays, the search cap\n")
+
+
+@pytest.mark.parametrize("command", ["ks-check", "ck-trace"])
+def test_ray_commands_build_one_structure(command, tmp_path, monkeypatch):
+    calls = []
+    build = ks.build_structure
+
+    def counting(rays):
+        calls.append(len(rays))
+        return build(rays)
+
+    monkeypatch.setattr(ks, "build_structure", counting)
+    assert run_cli([command, "--rays", "builtin:ks33", "--out", str(tmp_path / "r.json")]) == 0
+    assert calls == [33]
+
+
 @pytest.mark.parametrize("line", [
     "0 1",  # wrong component count
     "foo 1 0",
@@ -526,8 +574,7 @@ _GRW_KEYS = [("--points", "64"), ("--spacing", "1.0"), ("--alpha", "0.0625"),
              ("--hamiltonian", "none"), ("--peaks", "24:0.5,40:0.5"),
              ("--packet-width", "2.0"), ("--horizon", "5.0"), ("--dt", "0.01"),
              ("--checkpoints", "4")]
-_RAYS_KEYS = [("--config", None), ("--rays", "None"), ("--tolerance", "1e-09"),
-              ("--out", "None"), ("--csv", "None")]
+_RAYS_KEYS = [("--config", None), ("--rays", "None"), ("--out", "None")]
 
 HELP_KEYS = {
     "singlet": _BASE_KEYS + [
@@ -582,8 +629,8 @@ REPORT_CONFIGS = {
         "pointer_spacing": 1.0, "trials": 2}),
     "grw-run": (["--trajectories", "2"] + _GRW_TINY, _GRW_CONFIG),
     "oracle-compare": (["--k", "100"] + _GRW_TINY, _GRW_CONFIG),
-    "ks-check": (["--rays", "builtin:ks33"], {"rays": "ks33.rays", "tolerance": 1e-09}),
-    "ck-trace": (["--rays", "builtin:ks33"], {"rays": "ks33.rays", "tolerance": 1e-09}),
+    "ks-check": (["--rays", "builtin:ks33"], {"rays": "ks33.rays"}),
+    "ck-trace": (["--rays", "builtin:ks33"], {"rays": "ks33.rays"}),
 }
 
 
@@ -614,6 +661,7 @@ _BAD_LISTS = {
               "24:-0.5,40:1.5", "1e300:1", "24:1:2", ""],
     "triple_a": _BAD_TRIPLES,
     "triple_b": _BAD_TRIPLES,
+    "rays": ["", "builtin:nope", "missing.rays", "builtin:"],
 }
 _MUTATIONS = {
     command: [
@@ -633,8 +681,5 @@ def test_malformed_values_exit_cleanly(case):
     args = [command, *_PROPERTY_BASE[command]]
     args += [f"--{key.replace('_', '-')}={value}" for key, value in mutations]
     with tempfile.TemporaryDirectory() as tmp:
-        try:
-            code = main(args + ["--out", os.path.join(tmp, "r.json")])
-        except SystemExit as exc:  # argparse rejects a value it cannot parse
-            code = exc.code
+        code = exit_code(args + ["--out", os.path.join(tmp, "r.json")])
     assert code in (0, 2, 3), args

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collapselab import ks
+from collapselab.errors import ConfigError
 from collapselab.ks import (
     Assignment,
     Ray,
     RaySet,
+    OrthogonalityStructure,
     build_structure,
     check_assignment,
     ck_argument_trace,
@@ -29,6 +32,17 @@ KS33_PAIRS = 72
 KS33_TRIPLES = 16
 KS33_NODES = 46
 KS33_PROPAGATIONS = 412
+# ck_argument_trace(ks33): searches (whole set twice, then one per ray
+# dropped), their summed counts, and the core size.
+KS33_TRACE_SEARCHES = 35
+KS33_TRACE_NODES = 252
+KS33_TRACE_PROPAGATIONS = 1776
+KS33_CORE = 33
+
+
+def _ray(components):
+    """The exact ray through rational components."""
+    return Ray.from_exact([(Fraction(x), Fraction(0)) for x in components])
 
 
 def brute_force(rays):
@@ -65,10 +79,11 @@ def test_parse_component_forms():
 
 
 def test_ray_sign_canonicalization():
-    a = Ray.from_floats([-1.0, 2.0, 0.0])
-    b = Ray.from_floats([1.0, -2.0, 0.0])
+    a = _ray([-1, 2, 0])
+    b = _ray([1, -2, 0])
     assert a.vector == b.vector
     assert a.vector[0] > 0
+    assert a.exact == b.exact == ((1, 0), (-2, 0), (0, 0))
 
 
 def test_exact_rays_dedupe_across_sqrt2_scaling():
@@ -77,9 +92,11 @@ def test_exact_rays_dedupe_across_sqrt2_scaling():
                           (Fraction(0), Fraction(0))])
     root = Ray.from_exact([(Fraction(0), Fraction(1)), (Fraction(0), Fraction(1)),
                            (Fraction(0), Fraction(0))])
-    assert one.is_parallel(root, 1e-9)
-    rays = RaySet._dedupe([one, root], 1e-9)
+    assert one.is_parallel(root)
+    rays = ks._distinct([one, root], "rays")
     assert len(rays) == 1
+    with pytest.raises(ValueError, match="coincide"):
+        RaySet((one, root))
 
 
 def test_exact_orthogonality_decides_sqrt2_cancellation():
@@ -88,7 +105,7 @@ def test_exact_orthogonality_decides_sqrt2_cancellation():
                         (Fraction(0), Fraction(0))])
     b = Ray.from_exact([(Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)),
                         (Fraction(0), Fraction(0))])
-    assert a.is_orthogonal(b, 0.0)
+    assert a.is_orthogonal(b)
 
 
 def _exact_components(path):
@@ -151,8 +168,8 @@ def test_integer_exact_arithmetic_matches_fractions(name, tmp_path):
         assert first[0] + first[1] * math.sqrt(2) > 0
         assert _fraction_parallel(ray.exact, c)
     for i, j in itertools.combinations_with_replacement(range(len(rays)), 2):
-        assert rays[i].is_orthogonal(rays[j], 0.0) == _fraction_orthogonal(comps[i], comps[j])
-        assert rays[i].is_parallel(rays[j], 0.0) == _fraction_parallel(comps[i], comps[j])
+        assert rays[i].is_orthogonal(rays[j]) == _fraction_orthogonal(comps[i], comps[j])
+        assert rays[i].is_parallel(rays[j]) == _fraction_parallel(comps[i], comps[j])
 
 
 def test_ray_file_parsing_errors(tmp_path):
@@ -245,37 +262,59 @@ def test_verdict_invariant_under_permutation():
     rng = np.random.default_rng(0)
     for _ in range(3):
         perm = rng.permutation(len(rays))
-        shuffled = RaySet(tuple(rays.rays[i] for i in perm), rays.tolerance)
+        shuffled = RaySet(tuple(rays.rays[i] for i in perm))
         assert search_coloring(shuffled).verdict == "uncolorable"
     small = RaySet.from_file(DATA / "twin_triples.rays")
     perm = rng.permutation(len(small))
-    shuffled_small = RaySet(tuple(small.rays[i] for i in perm), small.tolerance)
+    shuffled_small = RaySet(tuple(small.rays[i] for i in perm))
     assert search_coloring(shuffled_small).verdict == "colorable"
+
+
+def _rational_matmul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
 
 
 def test_verdict_invariant_under_global_rotation():
     rays = RaySet.from_file(DATA / "ks33.rays")
-    theta = 0.7
-    c, s = math.cos(theta), math.sin(theta)
-    r = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]]) @ np.array(
-        [[1, 0, 0], [0, c, -s], [0, s, c]]
-    )
-    rotated = RaySet.from_vectors([r @ np.array(ray.vector) for ray in rays.rays])
+    # rational rotations (the 3-4-5 and 5-12-13 triangles) keep components in Q[sqrt2]
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    cx, sx = Fraction(5, 13), Fraction(12, 13)
+    r = _rational_matmul([[c, -s, 0], [s, c, 0], [0, 0, 1]],
+                         [[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
+    rotated = RaySet(tuple(
+        Ray.from_exact([(sum(r[i][k] * ray.exact[k][0] for k in range(3)),
+                         sum(r[i][k] * ray.exact[k][1] for k in range(3))) for i in range(3)])
+        for ray in rays.rays))
     assert len(rotated) == 33
+    assert len(rotated.structure.pairs) == KS33_PAIRS
+    assert len(rotated.structure.triples) == KS33_TRIPLES
     assert search_coloring(rotated).verdict == "uncolorable"
 
 
 def test_monotonicity_adding_rays_keeps_uncolorable():
     rays = RaySet.from_file(DATA / "ks33.rays")
-    extra = RaySet(rays.rays + (Ray.from_floats([3.0, 1.0, 0.2]),), rays.tolerance)
+    extra = RaySet(rays.rays + (_ray([3, 1, Fraction(1, 5)]),))
     assert search_coloring(extra).verdict == "uncolorable"
 
 
 def test_ray_count_cap():
-    rng = np.random.default_rng(1)
-    vectors = rng.normal(size=(201, 3))
+    vectors = [(1, i, i * i - 7) for i in range(201)]  # pairwise distinct directions
     with pytest.raises(ValueError):
         search_coloring(RaySet.from_vectors(vectors))
+    with pytest.raises(ValueError):
+        RaySet(tuple(_ray(v) for v in vectors))
+    assert len(RaySet.from_vectors(vectors[:200])) == 200
+
+
+def test_reading_stops_at_the_ray_cap(tmp_path):
+    path = tmp_path / "many.rays"
+    lines = [f"1 {i} {j}" for i in range(51) for j in range(51)]  # 2601 distinct rays
+    path.write_text("\n".join(lines + ["not a ray"]) + "\n")
+    with pytest.raises(ConfigError, match=f"{path}: more than 200 distinct rays"):
+        RaySet.from_file(path)
+    # repeats of one direction are read, and dropped, without limit
+    path.write_text("1 1 0\n2 2 0\nr2 r2 0\n" * 300)
+    assert len(RaySet.from_file(path)) == 1
 
 
 # -- propagation soundness -----------------------------------------------------------
@@ -326,11 +365,59 @@ def test_propagation_soundness_random_small_sets(indices):
 def test_minimal_core_is_irreducible():
     rays = RaySet.from_file(DATA / "ks33.rays")
     core = minimal_uncolorable_core(rays)
-    assert search_coloring(rays.subset(core)).verdict == "uncolorable"
-    # removing any single core ray restores colorability
-    for drop in core[:3]:
+    assert search_coloring(rays, core).verdict == "uncolorable"
+    # removing any single core ray restores colorability, with a 101
+    # witness over the remaining rays, in the set's own indices
+    for drop in core:
         rest = [i for i in core if i != drop]
-        assert search_coloring(rays.subset(rest)).verdict == "colorable"
+        cert = search_coloring(rays, rest)
+        assert cert.verdict == "colorable"
+        assert sorted(cert.witness.values) == rest
+        assert check_assignment(cert.witness, rays.structure.restricted(rest)).valid
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 32), min_size=1, max_size=33, unique=True))
+def test_restricted_search_equals_search_of_the_subset(within):
+    # a restriction searches exactly like a set of only those rays: same
+    # verdict and counts, and the same witness up to the renumbering
+    rays = RaySet.from_file(DATA / "ks33.rays")
+    kept = sorted(within)
+    sub = RaySet(tuple(rays.rays[i] for i in kept))
+    restricted, alone = search_coloring(rays, within), search_coloring(sub)
+    assert (restricted.verdict, restricted.nodes_explored, restricted.propagation_steps) == (
+        alone.verdict, alone.nodes_explored, alone.propagation_steps)
+    if alone.witness is not None:
+        assert restricted.witness.values == {
+            kept[i]: v for i, v in alone.witness.values.items()}
+    assert rays.structure.restricted(within) == OrthogonalityStructure(
+        tuple((kept[i], kept[j]) for i, j in sub.structure.pairs),
+        tuple((kept[i], kept[j], kept[k]) for i, j, k in sub.structure.triples))
+
+
+def test_argument_trace_counts_pinned(monkeypatch):
+    counts = {"build": 0, "search": 0, "nodes": 0, "props": 0}
+    build, search = ks.build_structure, ks.search_coloring
+
+    def counting_build(rays):
+        counts["build"] += 1
+        return build(rays)
+
+    def counting_search(*args):
+        cert = search(*args)
+        counts["search"] += 1
+        counts["nodes"] += cert.nodes_explored
+        counts["props"] += cert.propagation_steps
+        return cert
+
+    monkeypatch.setattr(ks, "build_structure", counting_build)
+    monkeypatch.setattr(ks, "search_coloring", counting_search)
+    trace = ck_argument_trace(RaySet.from_file(DATA / "ks33.rays"))
+    assert counts == {"build": 1, "search": KS33_TRACE_SEARCHES,
+                      "nodes": KS33_TRACE_NODES, "props": KS33_TRACE_PROPAGATIONS}
+    evidence = trace.steps[3].evidence
+    assert evidence["minimal_core_size"] == KS33_CORE
+    assert evidence["minimal_core_triples"] == KS33_TRIPLES
 
 
 def test_argument_trace_on_ks33():

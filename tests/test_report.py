@@ -224,3 +224,18 @@ def test_csv_list_cells_use_the_report_float_format():
     masses = np.array([[4.5112876673254189e-10, 0.9999999999992838]])
     report = ExperimentReport("demo", {}, 7, {}, trials={"trial": [0], "peak_masses": masses})
     assert report.trials_csv().splitlines()[1] == '0,"[4.5112876673254189e-10,0.9999999999992838]"'
+
+
+def test_csv_cells_pinned_for_each_kind_of_value():
+    columns = {
+        "float": [0.1], "float64": [np.float64(1 / 3)], "negative_zero": [-0.0],
+        "whole": np.array([2.0]), "int": [3], "int64": [np.int64(-7)], "bool": [True],
+        "none": [None], "str": ["a,b"], "list": [[1.0, 0.5, -0.0]],
+        "row": np.array([[4.5112876673254189e-10, 0.9999999999992838]]),
+    }
+    report = ExperimentReport("demo", {}, 7, {}, trials=columns)
+    assert report.trials_csv() == (
+        "float,float64,negative_zero,whole,int,int64,bool,none,str,list,row\n"
+        '0.10000000000000001,0.33333333333333331,-0.0,2.0,3,-7,true,,"a,b",'
+        '"[1.0,0.5,-0.0]","[4.5112876673254189e-10,0.9999999999992838]"\n'
+    )
