@@ -311,9 +311,10 @@ def main(argv: list[str] | None = None) -> int:
             if values.get(key):
                 _check_output_path(key, values[key])
         report = _COMMANDS[args.command](values)
-        _write_output(report.to_json(), values.get("out"), created)
+        # the table first: it keeps the cell texts the report then reuses
         if values.get("csv"):
             _write_output(report.trials_csv(), values["csv"], created)
+        _write_output(report.to_json(), values.get("out"), created)
         return 0
     except ConfigError as exc:
         _cleanup(created)

@@ -21,26 +21,38 @@ floats, from ``free_hamiltonian``), never as a dense matrix.
 advances a state by one FFT, a phase multiply and one inverse FFT.
 
 Trajectories are evolved in windows (``evolve_block``).  A window draws
-the jump schedules of all its trials first, in batches of B trials, and
-stably sorts the trials by event count.  Blocks of B sorted trials then
-run as one complex (B, d) array, in event rounds: in each round every
+the jump schedules of all its trials first, in batches of
+``block_rows(d)`` trials, and stably sorts the trials by event count.
+Blocks of B sorted trials then run in event rounds: in each round every
 row takes its own next event, and a block runs as many rounds as its
-busiest row, so blocks of like trials run fewer rounds.  Rows advance by
-their own gaps, with per-row phases and one row-wise FFT pair computed
-in place.  Rows that jump get their jump tables from one batched
-rfft/irfft circular convolution of |psi|^2 with g^2, draw their centres
-by the inverse CDF of ``rng.draw_rows`` (which starts at site 0, so a
-tie between maxima cannot move the centre drawn for a given uniform),
-and are localized and renormalized row by row.  Each row's states go to
-its trial's slot, so the caller sees the trials in its own order.  Every
+busiest row, so blocks of like trials run fewer rounds.  Rows that jump
+get their jump tables from one batched rfft/irfft circular convolution
+of their position weights with g^2, draw their centres by the inverse
+CDF of ``rng.draw_rows`` (which starts at site 0, so a tie between
+maxima cannot move the centre drawn for a given uniform), and are
+localized and renormalized row by row.  Each row's states go to its
+trial's slot, so the caller sees the trials in its own order.  Every
 draw of a row is addressed by its (seed, trial, index, tag), every
 kernel acts on each row alone and names the output of each binary
 operation, so a row's bits depend neither on B nor on the rows it is
-evolved with.  ``block_rows`` sizes a block at 64 rows or 256 KiB of the
-(B, d) array, whichever is more, so the fixed cost of a round is shared
-by at least 64 rows.  ``evolve_trajectory`` is a one-trial window, and
-``jump_density``, ``jump_mass``, ``apply_jump`` and
-``Propagator.advance`` run one row of the block kernels.  No kernel
+evolved with.
+
+The input picks one of two engines.  With a propagator a block is one
+complex (B, d) array of amplitudes: rows advance by their own gaps,
+with per-row phases and one row-wise FFT pair computed in place, and
+gathered rows are handled KERNEL_ROWS at a time.  Without one every
+event is a localization, and localizations are diagonal in position and
+commute, so row i's state is psi0 times a real multiplier F_p[i], an
+M-vector, along each localized factor p.  A jump on p draws from the
+table of F_p^2 W_p, where W_p is |psi0|^2 contracted with the other
+factors' F^2 (one fixed M-vector when p is the only localized factor),
+and multiplies F_p by g / ||.||, the norm taken with the same weights.
+Complex amplitudes are formed only at sample times, KERNEL_ROWS rows at
+a time.  ``block_rows`` sizes a block at 64 rows or 256 KiB of what a
+round touches, whichever is more: the (B, d) amplitudes, or B rows of
+M floats per localized factor.  ``evolve_trajectory`` is a one-trial
+window, and ``jump_density``, ``jump_mass``, ``apply_jump`` and
+``Propagator.advance`` run one row of the amplitude kernels.  No kernel
 calls BLAS: norms and sums are elementwise products and ``np.sum``.
 
 ``evolve_equivariant`` runs one trajectory whose state updates commute
@@ -57,7 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -71,18 +83,23 @@ TRAJECTORY_NORM_TOL = 1e-9
 JUMP_MASS_HARD_LIMIT = 1e-3
 ZERO_NORM_FLOOR = 1e-14
 # A block of evolve_block holds at least BLOCK_MIN_ROWS rows and at least
-# BLOCK_BYTES in its (B, d) complex array: B = 1024 at d = 16, 256 at d = 64 and
-# 64 for every d >= 256.  Each event round costs a roughly fixed number of ufunc
-# and FFT calls, and a block takes as many rounds as its busiest row: an
-# oracle-compare at M = 64, K = 10^4 (seed 1) ran 2345 rounds in 64-row blocks of
-# trials in trial order and runs 411 in 256-row blocks sorted by event count.
-# Its peak RSS is no higher than with 64-row blocks (a block's states go
-# straight to the caller's array); 512 KiB blocks would raise it by 0.4 MB.
+# BLOCK_BYTES in the array a round touches.  With a propagator that is the
+# (B, d) complex amplitudes: B = 1024 at d = 16, 256 at d = 64 and 64 for every
+# d >= 256.  Without one it is B rows of real multipliers, M floats per localized
+# factor: B = 512 at M = 64.  Each event round costs a roughly fixed number of
+# ufunc and FFT calls, and a block takes as many rounds as its busiest row: a
+# free-H oracle-compare at M = 64, K = 10^4 (seed 1) ran 2345 rounds in 64-row
+# blocks of trials in trial order and runs 411 in 256-row blocks sorted by event
+# count; a serial epr --trials 4000 --seed 1 ran 1759 in 64-row blocks of
+# amplitudes and runs 332 in one 512-row block of multipliers per window.
+# Peak RSS is no higher than with 64-row blocks (a block's states go straight
+# to the caller's array); 512 KiB blocks of amplitudes would raise it by 0.4 MB.
 BLOCK_MIN_ROWS = 64
 BLOCK_BYTES = 256 * 2**10
-# Rows per call of a row kernel that allocates temporaries (gathers, phases,
-# squares, jump tables): whatever B is, a block holds one (B, d) array of
-# amplitudes and temporaries of at most KERNEL_ROWS rows.
+# Rows per call of a row kernel that allocates complex temporaries (gathers,
+# phases, squares, jump tables; amplitudes formed from multipliers): whatever B
+# is, a block holds its (B, d) amplitudes or (B, M) multipliers, and complex
+# temporaries of at most KERNEL_ROWS rows.
 KERNEL_ROWS = 64
 GRID_POINTS = integer(8, MAX_TOTAL_DIM)
 
@@ -214,10 +231,11 @@ def _pieces(n: int) -> Iterator[slice]:
     return (slice(start, start + KERNEL_ROWS) for start in range(0, n, KERNEL_ROWS))
 
 
-def block_rows(dim: int) -> int:
-    """Rows B of a block of dim-dimensional states: BLOCK_MIN_ROWS, or as many
-    as fill BLOCK_BYTES of the (B, dim) array if that is more."""
-    return max(BLOCK_MIN_ROWS, BLOCK_BYTES // (np.dtype(complex).itemsize * dim))
+def block_rows(dim: int, itemsize: int = np.dtype(complex).itemsize) -> int:
+    """Rows B of a block whose rows hold ``dim`` numbers of ``itemsize`` bytes
+    (complex amplitudes by default): BLOCK_MIN_ROWS, or as many as fill
+    BLOCK_BYTES of the (B, dim) array if that is more."""
+    return max(BLOCK_MIN_ROWS, BLOCK_BYTES // (itemsize * dim))
 
 
 def _abs2_rows(rows: np.ndarray) -> np.ndarray:
@@ -239,11 +257,15 @@ def _normalize_rows(rows: np.ndarray, norms: np.ndarray) -> None:
 
 
 def marginal_weights(rows: np.ndarray, shape: SubsystemShape, factor: int) -> np.ndarray:
-    """Each row's probabilities over the basis of one factor: an (n, dims[factor]) array."""
+    """Each row's probabilities over the basis of one factor: an (n, dims[factor])
+    array, computed KERNEL_ROWS rows at a time."""
     k = shape.validate_index(factor)
-    t = _abs2_rows(rows).reshape((len(rows),) + shape.dims)
     axes = tuple(i + 1 for i in range(len(shape.dims)) if i != k)
-    return np.sum(t, axis=axes) if axes else t
+    out = np.empty((len(rows), shape.dims[k]))
+    for piece in _pieces(len(rows)):
+        t = _abs2_rows(rows[piece]).reshape((-1,) + shape.dims)
+        out[piece] = np.sum(t, axis=axes) if axes else t
+    return out
 
 
 def mean_positions(weights: np.ndarray, grid: Grid) -> np.ndarray:
@@ -274,8 +296,9 @@ def _position_weights(psi: StateVector, particle: int, grid: Grid) -> np.ndarray
 
 @lru_cache(maxsize=128)
 def _g2_spectrum(points: int, spacing: float, alpha: float) -> np.ndarray:
+    """The real DFT of g^2, each entry twice: it scales the (re, im) pairs of a spectrum."""
     # g^2 is exactly even, so its DFT is real; the rounding residue is dropped
-    spectrum = np.fft.rfft(_template(points, spacing, alpha) ** 2).real
+    spectrum = np.repeat(np.fft.rfft(_template(points, spacing, alpha) ** 2).real, 2)
     spectrum.setflags(write=False)
     return spectrum
 
@@ -289,8 +312,8 @@ def _raw_jump_tables(
     rounding leaves below 0 is clipped, so each table is a distribution.
     """
     spectrum = np.fft.rfft(weights, axis=1)
-    parts = spectrum.view(np.float64).reshape(spectrum.shape + (2,))
-    np.multiply(parts, _g2_spectrum(grid.points, grid.spacing, alpha)[:, None], out=parts)
+    parts = spectrum.view(np.float64)
+    np.multiply(parts, _g2_spectrum(grid.points, grid.spacing, alpha), out=parts)
     raw = np.fft.irfft(spectrum, n=grid.points, axis=1)
     np.multiply(raw, grid.spacing, out=raw)
     np.maximum(raw, 0.0, out=raw)
@@ -318,19 +341,28 @@ def _localize(
     sites: np.ndarray,
 ) -> None:
     """L(x_sites[i]) on ``particle`` of row i, then renormalize, in place."""
-    m = grid.points
-    g = _shifted_templates(m, grid.spacing, alpha)[np.subtract(m, sites) % m]
+    g = _templates_at(grid, alpha, sites)
     axis = shape.validate_index(particle) + 1
     across = [len(rows)] + [1] * (len(shape.dims) + 1)
-    across[axis] = m
+    across[axis] = grid.points
     parts = rows.view(np.float64).reshape((len(rows),) + shape.dims + (2,))
     np.multiply(parts, g.reshape(across), out=parts)
     norms = _row_norms(rows)
+    _check_norms(norms, grid, sites)
+    _normalize_rows(rows, norms)
+
+
+def _templates_at(grid: Grid, alpha: float, sites: np.ndarray) -> np.ndarray:
+    """Row i is the diagonal of L centred at site ``sites[i]``."""
+    m = grid.points
+    return _shifted_templates(m, grid.spacing, alpha)[np.subtract(m, sites) % m]
+
+
+def _check_norms(norms: np.ndarray, grid: Grid, sites: np.ndarray) -> None:
     zero = norms < ZERO_NORM_FLOOR
     if zero.any():
         center = grid.origin + int(sites[zero.argmax()]) * grid.spacing
         raise ZeroNormError(f"jump at {center} hit a zero-probability centre")
-    _normalize_rows(rows, norms)
 
 
 def jump_mass(psi: StateVector, particle: int, grid: Grid, params: GrwParams) -> float:
@@ -610,54 +642,59 @@ def evolve_block(
     (kept samples, >= n, d) array, and ``Block.states`` is that view.
 
     The trials form one window.  Their jump schedules are drawn once, in
-    batches of B = ``block_rows(d)`` trials, and the trials are stably
-    sorted by event count (every trial has the same samples, so by jump
-    count).  Each run of B sorted trials is one block, evolved by
-    ``_evolve_rows`` into its trials' slots.
+    batches of ``block_rows(d)`` trials, and the trials are stably sorted
+    by event count (every trial has the same samples, so by jump count).
+    Each run of B sorted trials is one block, evolved by ``_evolve_rows``
+    into its trials' slots.  The input picks the engine (module
+    docstring): with a propagator a block is complex (B, d) amplitudes and
+    B = ``block_rows(d)``; without one it is real multipliers, B rows of
+    M floats per localized factor, and B = ``block_rows`` of those floats.
     """
     times = _checked_sample_times(psi0, propagator, grid_map, horizon, dt, sample_times)
     rates = _rates(params, grid_map, rate_factors)
-    rows = block_rows(psi0.shape.total_dim)
-    n_jumps, *events = _window_events(rates, horizon, seed, trials, rows)
+    dim = psi0.shape.total_dim
+    n_jumps, *events = _window_events(rates, horizon, seed, trials, block_rows(dim))
     starts = np.cumsum(n_jumps) - n_jumps
     n = len(n_jumps)
     # a block copies its rows' centre uniforms first, so each becomes the centre it draws
     jump_centres = events[2]
     kept = min(1, len(times)) if final_only else len(times)
     if out is None:
-        out = np.empty((kept, n, psi0.shape.total_dim), dtype=complex)
+        out = np.empty((kept, n, dim), dtype=complex)
     states = out[:, :n]
     sample_at = np.append(np.array(times, dtype=float), np.inf)
     order = np.argsort(n_jumps, kind="stable")
+    if propagator is None:
+        points = sum(grid.points for grid in grid_map.values())
+        rows = block_rows(max(1, points), np.dtype(float).itemsize)
+        engine = partial(_Multipliers, psi0, params, grid_map)
+    else:
+        rows = block_rows(dim)
+        engine = partial(_Amplitudes, psi0, propagator, params)
     rounds = 0
     for start in range(0, n, rows):
         slots = order[start:start + rows]
         schedule = _schedule_rows(n_jumps[slots], starts[slots], events)
-        rounds += _evolve_rows(psi0, propagator, params, grid_map, sample_at, len(times) - kept,
+        rounds += _evolve_rows(engine(len(slots)), grid_map, sample_at, len(times) - kept,
                                schedule, slots, starts[slots], states, jump_centres)
     return Block(states, n_jumps, events[0], events[1], jump_centres, rounds)
 
 
 def _evolve_rows(
-    psi0: StateVector, propagator: Propagator | None, params: GrwParams,
-    grid_map: Mapping[int, Grid], sample_at: np.ndarray, first_kept: int,
-    schedule: tuple[np.ndarray, np.ndarray, np.ndarray], slots: np.ndarray,
+    engine: _Amplitudes | _Multipliers, grid_map: Mapping[int, Grid], sample_at: np.ndarray,
+    first_kept: int, schedule: tuple[np.ndarray, np.ndarray, np.ndarray], slots: np.ndarray,
     starts: np.ndarray, states: np.ndarray, jump_centres: np.ndarray,
 ) -> int:
     """Evolve one block and return the event rounds it ran.
 
-    Row i starts at ``psi0`` and runs row i of the padded ``schedule``
-    (``_schedule_rows``).  Its states at the sample times ``sample_at``
-    (+inf last), from the ``first_kept``-th on, go to
+    Row i of ``engine`` starts at psi0 and runs row i of the padded
+    ``schedule`` (``_schedule_rows``).  Its states at the sample times
+    ``sample_at`` (+inf last), from the ``first_kept``-th on, go to
     ``states[:, slots[i]]``, and its k-th jump centre to
-    ``jump_centres[starts[i] + k]``.  A round where every row moves
-    advances the block in place; otherwise the moving rows are gathered.
+    ``jump_centres[starts[i] + k]``.
     """
-    shape = psi0.shape
     jump_times, jump_particles, centre_draws = schedule
     n = len(slots)
-    amps = np.repeat(np.array(psi0.amplitudes)[None, :], n, axis=0)
-    now = np.zeros(n)
     next_jump = np.zeros(n, dtype=int)
     next_sample = np.zeros(n, dtype=int)
     every = np.arange(n)
@@ -671,27 +708,14 @@ def _evolve_rows(
         if not live.any():
             return rounds
         rounds += 1
-        if propagator is not None:
-            gap = np.subtract(t, now)
-            moving = live & (gap > 0)
-            if moving.all():
-                propagator.advance_rows(amps, gap, out=amps)
-            else:
-                moved = np.flatnonzero(moving)
-                for piece in _pieces(moved.size):
-                    rows = moved[piece]
-                    picked = amps[rows]
-                    amps[rows] = propagator.advance_rows(picked, gap[rows], out=picked)
-        np.copyto(now, t, where=live)
+        engine.advance(t, live)
 
         rows = np.flatnonzero(live & sampling)
         kept = next_sample[rows] - first_kept
         next_sample[rows] += 1
         rows, kept = rows[kept >= 0], kept[kept >= 0]
         for piece in _pieces(rows.size):
-            picked = amps[rows[piece]]
-            _normalize_rows(picked, _row_norms(picked))
-            states[kept[piece], slots[rows[piece]]] = picked
+            states[kept[piece], slots[rows[piece]]] = engine.states(rows[piece])
 
         jumping = np.flatnonzero(live & ~sampling)
         columns = next_jump[jumping]
@@ -699,15 +723,121 @@ def _evolve_rows(
         next_jump[jumping] += 1
         for p, grid in grid_map.items():
             mine = particles == p
-            p_rows, p_cols = jumping[mine], columns[mine]
-            for piece in _pieces(p_rows.size):
-                rows, cols = p_rows[piece], p_cols[piece]
-                picked = amps[rows]
-                tables = _jump_tables(marginal_weights(picked, shape, p), grid, params)
-                sites = draw_rows(tables, centre_draws[rows, cols])
-                _localize(picked, shape, p, grid, params.alpha, sites)
-                amps[rows] = picked
+            rows, cols = jumping[mine], columns[mine]
+            if rows.size:
+                sites = engine.jump(p, grid, rows, centre_draws[rows, cols])
                 jump_centres[starts[rows] + cols] = grid.origin + sites * grid.spacing
+
+
+class _Amplitudes:
+    """A block's rows as one complex (n, d) array of amplitudes, advanced
+    by a propagator and localized in place.  Gathered rows are handled
+    KERNEL_ROWS at a time."""
+
+    def __init__(self, psi0: StateVector, propagator: Propagator, params: GrwParams, n: int):
+        self.shape, self.propagator, self.params = psi0.shape, propagator, params
+        self.amps = np.repeat(np.array(psi0.amplitudes)[None, :], n, axis=0)
+        self.now = np.zeros(n)
+
+    def advance(self, t: np.ndarray, live: np.ndarray) -> None:
+        """Every live row to its time ``t``: in place when every row moves,
+        otherwise the moving rows are gathered."""
+        gap = np.subtract(t, self.now)
+        moving = live & (gap > 0)
+        if moving.all():
+            self.propagator.advance_rows(self.amps, gap, out=self.amps)
+        else:
+            moved = np.flatnonzero(moving)
+            for piece in _pieces(moved.size):
+                rows = moved[piece]
+                picked = self.amps[rows]
+                self.amps[rows] = self.propagator.advance_rows(picked, gap[rows], out=picked)
+        np.copyto(self.now, t, where=live)
+
+    def states(self, rows: np.ndarray) -> np.ndarray:
+        picked = self.amps[rows]
+        _normalize_rows(picked, _row_norms(picked))
+        return picked
+
+    def jump(self, p: int, grid: Grid, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Localize particle p of each row at the site its uniform draws; returns the sites."""
+        sites = np.empty(rows.size, dtype=int)
+        for piece in _pieces(rows.size):
+            picked = self.amps[rows[piece]]
+            tables = _jump_tables(marginal_weights(picked, self.shape, p), grid, self.params)
+            sites[piece] = draw_rows(tables, u[piece])
+            _localize(picked, self.shape, p, grid, self.params.alpha, sites[piece])
+            self.amps[rows[piece]] = picked
+        return sites
+
+
+class _Multipliers:
+    """A block's rows without a Hamiltonian, as real multipliers: row i's
+    state is psi0 times F_p[i] along each localized factor p, and F_p is
+    a real (n, M) array.  Amplitudes are formed only at sample times.
+
+    A jump on p draws from the table of F_p^2 W_p, W_p being |psi0|^2
+    contracted with the other factors' F^2 (with one localized factor, a
+    fixed M-vector), and multiplies F_p by g / ||.||, the norm taken with
+    the same weights.
+    """
+
+    def __init__(self, psi0: StateVector, params: GrwParams, grid_map: Mapping[int, Grid],
+                 n: int):
+        self.psi0, self.params = psi0, params
+        self.factors = {p: np.ones((n, grid.points)) for p, grid in grid_map.items()}
+        amplitudes = psi0.amplitudes[None, :]
+        if len(grid_map) == 1:
+            self.marginal = marginal_weights(amplitudes, psi0.shape, *grid_map)[0]
+        else:
+            self.marginal = None
+            self.probabilities = _abs2_rows(amplitudes).reshape(psi0.shape.dims)
+
+    def advance(self, t: np.ndarray, live: np.ndarray) -> None:
+        """Nothing moves between events without a Hamiltonian."""
+
+    def _across(self, n: int, p: int) -> list[int]:
+        """The shape that lays an (n, M) array along factor p of (n,) + dims."""
+        across = [n] + [1] * len(self.psi0.shape.dims)
+        across[p + 1] = self.psi0.shape.dims[p]
+        return across
+
+    def _others(self, p: int, rows: np.ndarray) -> np.ndarray:
+        """W_p of each row, or the one W_p of every row."""
+        if self.marginal is not None:
+            return self.marginal
+        t = self.probabilities
+        for q, f in self.factors.items():
+            if q != p:
+                t = np.multiply(t, np.square(f[rows]).reshape(self._across(rows.size, q)))
+        return np.sum(t, axis=tuple(i + 1 for i in range(t.ndim - 1) if i != p))
+
+    def states(self, rows: np.ndarray) -> np.ndarray:
+        scale = np.ones([rows.size] + [1] * len(self.psi0.shape.dims))
+        for p, f in self.factors.items():
+            scale = np.multiply(scale, f[rows].reshape(self._across(rows.size, p)))
+        amps = self.psi0.reshaped()
+        out = np.empty(np.broadcast_shapes(scale.shape, amps.shape), dtype=complex)
+        np.multiply(amps.real, scale, out=out.real)
+        np.multiply(amps.imag, scale, out=out.imag)
+        out = out.reshape(rows.size, -1)
+        _normalize_rows(out, _row_norms(out))
+        return out
+
+    def jump(self, p: int, grid: Grid, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Localize particle p of each row at the site its uniform draws; returns the sites."""
+        factor = self.factors[p]
+        every = rows.size == len(factor)
+        f = factor if every else factor[rows]
+        w = self._others(p, rows)
+        sites = draw_rows(_jump_tables(np.multiply(np.square(f), w), grid, self.params), u)
+        np.multiply(f, _templates_at(grid, self.params.alpha, sites), out=f)
+        norms = np.sqrt(np.sum(np.multiply(np.square(f), w), axis=1))
+        _check_norms(norms, grid, sites)
+        _normalize_rows(f, norms)
+        if not every:
+            factor[rows] = f
+        return sites
 
 
 def evolve_trajectory(

@@ -10,7 +10,9 @@ Per-trial records are held as columns, one numpy array or list per
 field, from the scenario to the file; no object per trial is built.
 Each column's cells are rendered once per distinct value, and the JSON
 rows fill one template of the sorted keys with those texts, so the
-report's bytes are those of canonical_json over the row objects.
+report's bytes are those of canonical_json over the row objects.  The
+CSV table derives its cells from the same texts and keeps them for the
+next ``to_json``, so a run that writes both formats each value once.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -121,7 +123,9 @@ class ExperimentReport:
     mapping from field name to a numpy array or a list, all of one length,
     row i of every column making trial i's record.  ``to_json`` writes
     them as the list of row objects, keys sorted; ``trials_csv`` as a
-    table whose columns keep the mapping's order.
+    table whose columns keep the mapping's order.  The table keeps its
+    texts for the next ``to_json``, so the columns must not change between
+    the two.
     """
 
     scenario: str
@@ -135,6 +139,7 @@ class ExperimentReport:
     def __post_init__(self) -> None:
         if self.trials is not None and len({len(c) for c in self.trials.values()}) > 1:
             raise ValueError("trial columns must all have the same length")
+        self._formatted: dict[str, tuple[str, np.ndarray]] = {}
 
     def to_json(self, include_timing: bool = False) -> str:
         fields = {
@@ -148,7 +153,9 @@ class ExperimentReport:
             fields["wall_time_s"] = self.wall_time_s
         texts = {key: [canonical_json(value)] for key, value in fields.items()}
         if self.trials is not None:
-            texts["trials"] = _json_rows(self.trials)
+            # the cell texts die with the call, before the report is joined
+            texts["trials"] = _json_rows(
+                {key: _cells(*self._json_texts(key)) for key in self.trials})
         out: list[str] = []
         for key in sorted(texts):
             out.append(("," if out else "{") + _escape(key) + ":")
@@ -157,7 +164,9 @@ class ExperimentReport:
         return "".join(out)
 
     def trials_csv(self) -> str:
-        """Per-trial table as CSV (deterministic column order)."""
+        """Per-trial table as CSV (deterministic column order), its cells
+        derived from their JSON texts, which are kept for the next
+        ``to_json``."""
         if not self.trials or not len(next(iter(self.trials.values()))):
             return ""
         import csv
@@ -165,20 +174,35 @@ class ExperimentReport:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.trials)
-        writer.writerows(zip(*(_column_texts(c, _csv_cell) for c in self.trials.values())))
+        columns = (self._json_texts(key, keep=True) for key in self.trials)
+        writer.writerows(zip(*(_cells(list(map(_csv_text, t)), i) for t, i in columns)))
         return buf.getvalue()
+
+    def _json_texts(self, key: str, keep: bool = False) -> tuple[list[str], np.ndarray]:
+        """The canonical JSON texts of column ``key``'s distinct values and
+        each cell's index into them (``_distinct_texts``).  With ``keep``
+        they are stored, as one string (a JSON text holds no raw newline),
+        until a call without it takes them."""
+        kept = self._formatted.get(key) if keep else self._formatted.pop(key, None)
+        if kept is not None:
+            joined, inverse = kept
+            return joined.split("\n"), inverse
+        texts, inverse = _distinct_texts(self.trials[key])
+        if keep:
+            self._formatted[key] = "\n".join(texts), inverse
+        return texts, inverse
 
 
 _ROWS_PER_PIECE = 4096  # rows formatted at a time: one piece's row strings are alive at once
 
 
-def _json_rows(columns: Columns) -> list[str]:
-    """The canonical JSON list of the columns' row objects, as pieces of
-    text.  One template holds the sorted keys; each row fills it with its
-    cells' texts."""
-    keys = sorted(columns)
+def _json_rows(texts: dict[str, list[str]]) -> list[str]:
+    """The canonical JSON list of row objects whose cells have the texts
+    ``texts[key]``, as pieces of text.  One template holds the sorted keys;
+    each row fills it with its cells' texts."""
+    keys = sorted(texts)
     template = "{" + ",".join(_escape(k).replace("%", "%%") + ":%s" for k in keys) + "}"
-    rows = zip(*(_column_texts(columns[k], canonical_json) for k in keys))
+    rows = zip(*(texts[k] for k in keys))
     pieces = ["["]
     while chunk := list(islice(rows, _ROWS_PER_PIECE)):
         if len(pieces) > 1:
@@ -188,33 +212,40 @@ def _json_rows(columns: Columns) -> list[str]:
     return pieces
 
 
-def _column_texts(column: Any, cell: Callable[[Any], str]) -> list[str]:
-    """``cell`` of every entry of ``column``, called once per distinct
-    value: once per bit pattern in a numeric array, once per object in a
-    list or object array.  Values are never merged by ==, so -0.0 and 0.0,
-    or True and 1, keep their own texts."""
+def _distinct_texts(column: Any) -> tuple[list[str], np.ndarray]:
+    """The canonical JSON texts of the distinct values of ``column``, and
+    for each entry the index of its text.  A value is
+    distinct per bit pattern in a numeric array and per object in a list or
+    object array; values are never merged by ==, so -0.0 and 0.0, or True
+    and 1, keep their own texts."""
     if not len(column):
-        return []
-    if isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
+        return [], np.empty(0, dtype=np.uint8)
+    numeric = isinstance(column, np.ndarray) and column.dtype.kind in "iuf"
+    if numeric:
         rows = np.ascontiguousarray(column).reshape(len(column), -1)
         size = rows.shape[1] * rows.itemsize
         if not size:  # rows without entries all read the same
-            return [cell(column[0])] * len(column)
-        bits = np.dtype(f"u{size}") if size in (1, 2, 4, 8) else np.dtype((np.void, size))
-        distinct, inverse = np.unique(rows.view(bits).ravel(), return_inverse=True)
-        where = np.empty(len(distinct), dtype=np.intp)
-        where[inverse] = np.arange(len(column))  # a row holding each distinct value
-        texts = np.array([cell(v) for v in column[where].tolist()], dtype=object)
-        return texts[inverse].tolist()
-    values = list(column) if isinstance(column, np.ndarray) else column  # alive while ids are
-    ids = list(map(id, values))
-    texts_of = {i: cell(v) for i, v in dict(zip(ids, values)).items()}
-    return list(map(texts_of.__getitem__, ids))
+            keys = np.zeros(len(column), dtype=np.uint8)
+        else:
+            bits = np.dtype(f"u{size}") if size in (1, 2, 4, 8) else np.dtype((np.void, size))
+            keys = rows.view(bits).ravel()
+    else:
+        keys = np.fromiter(map(id, column), dtype=np.uintp, count=len(column))
+    found, inverse = np.unique(keys, return_inverse=True)
+    where = np.empty(len(found), dtype=np.intp)
+    where[inverse] = np.arange(len(column))  # an entry holding each distinct value
+    values = column[where].tolist() if numeric else [column[i] for i in where.tolist()]
+    return list(map(canonical_json, values)), inverse.astype(np.min_scalar_type(len(values) - 1))
 
 
-def _csv_cell(v: Any) -> str:
-    """A cell's CSV text: strings as they are, None empty, anything else
-    its canonical JSON."""
-    if v is None:
+def _cells(texts: list[str], inverse: np.ndarray) -> list[str]:
+    """The text of each cell, ``texts[inverse[i]]``, one string object per distinct text."""
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _csv_text(json_text: str) -> str:
+    """A cell's CSV text from its canonical JSON: a string as it is, None
+    empty, anything else the JSON text itself."""
+    if json_text == "null":
         return ""
-    return v if isinstance(v, str) else canonical_json(v)
+    return json.loads(json_text) if json_text.startswith('"') else json_text

@@ -7,12 +7,18 @@ trial's B and A outcomes are its draws 0 and 1 of tag ``rng.OUTCOMES``,
 an ``epr`` trial's b outcome is its draw 0 of that tag, and trajectories
 draw their jump schedules and centres as ``grw.sample_jump_times``
 says.  Trials run in windows, one pool task each, and each window's draws
-come from array computations over its trials.  A trajectory window is
-one ``grw.evolve_block`` call, which sorts its trials into blocks of
-``grw.block_rows``: a serial ``oracle-compare`` window fills the mixture
-buffer (``lindblad.Mixture``), a pooled one a share of it, and an ``epr``
-or ``grw-run`` window is WINDOW_BLOCKS blocks.  Reports are bit-identical
-however trials are split into windows and blocks or spread over workers.
+come from array computations over its trials; a pool keeps
+TASKS_PER_WORKER tasks per worker submitted ahead of the consumer.  A
+trajectory window is one ``grw.evolve_block`` call, which sorts its
+trials into blocks of ``grw.block_rows`` rows: a serial
+``oracle-compare`` window fills the mixture buffer
+(``lindblad.Mixture``), a pooled one a share of it, and an ``epr`` or
+``grw-run`` window holds WINDOW_BLOCKS * ``block_rows(d)`` trials, the
+trials of WINDOW_BLOCKS blocks of amplitudes.  Without a Hamiltonian
+(every ``epr`` run) ``evolve_block`` evolves real multipliers in larger
+blocks instead, so a default ``epr`` window (d = 256, M = 64) is one
+512-row block.  Reports are bit-identical however trials are split into
+windows and blocks or spread over workers.
 """
 from __future__ import annotations
 
@@ -87,8 +93,10 @@ _B_OUTCOMES = np.array(["delta2", "delta4"], dtype=object)
 MAX_TRIALS = 10**6
 MAX_EVENTS = 10**6  # trials * (lambda * rate factor * horizon + checkpoints)
 SINGLET_BLOCK = 4096  # trials per block of a singlet run
-# Blocks per window of an epr or grw-run.  The window keeps the final states of
-# its trials (2 MiB at d = 64 and at d = 256) until their records are made.
+# Blocks of amplitudes per window of an epr or grw-run: a window holds
+# WINDOW_BLOCKS * block_rows(d) trials, whichever engine evolves them.  The
+# window keeps the final states of its trials (2 MiB at d = 64 and at d = 256)
+# until their records are made.
 WINDOW_BLOCKS = 8
 
 
@@ -116,6 +124,10 @@ def _check_budget(seed: int, trials: int, trials_key: str, events_per_trial: flo
                           f"{MAX_EVENTS}")
 
 
+# Pool tasks submitted ahead of the consumer per worker: the one it runs and one queued.
+TASKS_PER_WORKER = 2
+
+
 def pool_size(workers: int, n: int) -> int:
     """Worker processes worth starting for n trials: no more than the cores or the trials."""
     return min(workers, os.cpu_count() or 1, n)
@@ -124,8 +136,10 @@ def pool_size(workers: int, n: int) -> int:
 def _map_indexed(fn: Callable[[Item], T], items: Sequence[Item], workers: int) -> Iterator[T]:
     """fn over ``items`` (windows of trial indices) in order, computed as the
     caller consumes the results.  Each item is one pool task, and at most
-    ``workers`` tasks are submitted ahead of the consumer, so finished
-    windows cannot pile up."""
+    TASKS_PER_WORKER tasks per worker are submitted ahead of the consumer:
+    a worker that finishes early starts its queued task instead of waiting
+    for the oldest window to be consumed, and finished windows cannot pile
+    up."""
     workers = pool_size(workers, len(items))
     if workers <= 1:
         yield from map(fn, items)
@@ -136,7 +150,7 @@ def _map_indexed(fn: Callable[[Item], T], items: Sequence[Item], workers: int) -
     with ProcessPoolExecutor(max_workers=workers) as ex:
         pending: deque = deque()
         for item in items:
-            if len(pending) == workers:
+            if len(pending) == TASKS_PER_WORKER * workers:
                 yield pending.popleft().result()
             pending.append(ex.submit(fn, item))
         while pending:
@@ -544,9 +558,10 @@ def run_oracle_comparison(
     mixture = Mixture(times, grid.points)
     pool = pool_size(workers, ensemble_size)
     # a serial run evolves each window straight into the mixture buffer; a
-    # pool's workers return theirs, and the parent holds up to pool + 1 of
-    # them, so their windows are cut to about a buffer together
-    chunks = max(1, mixture.capacity // MIXTURE_CHUNK // (pool + 1))
+    # pool's workers return theirs, and the parent holds up to the windows
+    # submitted ahead plus the one it folds, so those are cut to about a
+    # buffer together
+    chunks = max(1, mixture.capacity // MIXTURE_CHUNK // (TASKS_PER_WORKER * pool + 1))
     windows = _blocks(ensemble_size, mixture.capacity if pool <= 1 else chunks * MIXTURE_CHUNK)
     out = mixture.buffer if pool_size(workers, len(windows)) <= 1 else None
     evolved = _map_indexed(partial(_ensemble_window, ensemble, master_seed, out=out),

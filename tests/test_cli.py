@@ -328,16 +328,18 @@ def test_oracle_compare_reports_identical_across_worker_counts(tmp_path, hamilto
 def test_reports_identical_across_block_sizes(tmp_path, monkeypatch, args):
     # one row per block in small windows (8 trials for epr and grw-run, one
     # mixture chunk for oracle-compare), the default, and blocks of 512 rows
-    # (512 KiB at d = 64), where NumPy reuses large temporaries in place and an
-    # unnamed output could reorder a complex product
+    # (512 KiB of amplitudes at d = 64), where NumPy reuses large temporaries in
+    # place and an unnamed output could reorder a complex product; without a
+    # Hamiltonian the blocks are real multipliers, 512 rows by default at M = 64
     assert grw.block_rows(16) == 1024
     assert grw.block_rows(64) == 256
     assert grw.block_rows(256) == grw.block_rows(4096) == 64
+    assert grw.block_rows(64, 8) == 512  # float64 multipliers
     buffer_bytes = lindblad.MIXTURE_BUFFER_BYTES
     outputs = []
-    for name, rows, window_bytes in [("b1", lambda dim: 1, 1),
+    for name, rows, window_bytes in [("b1", lambda *_: 1, 1),
                                      ("default", grw.block_rows, buffer_bytes),
-                                     ("b512", lambda dim: 512, buffer_bytes)]:
+                                     ("b512", lambda *_: 512, buffer_bytes)]:
         monkeypatch.setattr(grw, "block_rows", rows)
         monkeypatch.setattr(scenarios, "block_rows", rows)
         monkeypatch.setattr(lindblad, "MIXTURE_BUFFER_BYTES", window_bytes)

@@ -202,19 +202,23 @@ def test_block_rows_match_single_trajectories():
 
 def test_permuted_trials_give_the_same_rows(monkeypatch):
     # a window sorts its trials by event count into blocks; any order of the
-    # trials, in blocks of any size, gives each trial the same bits
+    # trials, in blocks of any size, gives each trial the same bits, whether
+    # the blocks are amplitudes (with a propagator) or multipliers (without)
     psi = two_peak_state(GRID, (24.0, 40.0), (0.6, 0.4), 2.0)
-    prop = Propagator(free_hamiltonian(GRID, mass=10.0))
     times = [0.5, 1.0, 2.0]
     trials = np.arange(300)
-    ref = evolve_block(psi, prop, PARAMS, {0: GRID}, 2.0, 0.02, 17, trials, sample_times=times)
     perm = np.random.default_rng(3).permutation(trials)
-    monkeypatch.setattr(grw, "block_rows", lambda dim: 37)
-    got = evolve_block(psi, prop, PARAMS, {0: GRID}, 2.0, 0.02, 17, perm, sample_times=times)
-    assert np.array_equal(got.states.view(float), ref.states[:, perm].view(float))
-    assert np.array_equal(got.n_jumps, ref.n_jumps[perm])
-    for row, trial in enumerate(perm[:40]):
-        assert got.jumps(row) == ref.jumps(trial)
+    for prop in (Propagator(free_hamiltonian(GRID, mass=10.0)), None):
+        ref = evolve_block(psi, prop, PARAMS, {0: GRID}, 2.0, 0.02, 17, trials,
+                           sample_times=times)
+        with monkeypatch.context() as patch:
+            patch.setattr(grw, "block_rows", lambda *_: 37)
+            got = evolve_block(psi, prop, PARAMS, {0: GRID}, 2.0, 0.02, 17, perm,
+                               sample_times=times)
+        assert np.array_equal(got.states.view(float), ref.states[:, perm].view(float))
+        assert np.array_equal(got.n_jumps, ref.n_jumps[perm])
+        for row, trial in enumerate(perm[:40]):
+            assert got.jumps(row) == ref.jumps(trial)
 
 
 def test_a_window_runs_its_sorted_blocks_rounds():
@@ -230,6 +234,61 @@ def test_a_window_runs_its_sorted_blocks_rounds():
     assert block.rounds == sum(events[start:start + rows].max() for start in range(0, 700, rows))
     unsorted = block.n_jumps + len(times)
     assert block.rounds < sum(unsorted[start:start + rows].max() for start in range(0, 700, rows))
+
+
+def _entangled_packets(grid, centres_a, centres_b, width):
+    """(|a1>|b1> + |a2>|b2>) / sqrt 2 of packets on two copies of ``grid``."""
+    amps = sum(np.kron(gaussian_packet(grid, a, width).amplitudes,
+                       gaussian_packet(grid, b, width).amplitudes)
+               for a, b in zip(centres_a, centres_b))
+    return StateVector(SubsystemShape((grid.points, grid.points)), amps).normalize()
+
+
+def _multiplier_cases():
+    pointer = Grid(32, 1.0)
+    region = StateVector(SubsystemShape((2,)), np.array([1.0, 1.0j]) / math.sqrt(2.0))
+    arr = tensor_product(region, gaussian_packet(pointer, 8.0, 1.0)).reshaped().copy()
+    arr[1] = np.roll(arr[1], 12)  # the pointer reads the region, as in epr
+    coupled = StateVector(SubsystemShape((2, 32)), arr.reshape(-1))
+    return {
+        "one factor": (two_peak_state(GRID, (24.0, 40.0), (0.6, 0.4), 2.0), {0: GRID},
+                       PARAMS, None),
+        "pointer": (coupled, {1: pointer}, GrwParams(alpha=0.25, lam=0.2), {1: 25.0}),
+        "two factors": (_entangled_packets(pointer, (6.0, 22.0), (10.0, 26.0), 1.5),
+                        {0: pointer, 1: pointer}, GrwParams(alpha=0.25, lam=1.5), {1: 2.0}),
+    }
+
+
+@pytest.mark.parametrize("case", ["one factor", "pointer", "two factors"])
+def test_multipliers_match_amplitudes_under_a_zero_hamiltonian(case):
+    # without a Hamiltonian a block evolves real multipliers of psi0; driven
+    # by a zero Hamiltonian, the amplitude engine runs the same trajectories
+    psi, grids, params, rate_factors = _multiplier_cases()[case]
+    times = [0.5, 1.0, 2.0]
+    kwargs = dict(sample_times=times, rate_factors=rate_factors)
+    zero = Propagator(np.zeros(psi.shape.total_dim))
+    got = evolve_block(psi, None, params, grids, 2.0, 0.02, 23, range(200), **kwargs)
+    ref = evolve_block(psi, zero, params, grids, 2.0, 0.02, 23, range(200), **kwargs)
+    assert np.array_equal(got.n_jumps, ref.n_jumps) and got.n_jumps.sum() > 200
+    assert np.array_equal(got.jump_particles, ref.jump_particles)
+    assert set(got.jump_particles.tolist()) == set(grids)
+    assert np.array_equal(got.jump_centres, ref.jump_centres)
+    assert np.max(np.abs(got.states - ref.states)) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(got.states, axis=2) - 1.0)) <= 1e-12
+
+
+def test_multipliers_raise_on_zero_norm_and_inadequate_grids(monkeypatch):
+    one_site = np.zeros(GRID.points, dtype=complex)
+    one_site[10] = 1.0
+    psi = StateVector(SubsystemShape((GRID.points,)), one_site)
+    # a centre 32 sites from the only occupied site leaves a norm of exp(-128)
+    monkeypatch.setattr(grw, "draw_rows", lambda tables, u: np.full(len(u), 42))
+    with pytest.raises(ZeroNormError, match="42"):
+        evolve_block(psi, None, GrwParams(alpha=0.25, lam=1.0), {0: GRID}, 5.0, 0.1, 1, range(4))
+    monkeypatch.undo()
+    # alpha dx^2 = 4: the grid cannot resolve the localization width
+    with pytest.raises(GridAdequacyError):
+        evolve_block(psi, None, GrwParams(alpha=4.0, lam=1.0), {0: GRID}, 5.0, 0.1, 1, range(4))
 
 
 def test_in_place_advance_matches_advance_rows_bit_for_bit():

@@ -106,7 +106,7 @@ def test_singlet_records_match_per_trial_measurement(case, seed):
         assert len(column) == trials
         assert column.tolist() == [r[key] for r in expected], key
     # and so are their texts, which also tell True from 1
-    assert "".join(report._json_rows(rep.trials)) == canonical_json(expected)
+    assert rep.to_json().endswith('"trials":' + canonical_json(expected) + "}\n")
 
 
 def test_trial_columns_cost_one_text_per_distinct_value(monkeypatch):
@@ -120,11 +120,14 @@ def test_trial_columns_cost_one_text_per_distinct_value(monkeypatch):
         return format_float(x)
 
     monkeypatch.setattr(report, "format_float", counted)
+    # each format formats each distinct value once; the report keeps no
+    # texts, and the table keeps the ones the next report takes
     trials_only = ExperimentReport(rep.scenario, {}, None, {}, trials=rep.trials)
-    for write in (trials_only.to_json, trials_only.trials_csv):
+    for write, formats in ((trials_only.to_json, True), (trials_only.trials_csv, True),
+                           (trials_only.to_json, False), (trials_only.to_json, True)):
         calls.clear()
         write()
-        assert 1 <= len(calls) <= 3
+        assert 1 <= len(calls) <= 3 if formats else calls == []
 
 
 # -- EPR scenario -----------------------------------------------------------------
@@ -232,6 +235,25 @@ def test_oracle_comparison_round_count_is_pinned(monkeypatch):
     assert sum(rounds) == 411
 
 
+def test_epr_round_count_is_pinned(monkeypatch):
+    # event rounds of a serial epr --trials 4000 --seed 1 (d = 256, M = 64):
+    # 1759 in 64-row blocks of amplitudes, 332 with each 512-trial window one
+    # block of pointer multipliers (block_rows(64, 8) = 512)
+    rounds = []
+
+    def counted(*args, **kwargs):
+        block = evolve(*args, **kwargs)
+        rounds.append(block.rounds)
+        return block
+
+    evolve = scenarios.evolve_block
+    monkeypatch.setattr(scenarios, "evolve_block", counted)
+    rep = run_epr_position(EprConfig(trials=4000, master_seed=1))
+    assert rep.aggregates["cond_b_delta2_given_a_delta1"] == 1.0
+    assert len(rounds) == 8
+    assert sum(rounds) == 332
+
+
 def test_oracle_comparison_requires_minimum_ensemble():
     with pytest.raises(ConfigError):
         run_oracle_comparison(OracleComparisonConfig(), 50, 1)
@@ -329,10 +351,12 @@ def test_pool_keeps_a_bounded_window_of_tasks(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
     monkeypatch.setattr(scenarios.os, "cpu_count", lambda: 2)
-    # 16 items over 2 workers: one task per item, at most 2 ahead of the consumer
+    # 16 items over 2 workers: one task per item, and TASKS_PER_WORKER = 2 per
+    # worker (one running, one queued) ahead of the consumer
+    ahead = 2 * scenarios.TASKS_PER_WORKER
     for i, result in enumerate(scenarios._map_indexed(lambda x: x * x, range(16), 2)):
         assert result == i * i
-        assert len(submitted) <= i + 2
+        assert len(submitted) == min(16, i + ahead)
     assert len(submitted) == 16
 
 
