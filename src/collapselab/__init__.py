@@ -42,7 +42,6 @@ from .grw import (
     evolve_equivariant,
     evolve_trajectory,
     jump_density,
-    localization_operator,
     sample_jump_times,
 )
 from .lindblad import (
@@ -59,7 +58,6 @@ from .spin import (
     TripleOutcome,
     outcome_independence_check,
     parameter_independence_check,
-    singlet_joint_measure,
     singlet_state,
     spin_matrices,
     squared_spin,

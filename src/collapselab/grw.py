@@ -37,33 +37,36 @@ kernel acts on each row alone and names the output of each binary
 operation, so a row's bits depend neither on B nor on the rows it is
 evolved with.
 
-The input picks one of two engines.  With a propagator a block is one
-complex (B, d) array of amplitudes: rows advance by their own gaps,
-with per-row phases and one row-wise FFT pair computed in place, and
-gathered rows are handled KERNEL_ROWS at a time.  Without one every
+Three engines run on that one event loop (``_evolve_rows``), and the
+input picks the engine.  With a propagator a block is one complex
+(B, d) array of amplitudes (``_Amplitudes``): rows advance by their own
+gaps, with per-row phases and one row-wise FFT pair computed in place,
+and gathered rows are handled KERNEL_ROWS at a time.  Without one every
 event is a localization, and localizations are diagonal in position and
 commute, so row i's state is psi0 times a real multiplier F_p[i], an
-M-vector, along each localized factor p.  A jump on p draws from the
-table of F_p^2 W_p, where W_p is |psi0|^2 contracted with the other
-factors' F^2 (one fixed M-vector when p is the only localized factor),
-and multiplies F_p by g / ||.||, the norm taken with the same weights.
-Complex amplitudes are formed only at sample times, KERNEL_ROWS rows at
-a time.  ``block_rows`` sizes a block at 64 rows or 256 KiB of what a
-round touches, whichever is more: the (B, d) amplitudes, or B rows of
-M floats per localized factor.  ``evolve_trajectory`` is a one-trial
-window, and ``jump_density``, ``jump_mass``, ``apply_jump`` and
-``Propagator.advance`` run one row of the amplitude kernels.  No kernel
-calls BLAS: norms and sums are elementwise products and ``np.sum``.
+M-vector, along each localized factor p (``_Multipliers``).  A jump on p
+draws from the table of F_p^2 W_p, where W_p is |psi0|^2 contracted with
+the other factors' F^2 (one fixed M-vector when p is the only localized
+factor), and multiplies F_p by g / ||.||, the norm taken with the same
+weights.  Complex amplitudes are formed only at sample times,
+KERNEL_ROWS rows at a time.  ``block_rows`` sizes a block at 64 rows or
+256 KiB of what a round touches, whichever is more: the (B, d)
+amplitudes, or B rows of M floats per localized factor.
+``evolve_trajectory`` is a one-trial window, and ``jump_density``,
+``apply_jump`` and ``Propagator.advance`` run one row of the amplitude
+kernels.  No kernel calls BLAS: norms and sums are elementwise products,
+``np.sum`` and ``math.fsum``.
 
-``evolve_equivariant`` runs one trajectory whose state updates commute
-bit-exactly with cyclic grid translations, with kernels of its own:
-norms and inner sums use math.fsum (order-independent, correctly
-rounded), the propagator is applied as an fsum circulant matvec on a
-single grid factor, and jump centres come from a cumulative table
-anchored at its argmax.  Translating the initial state by s sites then
-reproduces the original trajectory translated by s, for the same seed
-and trial.  It takes the same jump times as ``evolve_block`` and has
-the same statistics.
+The third engine (``_Equivariant``) holds one row whose state updates
+commute bit-exactly with cyclic grid translations, and
+``evolve_equivariant`` runs one trial on it: norms and inner sums use
+math.fsum (order-independent, correctly rounded), the propagator is
+applied as an fsum circulant matvec on a single grid factor, and jump
+centres come from a cumulative table anchored at its argmax.
+Translating the initial state by s sites then reproduces the original
+trajectory translated by s, for the same seed and trial.  It takes the
+same jump times as ``evolve_block``, from the same loop, and has the
+same statistics.
 """
 from __future__ import annotations
 
@@ -75,7 +78,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, GridAdequacyError, StepConditionError, ZeroNormError
-from .hilbert import MAX_TOTAL_DIM, SPECTRAL_TOL, Operator, StateVector, SubsystemShape
+from .hilbert import MAX_TOTAL_DIM, SPECTRAL_TOL, StateVector, SubsystemShape
 from .rng import JUMPS, draw_rows, uniforms
 from .schema import NON_NEGATIVE, POSITIVE, check_fields, checked, integer
 
@@ -214,12 +217,6 @@ def circulant(col: np.ndarray) -> np.ndarray:
     return windows[::-1].copy()
 
 
-def localization_operator(grid: Grid, alpha: float, center: float) -> Operator:
-    """Gaussian localization operator centred at an on-grid coordinate."""
-    k = grid.index_of(center)
-    return Operator(np.diag(np.roll(gaussian_template(grid, alpha), k)))
-
-
 # -- row kernels ---------------------------------------------------------------
 #
 # Each acts on every row of a C-contiguous complex (n, d) array on its own, and
@@ -259,13 +256,22 @@ def _normalize_rows(rows: np.ndarray, norms: np.ndarray) -> None:
 def marginal_weights(rows: np.ndarray, shape: SubsystemShape, factor: int) -> np.ndarray:
     """Each row's probabilities over the basis of one factor: an (n, dims[factor])
     array, computed KERNEL_ROWS rows at a time."""
-    k = shape.validate_index(factor)
-    axes = tuple(i + 1 for i in range(len(shape.dims)) if i != k)
-    out = np.empty((len(rows), shape.dims[k]))
+    return factor_marginals(rows, shape, [factor])[0]
+
+
+def factor_marginals(
+    rows: np.ndarray, shape: SubsystemShape, factors: Sequence[int]
+) -> list[np.ndarray]:
+    """``marginal_weights`` of each of ``factors``, in order, with each
+    KERNEL_ROWS piece of rows squared once for all of them."""
+    ks = [shape.validate_index(k) for k in factors]
+    outs = [np.empty((len(rows), shape.dims[k])) for k in ks]
     for piece in _pieces(len(rows)):
         t = _abs2_rows(rows[piece]).reshape((-1,) + shape.dims)
-        out[piece] = np.sum(t, axis=axes) if axes else t
-    return out
+        for k, out in zip(ks, outs):
+            axes = tuple(i + 1 for i in range(len(shape.dims)) if i != k)
+            out[piece] = np.sum(t, axis=axes) if axes else t
+    return outs
 
 
 def mean_positions(weights: np.ndarray, grid: Grid) -> np.ndarray:
@@ -303,23 +309,6 @@ def _g2_spectrum(points: int, spacing: float, alpha: float) -> np.ndarray:
     return spectrum
 
 
-def _raw_jump_tables(
-    weights: np.ndarray, grid: Grid, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """raw[i, k] = sum_q g^2(k - q) weights[i, q] dx, and each row's total.
-
-    The circular convolution is one batched rfft/irfft pair; an entry that
-    rounding leaves below 0 is clipped, so each table is a distribution.
-    """
-    spectrum = np.fft.rfft(weights, axis=1)
-    parts = spectrum.view(np.float64)
-    np.multiply(parts, _g2_spectrum(grid.points, grid.spacing, alpha), out=parts)
-    raw = np.fft.irfft(spectrum, n=grid.points, axis=1)
-    np.multiply(raw, grid.spacing, out=raw)
-    np.maximum(raw, 0.0, out=raw)
-    return raw, np.sum(raw, axis=1)
-
-
 def _check_jump_mass(total: np.ndarray) -> None:
     bad = np.abs(np.subtract(total, 1.0)) > JUMP_MASS_HARD_LIMIT
     if bad.any():
@@ -330,8 +319,19 @@ def _check_jump_mass(total: np.ndarray) -> None:
 
 
 def _jump_tables(weights: np.ndarray, grid: Grid, params: GrwParams) -> np.ndarray:
-    """Normalized jump tables, one per row of (n, M) position weights."""
-    raw, total = _raw_jump_tables(weights, grid, params.alpha)
+    """Normalized jump tables, one per row of (n, M) position weights: row i
+    is raw[i, k] = sum_q g^2(k - q) weights[i, q] dx over its total.
+
+    The circular convolution is one batched rfft/irfft pair; an entry that
+    rounding leaves below 0 is clipped, so each table is a distribution.
+    """
+    spectrum = np.fft.rfft(weights, axis=1)
+    parts = spectrum.view(np.float64)
+    np.multiply(parts, _g2_spectrum(grid.points, grid.spacing, params.alpha), out=parts)
+    raw = np.fft.irfft(spectrum, n=grid.points, axis=1)
+    np.multiply(raw, grid.spacing, out=raw)
+    np.maximum(raw, 0.0, out=raw)
+    total = np.sum(raw, axis=1)
     _check_jump_mass(total)
     return np.divide(raw, total[:, None], out=raw)
 
@@ -363,12 +363,6 @@ def _check_norms(norms: np.ndarray, grid: Grid, sites: np.ndarray) -> None:
     if zero.any():
         center = grid.origin + int(sites[zero.argmax()]) * grid.spacing
         raise ZeroNormError(f"jump at {center} hit a zero-probability centre")
-
-
-def jump_mass(psi: StateVector, particle: int, grid: Grid, params: GrwParams) -> float:
-    """Pre-normalization total jump probability; 1 on an adequate grid."""
-    w = _position_weights(psi, particle, grid)
-    return float(_raw_jump_tables(w[None, :], grid, params.alpha)[1][0])
 
 
 def jump_density(psi: StateVector, particle: int, grid: Grid, params: GrwParams) -> np.ndarray:
@@ -650,6 +644,18 @@ def evolve_block(
     B = ``block_rows(d)``; without one it is real multipliers, B rows of
     M floats per localized factor, and B = ``block_rows`` of those floats.
     """
+    return _evolve_window(psi0, propagator, params, grid_map, horizon, dt, seed, trials,
+                          sample_times, rate_factors, final_only, out)
+
+
+def _evolve_window(
+    psi0: StateVector, propagator: Propagator | None, params: GrwParams,
+    grid_map: Mapping[int, Grid], horizon: float, dt: float, seed: int, trials: Sequence[int],
+    sample_times: Sequence[float] | None, rate_factors: Mapping[int, float] | None,
+    final_only: bool = False, out: np.ndarray | None = None, equivariant: bool = False,
+) -> Block:
+    """``evolve_block`` of these arguments; with ``equivariant`` each trial
+    is a one-row block of ``_Equivariant``."""
     times = _checked_sample_times(psi0, propagator, grid_map, horizon, dt, sample_times)
     rates = _rates(params, grid_map, rate_factors)
     dim = psi0.shape.total_dim
@@ -664,7 +670,9 @@ def evolve_block(
     states = out[:, :n]
     sample_at = np.append(np.array(times, dtype=float), np.inf)
     order = np.argsort(n_jumps, kind="stable")
-    if propagator is None:
+    if equivariant:
+        rows, engine = 1, partial(_Equivariant, psi0, propagator, params)
+    elif propagator is None:
         points = sum(grid.points for grid in grid_map.values())
         rows = block_rows(max(1, points), np.dtype(float).itemsize)
         engine = partial(_Multipliers, psi0, params, grid_map)
@@ -681,9 +689,9 @@ def evolve_block(
 
 
 def _evolve_rows(
-    engine: _Amplitudes | _Multipliers, grid_map: Mapping[int, Grid], sample_at: np.ndarray,
-    first_kept: int, schedule: tuple[np.ndarray, np.ndarray, np.ndarray], slots: np.ndarray,
-    starts: np.ndarray, states: np.ndarray, jump_centres: np.ndarray,
+    engine: _Amplitudes | _Multipliers | _Equivariant, grid_map: Mapping[int, Grid],
+    sample_at: np.ndarray, first_kept: int, schedule: tuple[np.ndarray, np.ndarray, np.ndarray],
+    slots: np.ndarray, starts: np.ndarray, states: np.ndarray, jump_centres: np.ndarray,
 ) -> int:
     """Evolve one block and return the event rounds it ran.
 
@@ -857,7 +865,12 @@ def evolve_trajectory(
     arguments these are, with its states and its jump record."""
     block = evolve_block(psi0, propagator, params, grid_map, horizon, dt, seed, [trial],
                          sample_times=sample_times, rate_factors=rate_factors)
-    return Trajectory(tuple(StateVector(psi0.shape, s[0]) for s in block.states), block.jumps(0))
+    return _trajectory(block, psi0.shape)
+
+
+def _trajectory(block: Block, shape: SubsystemShape) -> Trajectory:
+    """The states and jump record of a one-trial block."""
+    return Trajectory(tuple(StateVector(shape, s[0]) for s in block.states), block.jumps(0))
 
 
 # -- translation-equivariant trajectories ------------------------------------
@@ -876,55 +889,54 @@ def evolve_equivariant(
     sample_times: Sequence[float] | None = None,
     rate_factors: Mapping[int, float] | None = None,
 ) -> Trajectory:
-    """Trial ``trial`` of ``seed``, with state updates that commute
-    bit-exactly with cyclic grid translations (module docstring).
+    """Trial ``trial`` of ``seed`` as a one-row ``_Equivariant`` block, with
+    state updates that commute bit-exactly with cyclic grid translations
+    (module docstring).
 
     The arguments, draws, jump times and jump particles are those of
-    ``evolve_trajectory``.  On a single grid factor the propagator is an
-    fsum circulant matvec; on several it is ``Propagator.advance``, so
-    with a Hamiltonian only single-factor runs are bit-exact.  A jump
-    centre is drawn by the same uniform from the same law, but from an
-    fsum jump table summed from its argmax, so it may differ from the one
-    ``evolve_trajectory`` draws.
+    ``evolve_trajectory``.  On several grid factors the propagator is
+    ``Propagator.advance``, so with a Hamiltonian only single-factor runs
+    are bit-exact.  A jump centre is drawn by the same uniform from the
+    same law, but from an fsum table summed from its argmax, so it may
+    differ from the one ``evolve_trajectory`` draws.
     """
-    times = _checked_sample_times(psi0, propagator, grid_map, horizon, dt, sample_times)
-    rates = _rates(params, grid_map, rate_factors)
-    n_jumps, jump_times, jump_particles, centre_draws = sample_jump_times(
-        rates, horizon, seed, [trial])
-    count = int(n_jumps[0])
-    # (time, kind 0=sample/1=jump, payload); samples go first at equal times
-    schedule = [(t, 1, p) for t, p in zip(jump_times[0, :count].tolist(),
-                                          jump_particles[0, :count].tolist())]
-    schedule += [(t, 0, -1) for t in times]
-    schedule.sort(key=lambda e: (e[0], e[1]))
+    block = _evolve_window(psi0, propagator, params, grid_map, horizon, dt, seed, [trial],
+                           sample_times, rate_factors, equivariant=True)
+    return _trajectory(block, psi0.shape)
 
-    shape = psi0.shape
-    single_factor = len(shape.dims) == 1
-    amps = np.array(psi0.amplitudes, dtype=complex)
-    now = 0.0
-    jumps: list[JumpEvent] = []
-    sampled: list[StateVector] = []
-    for t, kind, payload in schedule:
-        gap = t - now
-        if propagator is not None and gap > 0:
-            if single_factor:
-                amps = _fsum_advance(propagator, amps, gap)
+
+class _Equivariant:
+    """One row, advanced, sampled and localized by the fsum kernels below."""
+
+    def __init__(self, psi0: StateVector, propagator: Propagator | None, params: GrwParams,
+                 n: int):
+        self.shape, self.propagator, self.params = psi0.shape, propagator, params
+        self.amps = np.array(psi0.amplitudes, dtype=complex)
+        self.now = 0.0
+
+    def advance(self, t: np.ndarray, live: np.ndarray) -> None:
+        """The row to its time ``t[0]``; the loop calls this only while it is live."""
+        gap = t[0] - self.now
+        if self.propagator is not None and gap > 0:
+            if len(self.shape.dims) == 1:
+                self.amps = _fsum_advance(self.propagator, self.amps, gap)
             else:
-                amps = propagator.advance(amps, gap)
-        now = t
-        if kind == 0:
-            sampled.append(StateVector(shape, amps / _fsum_norm(amps)))
-            continue
-        grid = grid_map[payload]
-        table = _fsum_jump_table(marginal_weights(amps[None, :], shape, payload)[0], grid, params)
+                self.amps = self.propagator.advance(self.amps, gap)
+        self.now = t[0]
+
+    def states(self, rows: np.ndarray) -> np.ndarray:
+        return (self.amps / _fsum_norm(self.amps))[None, :]
+
+    def jump(self, p: int, grid: Grid, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Localize particle p at the site its uniform draws; returns the site."""
+        table = _fsum_jump_table(marginal_weights(self.amps[None, :], self.shape, p)[0], grid,
+                                 self.params)
         # a cumulative sum anchored at the argmax commutes with cyclic
         # translations of the table whenever the maximum is unique
         anchor = int(np.argmax(table))
-        u = centre_draws[:, len(jumps)]
         k = (anchor + int(draw_rows(np.roll(table, -anchor)[None, :], u)[0])) % grid.points
-        amps = _fsum_localize(amps, shape, payload, grid, params.alpha, k)
-        jumps.append(JumpEvent(t, payload, grid.origin + k * grid.spacing))
-    return Trajectory(tuple(sampled), tuple(jumps))
+        self.amps = _fsum_localize(self.amps, self.shape, p, grid, self.params.alpha, k)
+        return np.array([k])
 
 
 def _fsum_norm(vec: np.ndarray) -> float:

@@ -164,17 +164,6 @@ def apply_on_subsystem(op: Operator, k: int, psi: StateVector) -> StateVector:
     return StateVector(psi.shape, out.reshape(-1))
 
 
-def embed(op: Operator, k: int, shape: SubsystemShape) -> Operator:
-    """Dense I x ... x op x ... x I on the composite space."""
-    shape.validate_index(k)
-    if op.dim != shape.dims[k]:
-        raise ValueError("operator dim does not match the addressed factor")
-    out = np.array([[1.0 + 0j]])
-    for i, d in enumerate(shape.dims):
-        out = np.kron(out, op.entries if i == k else np.eye(d))
-    return Operator(out)
-
-
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced state on the ``keep`` factors (ascending order)."""
     dims = rho.shape.dims

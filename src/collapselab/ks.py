@@ -26,6 +26,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -142,14 +143,19 @@ class Ray:
             acc = (acc[0] + p[0], acc[1] + p[1])
         return _quad_is_zero(acc)
 
+    @cached_property
+    def direction(self) -> tuple[int, ...]:
+        """The components over the first nonzero one c, in Q[sqrt2], as an
+        exact key: each component times conj(c), which makes c its norm, a
+        nonzero integer, over their gcd and signed so that c's entry is
+        positive.  Two rays are parallel exactly when their keys are equal."""
+        a, b = next(q for q in self.exact if q != (0, 0))
+        scaled = [v for q in self.exact for v in _quad_mul(q, (a, -b))]
+        g = gcd(*scaled)
+        return tuple(v // (g if a * a > 2 * b * b else -g) for v in scaled)
+
     def is_parallel(self, other: "Ray") -> bool:
-        a, b = self.exact, other.exact
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            cross = _quad_mul(a[i], b[j])
-            back = _quad_mul(a[j], b[i])
-            if not _quad_is_zero((cross[0] - back[0], cross[1] - back[1])):
-                return False
-        return True
+        return self.direction == other.direction
 
 
 @dataclass(frozen=True)
@@ -185,10 +191,13 @@ class RaySet:
     def __post_init__(self) -> None:
         if len(self.rays) > MAX_RAYS:
             raise ValueError(f"ray count {len(self.rays)} exceeds the search cap {MAX_RAYS}")
-        for i in range(len(self.rays)):
-            for j in range(i + 1, len(self.rays)):
-                if self.rays[i].is_parallel(self.rays[j]):
-                    raise ValueError(f"rays {i} and {j} coincide")
+        same: dict[tuple[int, ...], list[int]] = {}
+        for j, ray in enumerate(self.rays):
+            same.setdefault(ray.direction, []).append(j)
+        repeats = [indices[:2] for indices in same.values() if len(indices) > 1]
+        if repeats:
+            i, j = min(repeats)  # the first pair a scan over i, then j > i, meets
+            raise ValueError(f"rays {i} and {j} coincide")
         object.__setattr__(self, "structure", build_structure(self))
 
     def __len__(self) -> int:
@@ -222,8 +231,10 @@ def _distinct(rays: Iterable[Ray], source: str) -> tuple[Ray, ...]:
     """The first ray of each direction, in order; stops with a ConfigError
     naming ``source`` as soon as there are more than MAX_RAYS."""
     kept: list[Ray] = []
+    seen: set[tuple[int, ...]] = set()
     for r in rays:
-        if not any(r.is_parallel(k) for k in kept):
+        if r.direction not in seen:
+            seen.add(r.direction)
             kept.append(r)
             if len(kept) > MAX_RAYS:
                 raise ConfigError(f"{source}: more than {MAX_RAYS} distinct rays, the search cap")

@@ -41,6 +41,7 @@ from .grw import (
     Propagator,
     block_rows,
     evolve_block,
+    factor_marginals,
     free_hamiltonian,
     gaussian_packet,
     marginal_weights,
@@ -251,10 +252,9 @@ def _epr_window(
     block = evolve_block(psi, None, params, {2: grid}, config.horizon, config.horizon,
                          config.master_seed, trials, sample_times=[config.horizon],
                          rate_factors={2: float(config.amplification)})
-    final = block.states[-1]
-    region_a = marginal_weights(final, psi.shape, 0)
+    region_a, region_b, pointer = factor_marginals(block.states[-1], psi.shape, (0, 1, 2))
     w1, w3 = region_a[:, 0], region_a[:, 1]
-    prob_b_delta2 = marginal_weights(final, psi.shape, 1)[:, 0]
+    prob_b_delta2 = region_b[:, 0]
     conclusive = np.maximum(w1, w3) >= POINTER_BRANCH_THRESHOLD
     draws_b = uniforms(config.master_seed, trials, OUTCOMES, 1)[:, 0]
     return {
@@ -266,7 +266,7 @@ def _epr_window(
         "weight_delta3": w3,
         "prob_b_delta2": prob_b_delta2,
         "n_jumps": block.n_jumps,
-        "pointer_mean": mean_positions(marginal_weights(final, psi.shape, 2), grid),
+        "pointer_mean": mean_positions(pointer, grid),
     }
 
 

@@ -12,6 +12,13 @@ measurement here reduces to rank-1 projectors and probability tables
 can be computed exactly.  Measurements are implemented as projective
 collapse with Born weights; the stochastically collapsing pointer
 version of the same experiments lives in :mod:`collapselab.scenarios`.
+
+Outcomes are drawn in one place: ``TripleBranches.outcomes`` maps
+uniforms to outcomes by the inverse CDF of ``rng.draw_rows``.  The
+module draws no uniforms itself; the ``singlet`` scenario maps whole
+blocks of ``rng.uniforms`` through it, and ``triple_measurement`` is
+its one-trial case.  Everything else here is exact: probability tables,
+parameter independence and outcome dependence.
 """
 from __future__ import annotations
 
@@ -110,12 +117,6 @@ class OrthoTriple:
     @classmethod
     def from_vectors(cls, a, b, c) -> "OrthoTriple":
         return cls(Direction.from_vector(a), Direction.from_vector(b), Direction.from_vector(c))
-
-    @classmethod
-    def random(cls, rng: np.random.Generator) -> "OrthoTriple":
-        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
-        q = q * np.sign(np.diag(r))  # unique QR, uniform over O(3)
-        return cls.from_vectors(q[:, 0], q[:, 1], q[:, 2])
 
     @classmethod
     def containing(cls, n: Direction) -> "OrthoTriple":
@@ -257,25 +258,21 @@ class TripleBranches:
             self._states[k] = self._branches[k].normalize()
         return self._states[k]
 
-    def draw(self, u: float) -> tuple[int, StateVector]:
-        """The axis holding the 0 for the uniform ``u``, and the normalized
-        post-measurement state."""
-        k = int(self.outcomes(np.array([u]))[0])
-        return k, self.state(k)
-
 
 def triple_measurement(
-    psi: StateVector, particle: int, triple: OrthoTriple, rng: np.random.Generator
+    psi: StateVector, particle: int, triple: OrthoTriple, u: float
 ) -> tuple[TripleOutcome, StateVector]:
     """Simultaneous squared-spin measurement along a triple's three axes.
 
     The three commuting squared spins share the eigenbasis made of the
-    triple's zero kets; the sampled outcome places the single 0 on one
-    axis.  Returns the outcome and the normalized post-measurement
-    state.
+    triple's zero kets; the outcome the uniform ``u`` draws places the
+    single 0 on one axis.  Returns the outcome and the normalized
+    post-measurement state: the one-trial case of
+    ``TripleBranches.outcomes``.
     """
-    k, state = TripleBranches(psi, particle, triple).draw(rng.random())
-    return TripleOutcome.with_zero_at(k), state
+    measurement = TripleBranches(psi, particle, triple)
+    k = int(measurement.outcomes(np.array([u]))[0])
+    return TripleOutcome.with_zero_at(k), measurement.state(k)
 
 
 def triple_probability_table(psi: StateVector, particle: int, triple: OrthoTriple) -> np.ndarray:
@@ -299,24 +296,6 @@ def joint_probability_table(triple_a: OrthoTriple, triple_b: OrthoTriple) -> np.
     return table
 
 
-def singlet_joint_measure(
-    triple_a: OrthoTriple | None,
-    triple_b: OrthoTriple,
-    rng: np.random.Generator,
-) -> tuple[TripleOutcome | None, TripleOutcome, StateVector]:
-    """Measure the singlet pair: particle a first (if requested), then b.
-
-    Outcome statistics are order-independent; the invariant tests check
-    the a-then-b and b-then-a joint tables against each other.
-    """
-    psi = singlet_state()
-    outcome_a = None
-    if triple_a is not None:
-        outcome_a, psi = triple_measurement(psi, 0, triple_a, rng)
-    outcome_b, psi = triple_measurement(psi, 1, triple_b, rng)
-    return outcome_a, outcome_b, psi
-
-
 def singlet_b_marginal(n: Direction) -> tuple[float, float]:
     """Exact (P(S^2=1), P(S^2=0)) for particle b along n, no a measurement."""
     psi = singlet_state()
@@ -324,41 +303,20 @@ def singlet_b_marginal(n: Direction) -> tuple[float, float]:
     return (1.0 - p0, p0)
 
 
-def parameter_independence_check(
-    triple_a: OrthoTriple,
-    n: Direction,
-    samples: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
+def parameter_independence_check(triple_a: OrthoTriple, n: Direction) -> float:
     """Max deviation of b's marginal along n with vs without a non-selective
-    a-side triple measurement.
-
-    The default path is exact (probability tables); pass ``samples`` to
-    get a sampled-frequency comparison instead.
-    """
-    if samples is None:
-        p1_free, p0_free = singlet_b_marginal(n)
-        psi = singlet_state()
-        pn = zero_projector(n)
-        p0_cond = 0.0
-        for w, branch in zip(*triple_branches(psi, 0, triple_a)):
-            if w < 1e-300:
-                continue
-            branch = branch.normalize()
-            p0_cond += w * (apply_on_subsystem(pn, 1, branch).norm() ** 2)
-        p1_cond = 1.0 - p0_cond
-        return max(abs(p0_free - p0_cond), abs(p1_free - p1_cond))
-    if rng is None:
-        raise ValueError("sampled comparison needs an rng")
-    triple_n = OrthoTriple.containing(n)
-    zeros_free = 0
-    zeros_cond = 0
-    for _ in range(samples):
-        _, out_b, _ = singlet_joint_measure(None, triple_n, rng)
-        zeros_free += out_b.values[0] == 0
-        _, out_b, _ = singlet_joint_measure(triple_a, triple_n, rng)
-        zeros_cond += out_b.values[0] == 0
-    return abs(zeros_free - zeros_cond) / samples
+    a-side triple measurement, from exact probability tables."""
+    p1_free, p0_free = singlet_b_marginal(n)
+    psi = singlet_state()
+    pn = zero_projector(n)
+    p0_cond = 0.0
+    for w, branch in zip(*triple_branches(psi, 0, triple_a)):
+        if w < 1e-300:
+            continue
+        branch = branch.normalize()
+        p0_cond += w * (apply_on_subsystem(pn, 1, branch).norm() ** 2)
+    p1_cond = 1.0 - p0_cond
+    return max(abs(p0_free - p0_cond), abs(p1_free - p1_cond))
 
 
 @dataclass(frozen=True)

@@ -45,12 +45,11 @@ from collapselab.spin import (
     OrthoTriple,
     outcome_independence_check,
     parameter_independence_check,
-    singlet_joint_measure,
     singlet_state,
     squared_spin,
-    triple_measurement,
     triple_probability_table,
 )
+from dense_helpers import random_triple
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "collapselab" / "data"
 AXES = OrthoTriple.from_vectors([1, 0, 0], [0, 1, 0], [0, 0, 1])
@@ -65,7 +64,7 @@ def test_criterion_01_sum_rule():
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(100):
-        t = OrthoTriple.random(rng)
+        t = random_triple(rng)
         total = sum(squared_spin(d).entries for d in t.axes)
         worst = max(worst, float(np.max(np.abs(total - 2.0 * np.eye(3)))))
     _line(1, "squared-spin sum rule", worst <= 1e-10,
@@ -81,14 +80,11 @@ def test_criterion_02_singlet_marginals():
         table = triple_probability_table(psi, 1, OrthoTriple.containing(n))
         p0 = table[0]
         worst = max(worst, abs(p0 - 1 / 3), abs((1 - p0) - 2 / 3))
+    # sampled by the singlet run's own sampler: B alone, 10^4 trials of seed 102
     runs = 10_000
     n = Direction.from_vector(rng.normal(size=3))
-    triple = OrthoTriple.containing(n)
-    zeros = 0
-    for _ in range(runs):
-        outcome, _ = triple_measurement(psi, 1, triple, rng)
-        zeros += outcome.zero_axis == 0
-    freq_dev = abs(zeros / runs - 1 / 3)
+    report = run_singlet_spacetime(OrthoTriple.containing(n), None, runs, 102)
+    freq_dev = abs(report.aggregates["freq_b_zero_axis"][0] - 1 / 3)
     sigma = math.sqrt((1 / 3) * (2 / 3) / runs)
     ok = worst <= 1e-12 and freq_dev <= 3 * sigma
     _line(2, "singlet marginals 2/3 vs 1/3", ok,
@@ -98,7 +94,7 @@ def test_criterion_02_singlet_marginals():
 
 def test_criterion_03_twin_correlation():
     rng = np.random.default_rng(103)
-    triple = OrthoTriple.random(rng)
+    triple = random_triple(rng)
     report = run_singlet_spacetime(triple, triple, 10_000, 103)
     agreement = report.aggregates["agreement_frequency"]
     exact = np.array(report.aggregates["exact_joint_table"])
@@ -112,8 +108,8 @@ def test_criterion_04_parameter_independence():
     rng = np.random.default_rng(104)
     worst = 0.0
     for _ in range(20):
-        triple_a = OrthoTriple.random(rng)
-        triple_b = OrthoTriple.random(rng)
+        triple_a = random_triple(rng)
+        triple_b = random_triple(rng)
         for n in triple_b.axes:
             worst = max(worst, parameter_independence_check(triple_a, n))
     _line(4, "parameter independence", worst <= 1e-12,

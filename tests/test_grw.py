@@ -20,8 +20,6 @@ from collapselab.grw import (
     gaussian_packet,
     gaussian_template,
     jump_density,
-    jump_mass,
-    localization_operator,
     marginal_weights,
     mean_positions,
     sample_jump_times,
@@ -31,6 +29,7 @@ from collapselab.grw import (
 )
 from collapselab.hilbert import StateVector, SubsystemShape, partial_trace, tensor_product
 from collapselab.rng import draw_rows
+from dense_helpers import localization_operator
 
 GRID = Grid(64, 1.0)
 PARAMS = GrwParams(alpha=0.0625, lam=1.0, mass=10.0)  # localization width 4 spacings
@@ -126,8 +125,12 @@ def test_jump_density_uniform_state():
 
 
 def test_jump_mass_close_to_one_on_adequate_grid():
+    # the pre-normalization mass sum_k ||L(x_k) psi||^2 dx, from dense operators
     psi = two_peak_state(GRID, (24.0, 40.0), (0.5, 0.5), 2.0)
-    assert abs(jump_mass(psi, 0, GRID, PARAMS) - 1.0) <= 1e-6
+    mass = sum(np.linalg.norm(localization_operator(GRID, PARAMS.alpha, float(k)).entries
+                              @ psi.amplitudes) ** 2 for k in range(GRID.points)) * GRID.spacing
+    assert abs(mass - 1.0) <= 1e-6
+    jump_density(psi, 0, GRID, PARAMS)  # and the table's own mass check passes
 
 
 def test_jump_density_inadequate_grid_rejected():

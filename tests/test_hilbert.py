@@ -13,12 +13,12 @@ from collapselab.hilbert import (
     StateVector,
     SubsystemShape,
     apply_on_subsystem,
-    embed,
     hermitian_eig,
     partial_trace,
     tensor_product,
 )
 from collapselab.spin import Direction, squared_spin
+from dense_helpers import embed
 
 
 def basis_state(dims, index):

@@ -18,14 +18,12 @@ from collapselab.grw import (
     free_hamiltonian,
     gaussian_packet,
     gaussian_template,
-    localization_operator,
     two_peak_state,
 )
 from collapselab.hilbert import (
     DensityMatrix,
     StateVector,
     SubsystemShape,
-    embed,
     tensor_product,
 )
 from collapselab.lindblad import (
@@ -45,6 +43,7 @@ from collapselab.lindblad import (
     trace_distance,
 )
 from collapselab.scenarios import OracleComparisonConfig, run_oracle_comparison
+from dense_helpers import embed, localization_operator
 
 GRID = Grid(64, 1.0)
 PARAMS = GrwParams(alpha=0.0625, lam=1.0, mass=10.0)

@@ -2,11 +2,14 @@
 its uniforms and exponentials, and the independence of its draws from
 the trials drawn alongside."""
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import collapselab
 from collapselab.grw import sample_jump_times
 from collapselab.rng import JUMPS, OUTCOMES, philox, uniforms
 
@@ -78,3 +81,12 @@ def test_jump_schedules_do_not_depend_on_the_other_trials(rates):
     for part, whole in zip(some[1:], full[1:]):
         assert np.array_equal(part, whole[5:9, :width])
     assert np.all(full[1][5:9, width:] == np.inf)
+
+
+def test_only_rng_reaches_numpy_random():
+    # one sampler: every draw of a run is a counter-based uniform of rng
+    generator = re.compile(r"\b(np|numpy)\.random\b|\bfrom numpy import\b[^\n]*\brandom\b")
+    package = Path(collapselab.__file__).parent
+    offenders = [str(p.relative_to(package)) for p in sorted(package.rglob("*.py"))
+                 if p.name != "rng.py" and generator.search(p.read_text())]
+    assert offenders == []

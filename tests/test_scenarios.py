@@ -18,7 +18,8 @@ from collapselab.scenarios import (
     run_singlet_spacetime,
 )
 from collapselab.rng import OUTCOMES, uniforms
-from collapselab.spin import OrthoTriple, TripleBranches, TripleOutcome, singlet_state, zero_ket
+from collapselab.spin import OrthoTriple, singlet_state, triple_measurement, zero_ket
+from dense_helpers import random_triple
 
 AXES = OrthoTriple.from_vectors([1, 0, 0], [0, 1, 0], [0, 0, 1])
 
@@ -37,7 +38,7 @@ def test_singlet_same_triples_always_agree():
 
 
 def test_singlet_b_first_collapse_recorded():
-    rng_triple = OrthoTriple.random(np.random.default_rng(3))
+    rng_triple = random_triple(np.random.default_rng(3))
     rep = run_singlet_spacetime(rng_triple, None, 200, 11)
     assert "freq_a_zero_axis" not in rep.aggregates
     sigma = math.sqrt((1 / 3) * (2 / 3) / 200)
@@ -71,16 +72,14 @@ def _singlet_records_by_measurement(triple_b, triple_a, measure_b, trials, seed)
         psi = singlet_state()
         rec = {"trial": i}
         if measure_b:
-            k, psi = TripleBranches(psi, 1, triple_b).draw(u_b)
-            out_b = TripleOutcome.with_zero_at(k)
+            out_b, psi = triple_measurement(psi, 1, triple_b, u_b)
             d = triple_b.axes[out_b.zero_axis]
             rec["b_values"] = "".join(str(v) for v in out_b.values)
             rec["b_zero_axis"] = out_b.zero_axis
             rec["product_fidelity"] = abs(np.vdot(np.kron(zero_ket(d), zero_ket(d)),
                                                   psi.amplitudes)) ** 2
         if triple_a is not None:
-            k, psi = TripleBranches(psi, 0, triple_a).draw(u_a)
-            out_a = TripleOutcome.with_zero_at(k)
+            out_a, psi = triple_measurement(psi, 0, triple_a, u_a)
             rec["a_values"] = "".join(str(v) for v in out_a.values)
             rec["a_zero_axis"] = out_a.zero_axis
             if measure_b:
@@ -93,8 +92,8 @@ def _singlet_records_by_measurement(triple_b, triple_a, measure_b, trials, seed)
 @pytest.mark.parametrize("case", ["same", "distinct", "no_b", "no_a"])
 def test_singlet_records_match_per_trial_measurement(case, seed):
     rng = np.random.default_rng(seed)
-    triple_b = OrthoTriple.random(rng)
-    triple_a = {"same": triple_b, "distinct": OrthoTriple.random(rng),
+    triple_b = random_triple(rng)
+    triple_a = {"same": triple_b, "distinct": random_triple(rng),
                 "no_b": triple_b, "no_a": None}[case]
     measure_b = case != "no_b"
     trials = 400
@@ -316,8 +315,8 @@ def test_library_seeds_must_fit_the_philox_key(run):
 
 @pytest.mark.parametrize("case", ["same", "distinct", "no_b"])
 def test_singlet_reports_identical_across_block_sizes_and_workers(monkeypatch, case):
-    triple_b = OrthoTriple.random(np.random.default_rng(41))
-    triple_a = OrthoTriple.random(np.random.default_rng(42)) if case == "distinct" else triple_b
+    triple_b = random_triple(np.random.default_rng(41))
+    triple_a = random_triple(np.random.default_rng(42)) if case == "distinct" else triple_b
     reports = []
     for block, workers in ((scenarios.SINGLET_BLOCK, 1), (7, 1), (7, 2)):
         monkeypatch.setattr(scenarios, "SINGLET_BLOCK", block)

@@ -14,7 +14,6 @@ from collapselab.spin import (
     parameter_independence_check,
     rotation_operator,
     singlet_b_marginal,
-    singlet_joint_measure,
     singlet_state,
     spin_along,
     spin_matrices,
@@ -23,6 +22,7 @@ from collapselab.spin import (
     triple_probability_table,
     zero_ket,
 )
+from dense_helpers import random_triple
 
 AXES = OrthoTriple.from_vectors([1, 0, 0], [0, 1, 0], [0, 0, 1])
 
@@ -82,7 +82,7 @@ def test_squared_spin_spectrum_random_directions():
 def test_triple_sum_rule_random_triples():
     rng = np.random.default_rng(1)
     for _ in range(10):
-        t = OrthoTriple.random(rng)
+        t = random_triple(rng)
         total = sum(squared_spin(d).entries for d in t.axes)
         assert np.max(np.abs(total - 2.0 * np.eye(3))) <= 1e-10
 
@@ -144,21 +144,22 @@ def test_measurement_of_eigenstate_is_certain():
     psi = StateVector(SubsystemShape((3,)), zero_ket(n))
     table = triple_probability_table(psi, 0, triple)
     np.testing.assert_allclose(table, [1.0, 0.0, 0.0], atol=1e-12)
-    outcome, post = triple_measurement(psi, 0, triple, rng)
+    outcome, post = triple_measurement(psi, 0, triple, rng.random())
     assert outcome.zero_axis == 0
     assert abs(abs(np.vdot(zero_ket(n), post.amplitudes)) - 1.0) <= 1e-12
 
 
 def test_maximally_mixed_gives_uniform_outcomes():
     rng = np.random.default_rng(5)
-    triple = OrthoTriple.random(rng)
+    triple = random_triple(rng)
     runs = 10_000
     counts = np.zeros(3)
     for _ in range(runs):
         which = rng.integers(3)
         amps = np.zeros(3, dtype=complex)
         amps[which] = 1.0
-        outcome, _ = triple_measurement(StateVector(SubsystemShape((3,)), amps), 0, triple, rng)
+        psi = StateVector(SubsystemShape((3,)), amps)
+        outcome, _ = triple_measurement(psi, 0, triple, rng.random())
         counts[outcome.zero_axis] += 1
     sigma = math.sqrt((1 / 3) * (2 / 3) / runs)
     assert np.max(np.abs(counts / runs - 1 / 3)) <= 3 * sigma
@@ -207,7 +208,7 @@ def test_singlet_b_marginal_exact():
 def test_joint_table_matches_dot_product_formula():
     # oracle: P(i, j) = (u_i . v_j)^2 / 3 for the total-spin-0 pair
     rng = np.random.default_rng(8)
-    ta, tb = OrthoTriple.random(rng), OrthoTriple.random(rng)
+    ta, tb = random_triple(rng), random_triple(rng)
     table = joint_probability_table(ta, tb)
     oracle = np.array(
         [[ta.axes[i].dot(tb.axes[j]) ** 2 / 3.0 for j in range(3)] for i in range(3)]
@@ -216,14 +217,25 @@ def test_joint_table_matches_dot_product_formula():
     assert abs(table.sum() - 1.0) <= 1e-12
 
 
+def singlet_measured(triple_a, triple_b, rng):
+    """The singlet pair measured by particle a first (if ``triple_a``), then
+    by b, each outcome drawn by a uniform of ``rng``."""
+    psi = singlet_state()
+    out_a = None
+    if triple_a is not None:
+        out_a, psi = triple_measurement(psi, 0, triple_a, rng.random())
+    out_b, psi = triple_measurement(psi, 1, triple_b, rng.random())
+    return out_a, out_b, psi
+
+
 def test_twin_same_triple_sampled_and_exact():
     rng = np.random.default_rng(9)
-    t = OrthoTriple.random(rng)
+    t = random_triple(rng)
     table = joint_probability_table(t, t)
     off_diagonal = table - np.diag(np.diag(table))
     assert np.max(np.abs(off_diagonal)) <= 1e-12
     for _ in range(500):
-        out_a, out_b, _ = singlet_joint_measure(t, t, rng)
+        out_a, out_b, _ = singlet_measured(t, t, rng)
         assert out_a.values == out_b.values
 
 
@@ -232,7 +244,7 @@ def test_joint_measure_without_a_matches_marginal():
     runs = 10_000
     zeros = np.zeros(3)
     for _ in range(runs):
-        out_a, out_b, _ = singlet_joint_measure(None, AXES, rng)
+        out_a, out_b, _ = singlet_measured(None, AXES, rng)
         assert out_a is None
         zeros[out_b.zero_axis] += 1
     sigma = math.sqrt((1 / 3) * (2 / 3) / runs)
@@ -245,7 +257,7 @@ def test_post_state_after_zero_outcome_is_product_of_zero_kets():
     triple = OrthoTriple.containing(n)
     seen = 0
     while seen < 5:
-        out_a, post = triple_measurement(singlet_state(), 0, triple, rng)
+        out_a, post = triple_measurement(singlet_state(), 0, triple, rng.random())
         if out_a.zero_axis != 0:
             continue
         seen += 1
@@ -256,7 +268,7 @@ def test_post_state_after_zero_outcome_is_product_of_zero_kets():
 def test_order_independence_of_joint_table():
     # sequential a-then-b vs b-then-a, from explicit collapse chains
     rng = np.random.default_rng(12)
-    ta, tb = OrthoTriple.random(rng), OrthoTriple.random(rng)
+    ta, tb = random_triple(rng), random_triple(rng)
     psi = singlet_state()
 
     def sequential(first_triple, first_particle, second_triple, second_particle):
@@ -280,7 +292,7 @@ def test_order_independence_of_joint_table():
 
 def test_singlet_isotropy_under_common_rotation():
     rng = np.random.default_rng(13)
-    ta, tb = OrthoTriple.random(rng), OrthoTriple.random(rng)
+    ta, tb = random_triple(rng), random_triple(rng)
     base = joint_probability_table(ta, tb)
     for _ in range(3):
         r = rotation_matrix(rng.normal(size=3), rng.uniform(0, 2 * math.pi))
@@ -294,7 +306,7 @@ def test_singlet_isotropy_under_common_rotation():
 def test_parameter_independence_exact():
     rng = np.random.default_rng(14)
     for _ in range(10):
-        ta = OrthoTriple.random(rng)
+        ta = random_triple(rng)
         n = Direction.from_vector(rng.normal(size=3))
         assert parameter_independence_check(ta, n) <= 1e-12
 
@@ -310,7 +322,7 @@ def test_non_selective_mixture_weights():
     # each axis of the a-side triple carries outcome 0 with weight 1/3,
     # i.e. squared spin 1 with probability 2/3 per axis
     rng = np.random.default_rng(16)
-    ta = OrthoTriple.random(rng)
+    ta = random_triple(rng)
     table = triple_probability_table(singlet_state(), 0, ta)
     np.testing.assert_allclose(table, [1 / 3] * 3, atol=1e-12)
 
@@ -331,8 +343,8 @@ def test_outcome_dependence_without_parameter_dependence():
 
 def test_bell_factorization_fails_while_marginals_match():
     rng = np.random.default_rng(18)
-    ta = OrthoTriple.random(rng)
-    tb = OrthoTriple.random(rng)
+    ta = random_triple(rng)
+    tb = random_triple(rng)
     joint = joint_probability_table(ta, tb)
     pa = joint.sum(axis=1)
     pb = joint.sum(axis=0)
@@ -345,9 +357,14 @@ def test_bell_factorization_fails_while_marginals_match():
 
 def test_sampled_parameter_independence():
     rng = np.random.default_rng(19)
-    ta = OrthoTriple.random(rng)
+    ta = random_triple(rng)
     n = Direction.from_vector(rng.normal(size=3))
-    dev = parameter_independence_check(ta, n, samples=2000, rng=rng)
+    triple_n = OrthoTriple.containing(n)
+    zeros_free = zeros_cond = 0
+    for _ in range(2000):
+        zeros_free += singlet_measured(None, triple_n, rng)[1].zero_axis == 0
+        zeros_cond += singlet_measured(ta, triple_n, rng)[1].zero_axis == 0
+    dev = abs(zeros_free - zeros_cond) / 2000
     sigma = math.sqrt(2 * (1 / 3) * (2 / 3) / 2000)
     assert dev <= 4 * sigma
 
@@ -358,4 +375,4 @@ def test_unnormalized_state_trips_probability_guard():
     rng = np.random.default_rng(20)
     bad = StateVector(SubsystemShape((3,)), np.array([1.0, 1.0, 0.0]))  # norm sqrt2
     with pytest.raises(InvariantViolationError):
-        triple_measurement(bad, 0, AXES, rng)
+        triple_measurement(bad, 0, AXES, rng.random())
