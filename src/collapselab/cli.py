@@ -10,30 +10,48 @@ files; per-trial tables go to CSV on request.
 Exit codes: 0 success, 2 configuration error (an ``--out`` or ``--csv``
 path that cannot be written included), 3 numerical or grid-adequacy
 error, 4 internal invariant violation.
+
+Start-up loads only what a run uses.  This module needs no numpy and no
+engine: the keys, ``--help`` and the checks of every value come from
+``configs`` and ``schema``.  Each handler imports its engine when it
+runs, after its config is built, so a config error exits before numpy
+loads.  ``ks-check`` and ``ck-trace`` never load numpy; the numeric
+subcommands load it with ``scenarios``.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from importlib import resources
-from typing import Any, Callable
+from importlib import import_module, resources
+from typing import TYPE_CHECKING, Any, Callable
 
+from .configs import EprConfig, OracleComparisonConfig
 from .errors import ConfigError, InvariantViolationError, NumericalError
-from .ks import RaySet, ck_argument_trace, search_coloring
 from .report import ExperimentReport
-from .scenarios import (
-    EprConfig,
-    OracleComparisonConfig,
-    run_epr_position,
-    run_grw_ensemble,
-    run_oracle_comparison,
-    run_singlet_spacetime,
-)
 from .schema import COUNT, FINITE, SEED, Key, check_value, from_values, keys_of
-from .spin import OrthoTriple
+
+if TYPE_CHECKING:
+    from .spin import OrthoTriple
 
 _AXES = "1,0,0;0,1,0;0,0,1"
+
+# The engine names the handlers import when they run, by module; they stay
+# readable as attributes of this module, and reading one imports its module.
+_ENGINE_NAMES = {
+    "ks": ("RaySet", "ck_argument_trace", "search_coloring"),
+    "scenarios": ("run_epr_position", "run_grw_ensemble", "run_oracle_comparison",
+                  "run_singlet_spacetime"),
+    "spin": ("OrthoTriple",),
+}
+
+
+def __getattr__(name: str) -> Any:
+    for module, names in _ENGINE_NAMES.items():
+        if name in names:
+            return getattr(import_module(f".{module}", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 _SCENARIO_COMMON = {
     "seed": Key(int, None, "master seed (required; keys every random draw)", SEED),
@@ -147,6 +165,8 @@ def _merge(command: str, args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _parse_triple(text: str, key: str) -> OrthoTriple:
+    from .spin import OrthoTriple
+
     if text.strip().lower() == "axes":
         text = _AXES
     try:
@@ -176,6 +196,8 @@ def _rays_path(values: dict[str, Any]) -> str:
 
 
 def _cmd_singlet(values: dict[str, Any]) -> ExperimentReport:
+    from .scenarios import run_singlet_spacetime
+
     triple_b = _parse_triple(values["triple_b"], "triple_b")
     if values["same_triples"]:
         triple_a: OrthoTriple | None = triple_b
@@ -192,22 +214,27 @@ def _cmd_singlet(values: dict[str, Any]) -> ExperimentReport:
 def _cmd_epr(values: dict[str, Any]) -> ExperimentReport:
     config = from_values(EprConfig, values, master_seed=values["seed"],
                          workers=values["workers"])
+    from .scenarios import run_epr_position
     return run_epr_position(config)
 
 
 def _cmd_grw_run(values: dict[str, Any]) -> ExperimentReport:
     config = from_values(OracleComparisonConfig, values)
+    from .scenarios import run_grw_ensemble
     return run_grw_ensemble(config, values["trajectories"], values["seed"],
                             workers=values["workers"])
 
 
 def _cmd_oracle_compare(values: dict[str, Any]) -> ExperimentReport:
     config = from_values(OracleComparisonConfig, values, record_trials=bool(values["csv"]))
+    from .scenarios import run_oracle_comparison
     return run_oracle_comparison(config, values["k"], values["seed"],
                                  workers=values["workers"])
 
 
 def _cmd_ks_check(values: dict[str, Any]) -> ExperimentReport:
+    from .ks import RaySet, search_coloring
+
     path = _rays_path(values)
     rays = RaySet.from_file(path)
     certificate = search_coloring(rays)
@@ -231,6 +258,8 @@ def _cmd_ks_check(values: dict[str, Any]) -> ExperimentReport:
 
 
 def _cmd_ck_trace(values: dict[str, Any]) -> ExperimentReport:
+    from .ks import RaySet, ck_argument_trace
+
     path = _rays_path(values)
     rays = RaySet.from_file(path)
     try:
@@ -286,6 +315,9 @@ def _check_output_path(key: str, path: str) -> None:
         raise ConfigError(f"key '{key}': directory {folder} does not exist")
 
 
+_WRITE_PIECE = 1 << 16  # characters per write of a report or table
+
+
 def _write_output(text: str, path: str | None, created: list[str]) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -293,7 +325,10 @@ def _write_output(text: str, path: str | None, created: list[str]) -> None:
     tmp = path + ".tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(text)
+            # in pieces: the text layer encodes each write whole, so one
+            # write would hold a second copy of the report at the peak
+            for start in range(0, len(text), _WRITE_PIECE):
+                fh.write(text[start:start + _WRITE_PIECE])
         os.replace(tmp, path)
     except OSError as exc:
         _cleanup([tmp])

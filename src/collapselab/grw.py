@@ -77,10 +77,11 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .configs import GRID_POINTS
 from .errors import ConfigError, GridAdequacyError, StepConditionError, ZeroNormError
-from .hilbert import MAX_TOTAL_DIM, SPECTRAL_TOL, StateVector, SubsystemShape
+from .hilbert import SPECTRAL_TOL, StateVector, SubsystemShape
 from .rng import JUMPS, draw_rows, uniforms
-from .schema import NON_NEGATIVE, POSITIVE, check_fields, checked, integer
+from .schema import NON_NEGATIVE, POSITIVE, check_fields, checked
 
 TRAJECTORY_NORM_TOL = 1e-9
 JUMP_MASS_HARD_LIMIT = 1e-3
@@ -104,7 +105,6 @@ BLOCK_BYTES = 256 * 2**10
 # is, a block holds its (B, d) amplitudes or (B, M) multipliers, and complex
 # temporaries of at most KERNEL_ROWS rows.
 KERNEL_ROWS = 64
-GRID_POINTS = integer(8, MAX_TOTAL_DIM)
 
 
 @dataclass(frozen=True)

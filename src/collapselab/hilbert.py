@@ -16,12 +16,13 @@ from typing import Iterable
 
 import numpy as np
 
+from .configs import MAX_TOTAL_DIM
+
 # Tolerances fixed for the whole package; total dimensions are small
 # enough (<= 4096) that these are comfortably achievable.
 ALGEBRAIC_TOL = 1e-12
 SPECTRAL_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
-MAX_TOTAL_DIM = 4096
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

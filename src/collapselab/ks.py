@@ -31,8 +31,6 @@ from math import gcd, lcm
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .errors import ConfigError, InvariantViolationError
 
 MAX_RAYS = 200
@@ -49,6 +47,22 @@ IntQuad = tuple[int, int]
 
 def _quad_float(q: IntQuad) -> float:
     return float(q[0]) + float(q[1]) * _SQRT2
+
+
+def _add_square(acc: float, x: float) -> float:
+    """acc + x * x rounded once, as a fused multiply-add rounds it.  Summed
+    this way from the first square, a ray's squared norm has the bits of
+    the BLAS dot behind ``np.linalg.norm`` on FMA hardware, so a ray's
+    ``vector`` is numpy's ``v / np.linalg.norm(v)`` without numpy.  A sum
+    past the float range is infinite, as numpy's is."""
+    plain = acc + x * x
+    if not math.isfinite(plain):
+        return plain
+    (an, ad), (xn, xd) = acc.as_integer_ratio(), x.as_integer_ratio()
+    d = xd * xd  # both denominators are powers of two
+    if d >= ad:
+        return (an * (d // ad) + xn * xn) / d
+    return (an + xn * xn * (ad // d)) / ad
 
 
 def _quad_mul(u: IntQuad, v: IntQuad) -> IntQuad:
@@ -132,9 +146,14 @@ class Ray:
                 flip = -1 if val < 0 else 1
                 break
         exact = tuple((flip * a, flip * b) for a, b in ints)
-        floats = np.array([_quad_float(c) for c in exact])
-        floats = floats / np.linalg.norm(floats)
-        return cls(tuple(float(x) for x in floats), exact)
+        floats = [_quad_float(c) for c in exact]
+        square = floats[0] * floats[0]
+        for x in floats[1:]:
+            square = _add_square(square, x)
+        norm = math.sqrt(square)
+        if not norm:
+            raise ValueError("the components cancel to zero in double precision")
+        return cls(tuple(x / norm for x in floats), exact)
 
     def is_orthogonal(self, other: "Ray") -> bool:
         acc = (0, 0)
@@ -434,14 +453,20 @@ def search_coloring(rays: RaySet, within: Iterable[int] | None = None) -> Search
     return SearchCertificate("uncolorable", None, nodes, props)
 
 
-def minimal_uncolorable_core(rays: RaySet) -> tuple[int, ...]:
+def minimal_uncolorable_core(
+    rays: RaySet, certificate: SearchCertificate | None = None
+) -> tuple[int, ...]:
     """Deletion-minimal uncolorable subset (indices into ``rays``).
 
     Greedy: drop each ray in turn if the remainder stays uncolorable.
     The result is irreducible (removing any single ray of the core
-    makes it colorable), not necessarily globally minimum.
+    makes it colorable), not necessarily globally minimum.  A caller
+    that has searched the whole set passes that ``certificate`` instead
+    of searching it again.
     """
-    if search_coloring(rays).colorable:
+    if certificate is None:
+        certificate = search_coloring(rays)
+    if certificate.colorable:
         raise ValueError("ray set is colorable; it has no uncolorable core")
     current = list(range(len(rays)))
     for i in list(current):
@@ -501,7 +526,7 @@ def ck_argument_trace(rays: RaySet) -> ArgumentTrace:
             "use a Kochen-Specker set"
         )
     structure = rays.structure
-    core = minimal_uncolorable_core(rays)
+    core = minimal_uncolorable_core(rays, certificate)
     steps = (
         TraceStep(
             "twin-perfect-correlation",

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 SCHEMA_VERSION = 1
 
@@ -73,9 +75,10 @@ def _canonical(obj: Any, out: list[str]) -> None:
 
 def _canonical_other(obj: Any, out: list[str]) -> None:
     """Subclasses, numpy values, tuples and dicts with non-str keys."""
-    if isinstance(obj, (np.floating,)):
+    np = sys.modules.get("numpy")  # a value can be numpy's only once numpy is loaded
+    if np is not None and isinstance(obj, np.floating):
         _canonical(float(obj), out)
-    elif isinstance(obj, (np.integer,)):
+    elif np is not None and isinstance(obj, np.integer):
         _canonical(int(obj), out)
     elif isinstance(obj, float):
         out.append(format_float(obj))
@@ -94,8 +97,8 @@ def _canonical_other(obj: Any, out: list[str]) -> None:
             out.append(":")
             _canonical(lookup[k], out)
         out.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
+    elif isinstance(obj, (list, tuple)) or np is not None and isinstance(obj, np.ndarray):
+        seq = obj if isinstance(obj, (list, tuple)) else obj.tolist()
         out.append("[")
         for i, v in enumerate(seq):
             if i:
@@ -218,6 +221,8 @@ def _distinct_texts(column: Any) -> tuple[list[str], np.ndarray]:
     distinct per bit pattern in a numeric array and per object in a list or
     object array; values are never merged by ==, so -0.0 and 0.0, or True
     and 1, keep their own texts."""
+    import numpy as np
+
     if not len(column):
         return [], np.empty(0, dtype=np.uint8)
     numeric = isinstance(column, np.ndarray) and column.dtype.kind in "iuf"
@@ -231,15 +236,23 @@ def _distinct_texts(column: Any) -> tuple[list[str], np.ndarray]:
             keys = rows.view(bits).ravel()
     else:
         keys = np.fromiter(map(id, column), dtype=np.uintp, count=len(column))
-    found, inverse = np.unique(keys, return_inverse=True)
-    where = np.empty(len(found), dtype=np.intp)
-    where[inverse] = np.arange(len(column))  # an entry holding each distinct value
+    # np.unique would do the same, but its first call imports numpy.ma (~10 ms)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.empty(len(keys), dtype=bool)  # where a run of equal sorted keys starts
+    first[0] = True
+    first[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    where = order[first]  # an entry holding each distinct value
     values = column[where].tolist() if numeric else [column[i] for i in where.tolist()]
     return list(map(canonical_json, values)), inverse.astype(np.min_scalar_type(len(values) - 1))
 
 
 def _cells(texts: list[str], inverse: np.ndarray) -> list[str]:
     """The text of each cell, ``texts[inverse[i]]``, one string object per distinct text."""
+    import numpy as np
+
     return np.array(texts, dtype=object)[inverse].tolist()
 
 

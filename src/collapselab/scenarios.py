@@ -27,14 +27,13 @@ import os
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
+from .configs import EprConfig, OracleComparisonConfig
 from .errors import ConfigError, InvariantViolationError
 from .grw import (
-    GRID_POINTS,
     Block,
     Grid,
     GrwParams,
@@ -50,13 +49,7 @@ from .grw import (
     validate_step,
     window_masses,
 )
-from .hilbert import (
-    MAX_TOTAL_DIM,
-    StateVector,
-    SubsystemShape,
-    partial_trace,
-    tensor_product,
-)
+from .hilbert import StateVector, SubsystemShape, partial_trace, tensor_product
 from .lindblad import (
     MIXTURE_CHUNK,
     LindbladConfig,
@@ -67,8 +60,7 @@ from .lindblad import (
 )
 from .report import ExperimentReport
 from .rng import OUTCOMES, uniforms
-from .schema import COUNT, FINITE, NON_NEGATIVE, POSITIVE, SEED, Check, check_fields, checked
-from .schema import check_value, integer, report_config, setting
+from .schema import SEED, check_value, report_config
 from .spin import (
     OrthoTriple,
     TripleBranches,
@@ -87,7 +79,7 @@ _B_OUTCOMES = np.array(["delta2", "delta4"], dtype=object)
 
 # Work budgets, checked before a run starts: ten times the largest tier-1
 # or benchmark run (3*10^4 trials; 1.04*10^5 trajectory events, epr at 4000
-# trials).  Grid sizes are bounded by hilbert.MAX_TOTAL_DIM instead.
+# trials).  Grid sizes are bounded by configs.MAX_TOTAL_DIM instead.
 # Every trial's record stays in memory, as columns, until the report is
 # written: a 10^6-trial singlet peaks at ~400 MB RSS, ~370 bytes a trial,
 # most of it the report text (139 bytes a trial), held twice while joined.
@@ -99,17 +91,6 @@ SINGLET_BLOCK = 4096  # trials per block of a singlet run
 # window keeps the final states of its trials (2 MiB at d = 64 and at d = 256)
 # until their records are made.
 WINDOW_BLOCKS = 8
-
-
-def _check_packet_width(key: str, width: float, spacing: float) -> None:
-    """Reject a packet narrower than half the grid spacing.  Sampled on the
-    grid, such a packet no longer has the spread it was asked for: its
-    discrete normalization departs from the continuum one by up to
-    2 exp(-2 pi^2 width^2 / spacing^2) (Poisson summation), 1.4% at half a
-    spacing, and far below it the packet is one site or, between sites, none."""
-    if not width >= 0.5 * spacing:
-        raise ConfigError(f"key '{key}' = {width} is narrower than half the grid spacing "
-                          f"{spacing}; the grid cannot resolve the packet")
 
 
 def _check_budget(seed: int, trials: int, trials_key: str, events_per_trial: float = 0.0) -> None:
@@ -175,58 +156,6 @@ def _joined(windows: Iterable[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
 
 
 # -- position EPR with a collapsing pointer ----------------------------------
-
-
-@dataclass(frozen=True)
-class EprConfig:
-    """Two entangled region qubits plus one pointer on a periodic grid.
-
-    Particle a occupies region delta1 (qubit 0) or delta3 (qubit 1);
-    particle b is correlated into delta2 or delta4.  The measurement
-    couples a's region to the pointer by a conditional displacement of
-    ``coupling_sites`` grid sites (a von Neumann interaction integrated
-    exactly); localization jumps then act on the pointer alone at the
-    amplified rate ``amplification * base_rate``.
-    """
-
-    trials: int = setting(1000, "number of measurement trials", COUNT)
-    delta1: float = setting(-30.0, "region label for particle a, branch 1", FINITE)
-    delta2: float = setting(-10.0, "region label for particle b, branch 1", FINITE)
-    delta3: float = setting(10.0, "region label for particle a, branch 2", FINITE)
-    delta4: float = setting(30.0, "region label for particle b, branch 2", FINITE)
-    packet_width: float = setting(1.0, "pointer packet spread", POSITIVE)
-    # the (2, 2, points) state stays within the dense-storage cap
-    pointer_points: int = setting(64, "pointer grid points", integer(8, MAX_TOTAL_DIM // 4))
-    pointer_spacing: float = setting(1.0, "pointer grid spacing", POSITIVE)
-    pointer_alpha: float = setting(0.25, "pointer localization parameter", POSITIVE)
-    base_rate: float = setting(0.2, "base jump rate", NON_NEGATIVE, key="lambda", report="lambda")
-    amplification: int = setting(25, "pointer rate amplification factor", COUNT)
-    coupling_sites: int = setting(24, "pointer displacement in sites (0 = no measurement)",
-                                  integer(0), key="coupling")
-    horizon: float = setting(5.0, "measurement duration", POSITIVE)
-    master_seed: int = checked(SEED, default=0)
-    workers: int = checked(COUNT, default=1)
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        _check_packet_width("packet_width", self.packet_width, self.pointer_spacing)
-        regions = (self.delta1, self.delta2, self.delta3, self.delta4)
-        if any(abs(a - b) < 10.0 * self.packet_width for a, b in combinations(regions, 2)):
-            raise ConfigError("regions must be pairwise separated by at least 10 packet widths")
-        if self.amplification * self.base_rate * self.horizon < 20.0:
-            raise ConfigError(
-                "amplification * lambda * horizon must be >= 20 so the pointer "
-                "collapses within the run"
-            )
-        if self.coupling_sites:
-            shift = abs(self.coupling_sites) * self.pointer_spacing
-            length = self.pointer_points * self.pointer_spacing
-            if shift < 10.0 / math.sqrt(self.pointer_alpha):
-                raise ConfigError(
-                    "pointer displacement must exceed 10 localization widths"
-                )
-            if shift < 10.0 * self.packet_width or shift > length / 2.0:
-                raise ConfigError("pointer displacement must resolve the two packets")
 
 
 def _epr_initial_state(config: EprConfig) -> tuple[StateVector, Grid]:
@@ -347,6 +276,12 @@ _OUTCOME_VALUES = np.array(
     ["".join(map(str, TripleOutcome.with_zero_at(k).values)) for k in range(3)], dtype=object)
 
 
+def _present(outcomes: np.ndarray) -> list[int]:
+    """The distinct outcome codes (-1 for none, else the zero's axis) in
+    ``outcomes``, ascending; np.unique would import numpy.ma (~10 ms)."""
+    return (np.flatnonzero(np.bincount(outcomes + 1, minlength=4)) - 1).tolist()
+
+
 def _singlet_block(
     triple_b: OrthoTriple, triple_a: OrthoTriple | None, measure_b: bool, seed: int,
     trials: range,
@@ -363,7 +298,7 @@ def _singlet_block(
         b_measurement = TripleBranches(singlet_state(), 1, triple_b)
         b = b_measurement.outcomes(u[:, 0])
     fidelity = np.zeros(3)  # by B outcome
-    for kb in np.unique(b).tolist():
+    for kb in _present(b):
         psi, rows = singlet_state(), b == kb
         if kb >= 0:
             psi = b_measurement.state(kb)
@@ -376,7 +311,7 @@ def _singlet_block(
         if triple_a is not None:
             a_measurement = TripleBranches(psi, 0, triple_a)
             a[rows] = a_measurement.outcomes(u[rows, 1])
-            for ka in np.unique(a[rows]).tolist():
+            for ka in _present(a[rows]):
                 a_measurement.state(ka)  # normalizes the drawn branch, as measuring would
     columns = {"trial": np.arange(trials.start, trials.stop)}
     if measure_b:
@@ -437,56 +372,6 @@ def run_singlet_spacetime(
 
 
 @dataclass(frozen=True)
-class OracleComparisonConfig:
-    """Grid, localization parameters and initial packet layout shared by
-    the trajectory ensemble and the deterministic oracle."""
-
-    grid_points: int = setting(64, "grid points", GRID_POINTS, key="points")
-    grid_spacing: float = setting(1.0, "grid spacing", POSITIVE, key="spacing")
-    # localization width = 4 grid spacings
-    alpha: float = setting(0.0625, "inverse squared localization width", POSITIVE)
-    rate: float = setting(1.0, "jump rate per particle", NON_NEGATIVE, key="lambda",
-                          report="lambda")
-    hbar: float = setting(1.0, "action unit", POSITIVE)
-    mass: float = setting(10.0, "particle mass for the free Hamiltonian", POSITIVE)
-    hamiltonian: str = setting("none", "free Hamiltonian choice: 'none' or 'free'",
-                               Check("'none' or 'free'", ("none", "free").__contains__))
-    peak_centers: tuple[float, ...] = setting((24.0, 40.0), "initial packets as center:weight,...",
-                                              FINITE, key="peaks")
-    peak_weights: tuple[float, ...] = setting((0.5, 0.5), "", POSITIVE, key="peaks")
-    packet_width: float = setting(2.0, "initial packet position spread", POSITIVE)
-    horizon: float = setting(5.0, "total evolution time", POSITIVE)
-    dt: float = setting(0.01, "time step, only checked against 0.01*hbar/max|E|; samples "
-                        "are taken at the checkpoints", POSITIVE)
-    checkpoints: int = setting(4, "number of equally spaced comparison times", COUNT)
-    record_trials: bool = False
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if len(self.peak_centers) != len(self.peak_weights) or not self.peak_centers:
-            raise ConfigError("peak centers and weights must match and be non-empty")
-        if len(set(self.peak_centers)) < len(self.peak_centers):
-            raise ConfigError("key 'peaks': packet centers must be distinct")
-        if abs(sum(self.peak_weights) - 1.0) > 1e-9:
-            raise ConfigError("peak weights must sum to 1")
-        _check_packet_width("packet_width", self.packet_width, self.grid_spacing)
-
-    def grid(self) -> Grid:
-        return Grid(self.grid_points, self.grid_spacing)
-
-    def params(self) -> GrwParams:
-        return GrwParams(alpha=self.alpha, lam=self.rate, hbar=self.hbar, mass=self.mass)
-
-    def initial_state(self) -> StateVector:
-        return two_peak_state(
-            self.grid(), self.peak_centers, self.peak_weights, self.packet_width
-        )
-
-    def sample_times(self) -> list[float]:
-        return [self.horizon * (i + 1) / self.checkpoints for i in range(self.checkpoints)]
-
-
-@dataclass(frozen=True)
 class _Ensemble:
     """What every trajectory of an oracle-compare or grw-run shares.
 
@@ -506,16 +391,16 @@ class _Ensemble:
 def _ensemble_setup(config: OracleComparisonConfig) -> tuple[_Ensemble, np.ndarray | None]:
     """The run's shared trajectory setup and its free Hamiltonian's first
     column (None for ``hamiltonian = 'none'``)."""
-    grid = config.grid()
+    grid = Grid(config.grid_points, config.grid_spacing)
     hamiltonian = None
     propagator = None
     if config.hamiltonian == "free":
         hamiltonian = free_hamiltonian(grid, config.mass, config.hbar)
         propagator = Propagator(hamiltonian, config.hbar)
-    ensemble = _Ensemble(
-        config, grid, config.params(), config.initial_state(), config.sample_times(), propagator
-    )
-    return ensemble, hamiltonian
+    params = GrwParams(alpha=config.alpha, lam=config.rate, hbar=config.hbar, mass=config.mass)
+    psi0 = two_peak_state(grid, config.peak_centers, config.peak_weights, config.packet_width)
+    times = [config.horizon * (i + 1) / config.checkpoints for i in range(config.checkpoints)]
+    return _Ensemble(config, grid, params, psi0, times, propagator), hamiltonian
 
 
 def _ensemble_window(

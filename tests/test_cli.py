@@ -60,8 +60,64 @@ def test_cli_import_loads_no_multiprocessing():
     assert _modules_loaded_by_cli_import("multiprocessing") == "[]"
 
 
+def test_cli_import_loads_no_numpy():
+    # keys, --help and value checks come from modules that need no numpy
+    assert _modules_loaded_by_cli_import("numpy") == "[]"
+
+
+def _modules_loaded_by_run(*args: str) -> tuple[int, list[str]]:
+    """A fresh interpreter's exit code for the CLI run ``args`` and the
+    modules it then holds."""
+    code = ("import sys\n"
+            "from collapselab.cli import main\n"
+            "try:\n"
+            "    rc = main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n"
+            "    rc = exc.code\n"
+            "print(' '.join(sorted(sys.modules)), file=sys.stderr)\n"
+            "sys.exit(rc)\n")
+    result = _run_python(code, *args)
+    return result.returncode, result.stderr.splitlines()[-1].split()
+
+
+_ENGINES = ["collapselab." + m for m in ("grw", "lindblad", "scenarios", "spin", "hilbert", "rng")]
+
+
+@pytest.mark.parametrize("args,code", [
+    (["ck-trace", "--rays", "builtin:ks33"], 0),
+    (["ks-check", "--rays", "builtin:ks33"], 0),
+    (["ks-check", "--rays", "builtin:twin_triples"], 0),
+    (["--help"], 0),
+    (["oracle-compare", "--help"], 0),
+    (["epr", "--seed", "1", "--trials", "0"], 2),
+    (["grw-run", "--seed", "1", "--peaks", "24:0.5,24:0.5"], 2),
+], ids=["ck-trace", "ks-check-uncolorable", "ks-check-colorable", "help", "command-help",
+        "bad-key-value", "bad-config"])
+def test_runs_that_need_no_engine_load_no_numpy(args, code):
+    rc, modules = _modules_loaded_by_run(*args, "--out", os.devnull)
+    assert rc == code
+    assert [m for m in modules if m.partition(".")[0] == "numpy"] == []
+    assert [m for m in modules if m in _ENGINES] == []
+
+
+def test_singlet_run_loads_no_numpy_masked_arrays():
+    # np.unique imports numpy.ma on its first call; the run and its report avoid it
+    rc, modules = _modules_loaded_by_run("singlet", "--same-triples", "--trials", "2000",
+                                         "--seed", "1", "--out", os.devnull)
+    assert rc == 0
+    assert "numpy" in modules and "numpy.ma" not in modules
+
+
+def test_every_exported_name_resolves():
+    for name in collapselab.__all__:
+        assert getattr(collapselab, name) is not None, name
+    with pytest.raises(AttributeError):
+        collapselab.not_a_name
+
+
 # the BLAS thread variables as numpy's first import sees them, then after the
-# package import; a meta-path probe records them when numpy is first looked up
+# package import; a meta-path probe records them when numpy is first looked up,
+# which is after the package import, since importing the package loads no numpy
 _THREAD_PROBE = """
 import json, os, sys
 names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
@@ -72,6 +128,7 @@ class Probe:
             seen.append([os.environ.get(v) for v in names])
 sys.meta_path.insert(0, Probe())
 import collapselab
+import numpy
 print(json.dumps(seen + [[os.environ.get(v) for v in names]]))
 """
 
@@ -400,6 +457,17 @@ def test_unusable_output_path_is_a_config_error(tmp_path, capsys, command, key, 
     # checked before any work: no report, no .tmp file
     assert [p.name for p in tmp_path.iterdir()] == ["folder"]
     assert list((tmp_path / "folder").iterdir()) == []
+
+
+def test_outputs_written_in_pieces_are_whole(tmp_path, monkeypatch):
+    args = ["singlet", "--trials", "50", "--seed", "1"]
+    assert run_cli([*args, "--out", str(tmp_path / "a.json"), "--csv", str(tmp_path / "a.csv")]) == 0
+    monkeypatch.setattr(cli, "_WRITE_PIECE", 7)
+    assert run_cli([*args, "--out", str(tmp_path / "b.json"), "--csv", str(tmp_path / "b.csv")]) == 0
+    for suffix in ("json", "csv"):
+        whole = (tmp_path / f"a.{suffix}").read_bytes()
+        assert len(whole) > 7 * 100
+        assert (tmp_path / f"b.{suffix}").read_bytes() == whole
 
 
 @pytest.mark.parametrize("failing", [".json", ".csv"])

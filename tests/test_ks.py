@@ -32,11 +32,11 @@ KS33_PAIRS = 72
 KS33_TRIPLES = 16
 KS33_NODES = 46
 KS33_PROPAGATIONS = 412
-# ck_argument_trace(ks33): searches (whole set twice, then one per ray
+# ck_argument_trace(ks33): searches (whole set once, then one per ray
 # dropped), their summed counts, and the core size.
-KS33_TRACE_SEARCHES = 35
-KS33_TRACE_NODES = 252
-KS33_TRACE_PROPAGATIONS = 1776
+KS33_TRACE_SEARCHES = 34
+KS33_TRACE_NODES = 206
+KS33_TRACE_PROPAGATIONS = 1364
 KS33_CORE = 33
 
 
@@ -170,6 +170,39 @@ def test_integer_exact_arithmetic_matches_fractions(name, tmp_path):
     for i, j in itertools.combinations_with_replacement(range(len(rays)), 2):
         assert rays[i].is_orthogonal(rays[j]) == _fraction_orthogonal(comps[i], comps[j])
         assert rays[i].is_parallel(rays[j]) == _fraction_parallel(comps[i], comps[j])
+
+
+# the primitive rays with components in {0, +-1, +-2}, one per direction
+_INTEGER_RAYS = [v for v in itertools.product(range(-2, 3), repeat=3)
+                 if math.gcd(*v) == 1 and next(c for c in v if c) > 0]
+
+
+@pytest.mark.parametrize("name", ["axes", "axes_diag", "ks33", "twin_triples", "integer49"])
+def test_ray_vectors_match_numpy_bit_for_bit(name):
+    if name == "integer49":
+        rays = RaySet.from_vectors(_INTEGER_RAYS)
+        assert len(rays) == 49
+    else:
+        rays = RaySet.from_file(DATA / f"{name}.rays")
+    for ray in rays.rays:
+        v = np.array([float(a) + float(b) * math.sqrt(2.0) for a, b in ray.exact])
+        expected = v / np.linalg.norm(v)
+        assert all(type(x) is float for x in ray.vector)
+        assert np.array_equal(np.array(ray.vector).view(np.uint64), expected.view(np.uint64))
+
+
+def test_ray_whose_floats_cancel_is_a_config_error(tmp_path):
+    # a + b*r2 with float(a) = -float(b) * sqrt(2): exact and nonzero, but its
+    # float image is zero, so it has no unit vector
+    comps = []
+    for b in (2**60, 2**61 + 12345, 3 * 2**59 + 7):
+        a = -int(float(b) * math.sqrt(2.0))
+        assert float(a) + float(b) * math.sqrt(2.0) == 0.0
+        comps.append(f"{a}+{b}*r2")
+    path = tmp_path / "cancel.rays"
+    path.write_text("1 0 0\n" + " ".join(comps) + "\n")
+    with pytest.raises(ConfigError, match=r"cancel.rays:2: .*cancel to zero"):
+        RaySet.from_file(path)
 
 
 def test_ray_file_parsing_errors(tmp_path):
@@ -374,6 +407,25 @@ def test_minimal_core_is_irreducible():
         assert cert.verdict == "colorable"
         assert sorted(cert.witness.values) == rest
         assert check_assignment(cert.witness, rays.structure.restricted(rest)).valid
+
+
+def test_minimal_core_reuses_a_given_certificate(monkeypatch):
+    rays = RaySet.from_file(DATA / "ks33.rays")
+    whole = search_coloring(rays)
+    searched = []
+    search = ks.search_coloring
+
+    def counting_search(*args):
+        searched.append(args[1:])
+        return search(*args)
+
+    monkeypatch.setattr(ks, "search_coloring", counting_search)
+    assert minimal_uncolorable_core(rays, whole) == minimal_uncolorable_core(rays)
+    assert searched.count(()) == 1  # the whole set is searched only when no certificate is given
+    axes = RaySet.from_file(DATA / "axes.rays")
+    for certificate in (None, search_coloring(axes)):
+        with pytest.raises(ValueError, match="colorable"):
+            minimal_uncolorable_core(axes, certificate)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collapselab.report import ExperimentReport, canonical_json, format_float
+from collapselab.report import ExperimentReport, _distinct_texts, canonical_json, format_float
 
 
 def test_float_formatting_round_trips():
@@ -206,6 +206,21 @@ def test_trial_columns_match_the_reference_serializers(columns):
         for row in rows:
             writer.writerow([_reference_csv_cell(v) for v in row.values()])
     assert report.trials_csv() == buf.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_columns())
+def test_distinct_texts_are_one_per_bit_pattern_or_object(columns):
+    for column in columns.values():
+        if isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
+            keys = [np.ascontiguousarray(cell).tobytes() for cell in column]
+        else:
+            keys = list(map(id, column))
+        texts, inverse = _distinct_texts(column)
+        codes = inverse.tolist()
+        # keys and codes correspond one to one, and every text is used
+        assert len(set(zip(keys, codes))) == len(set(keys)) == len(set(codes)) == len(texts)
+        assert all(texts[c] == canonical_json(v) for c, v in zip(codes, column))
 
 
 @pytest.mark.parametrize("column", [
