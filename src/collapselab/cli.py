@@ -14,16 +14,17 @@ error, 4 internal invariant violation.
 Start-up loads only what a run uses.  This module needs no numpy and no
 engine: the keys, ``--help`` and the checks of every value come from
 ``configs`` and ``schema``.  Each handler imports its engine when it
-runs, after its config is built, so a config error exits before numpy
-loads.  ``ks-check`` and ``ck-trace`` never load numpy; the numeric
-subcommands load it with ``scenarios``.
+runs.  ``ks-check``, ``ck-trace``, ``--help`` and a key or config-file
+error never load numpy; the numeric subcommands load it with
+``scenarios``.  ``singlet`` parses its triples with ``spin``, so a
+malformed triple exits after numpy has loaded.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from importlib import import_module, resources
+from importlib import resources
 from typing import TYPE_CHECKING, Any, Callable
 
 from .configs import EprConfig, OracleComparisonConfig
@@ -35,23 +36,6 @@ if TYPE_CHECKING:
     from .spin import OrthoTriple
 
 _AXES = "1,0,0;0,1,0;0,0,1"
-
-# The engine names the handlers import when they run, by module; they stay
-# readable as attributes of this module, and reading one imports its module.
-_ENGINE_NAMES = {
-    "ks": ("RaySet", "ck_argument_trace", "search_coloring"),
-    "scenarios": ("run_epr_position", "run_grw_ensemble", "run_oracle_comparison",
-                  "run_singlet_spacetime"),
-    "spin": ("OrthoTriple",),
-}
-
-
-def __getattr__(name: str) -> Any:
-    for module, names in _ENGINE_NAMES.items():
-        if name in names:
-            return getattr(import_module(f".{module}", __package__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 _SCENARIO_COMMON = {
     "seed": Key(int, None, "master seed (required; keys every random draw)", SEED),
@@ -196,8 +180,6 @@ def _rays_path(values: dict[str, Any]) -> str:
 
 
 def _cmd_singlet(values: dict[str, Any]) -> ExperimentReport:
-    from .scenarios import run_singlet_spacetime
-
     triple_b = _parse_triple(values["triple_b"], "triple_b")
     if values["same_triples"]:
         triple_a: OrthoTriple | None = triple_b
@@ -205,6 +187,7 @@ def _cmd_singlet(values: dict[str, Any]) -> ExperimentReport:
         triple_a = None
     else:
         triple_a = _parse_triple(values["triple_a"], "triple_a")
+    from .scenarios import run_singlet_spacetime
     return run_singlet_spacetime(
         triple_b, triple_a, values["trials"], values["seed"],
         measure_b=values["measure_b"], workers=values["workers"],
@@ -315,9 +298,6 @@ def _check_output_path(key: str, path: str) -> None:
         raise ConfigError(f"key '{key}': directory {folder} does not exist")
 
 
-_WRITE_PIECE = 1 << 16  # characters per write of a report or table
-
-
 def _write_output(text: str, path: str | None, created: list[str]) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -325,10 +305,7 @@ def _write_output(text: str, path: str | None, created: list[str]) -> None:
     tmp = path + ".tmp"
     try:
         with open(tmp, "w") as fh:
-            # in pieces: the text layer encodes each write whole, so one
-            # write would hold a second copy of the report at the peak
-            for start in range(0, len(text), _WRITE_PIECE):
-                fh.write(text[start:start + _WRITE_PIECE])
+            fh.write(text)
         os.replace(tmp, path)
     except OSError as exc:
         _cleanup([tmp])

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collapselab
-from collapselab import cli, grw, ks, lindblad, scenarios
+from collapselab import grw, ks, lindblad, scenarios
 from collapselab.cli import KEY_SPECS, build_parser, main
 from collapselab.errors import ConfigError
 from collapselab.schema import NON_NEGATIVE, POSITIVE, check_value
@@ -94,7 +94,7 @@ _ENGINES = ["collapselab." + m for m in ("grw", "lindblad", "scenarios", "spin",
 ], ids=["ck-trace", "ks-check-uncolorable", "ks-check-colorable", "help", "command-help",
         "bad-key-value", "bad-config"])
 def test_runs_that_need_no_engine_load_no_numpy(args, code):
-    rc, modules = _modules_loaded_by_run(*args, "--out", os.devnull)
+    rc, modules = _modules_loaded_by_run(*args)
     assert rc == code
     assert [m for m in modules if m.partition(".")[0] == "numpy"] == []
     assert [m for m in modules if m in _ENGINES] == []
@@ -103,7 +103,7 @@ def test_runs_that_need_no_engine_load_no_numpy(args, code):
 def test_singlet_run_loads_no_numpy_masked_arrays():
     # np.unique imports numpy.ma on its first call; the run and its report avoid it
     rc, modules = _modules_loaded_by_run("singlet", "--same-triples", "--trials", "2000",
-                                         "--seed", "1", "--out", os.devnull)
+                                         "--seed", "1")
     assert rc == 0
     assert "numpy" in modules and "numpy.ma" not in modules
 
@@ -429,8 +429,6 @@ def test_ray_commands_reject_tolerance_and_csv_before_any_search(
         raise AssertionError("the search ran")
 
     monkeypatch.setattr(ks, "search_coloring", no_search)
-    monkeypatch.setattr(cli, "search_coloring", no_search)
-    monkeypatch.setattr(cli, "ck_argument_trace", no_search)
     config = tmp_path / "run.cfg"
     config.write_text(f"rays = builtin:ks33\n{key} = {value}\n")
     assert run_cli([command, "--config", str(config)]) == 2
@@ -457,17 +455,6 @@ def test_unusable_output_path_is_a_config_error(tmp_path, capsys, command, key, 
     # checked before any work: no report, no .tmp file
     assert [p.name for p in tmp_path.iterdir()] == ["folder"]
     assert list((tmp_path / "folder").iterdir()) == []
-
-
-def test_outputs_written_in_pieces_are_whole(tmp_path, monkeypatch):
-    args = ["singlet", "--trials", "50", "--seed", "1"]
-    assert run_cli([*args, "--out", str(tmp_path / "a.json"), "--csv", str(tmp_path / "a.csv")]) == 0
-    monkeypatch.setattr(cli, "_WRITE_PIECE", 7)
-    assert run_cli([*args, "--out", str(tmp_path / "b.json"), "--csv", str(tmp_path / "b.csv")]) == 0
-    for suffix in ("json", "csv"):
-        whole = (tmp_path / f"a.{suffix}").read_bytes()
-        assert len(whole) > 7 * 100
-        assert (tmp_path / f"b.{suffix}").read_bytes() == whole
 
 
 @pytest.mark.parametrize("failing", [".json", ".csv"])
