@@ -9,7 +9,8 @@ files; per-trial tables go to CSV on request.
 
 Exit codes: 0 success, 2 configuration error (an ``--out`` or ``--csv``
 path that cannot be written included), 3 numerical or grid-adequacy
-error, 4 internal invariant violation.
+error, 4 internal invariant violation, 5 a pool worker died before it
+returned its task (killed, as for memory).
 
 Start-up loads only what a run uses.  This module needs no numpy and no
 engine: the keys, ``--help`` and the checks of every value come from
@@ -28,7 +29,7 @@ from importlib import resources
 from typing import TYPE_CHECKING, Any, Callable
 
 from .configs import EprConfig, OracleComparisonConfig
-from .errors import ConfigError, InvariantViolationError, NumericalError
+from .errors import ConfigError, InvariantViolationError, NumericalError, WorkerLostError
 from .report import ExperimentReport
 from .schema import COUNT, FINITE, SEED, Key, check_value, from_values, keys_of
 
@@ -313,6 +314,12 @@ def _write_output(text: str, path: str | None, created: list[str]) -> None:
     created.append(path)
 
 
+# each failure's message prefix and exit code (module docstring)
+_EXIT_CODES = ((ConfigError, "error", 2), (NumericalError, "numerical error", 3),
+               (InvariantViolationError, "internal invariant violation", 4),
+               (WorkerLostError, "worker lost", 5))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -328,20 +335,13 @@ def main(argv: list[str] | None = None) -> int:
             _write_output(report.trials_csv(), values["csv"], created)
         _write_output(report.to_json(), values.get("out"), created)
         return 0
-    except ConfigError as exc:
+    except Exception as exc:
         _cleanup(created)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        _cleanup(created)
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
-    except InvariantViolationError as exc:
-        _cleanup(created)
-        print(f"internal invariant violation: {exc}", file=sys.stderr)
-        return 4
-    except Exception as exc:  # unexpected: treat as internal
-        _cleanup(created)
+        for kind, prefix, code in _EXIT_CODES:
+            if isinstance(exc, kind):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
+        # unexpected: treat as internal
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
 

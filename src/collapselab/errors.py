@@ -25,5 +25,9 @@ class ZeroNormError(NumericalError):
     """An operation produced a state of (numerically) zero norm."""
 
 
+class WorkerLostError(CollapseLabError):
+    """A pool worker died before it returned its task (killed, as for memory)."""
+
+
 class InvariantViolationError(CollapseLabError):
     """An internal consistency check failed; indicates a bug."""

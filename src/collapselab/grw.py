@@ -10,8 +10,14 @@ where d is the minimal-image periodic distance; the 1D prefactor makes
 the completeness sum  sum_k L(x_k)^2 dx = 1  hold on an adequate grid
 (alpha*dx^2 <= 0.1 and extent >= 10/sqrt(alpha)).
 
-Jump centres are drawn from p(x_k) = ||L(x_k) psi||^2 dx, renormalized;
-pre-normalization mass off by more than 1e-3 raises GridAdequacyError.
+Jump centres follow p(x_k) = ||L(x_k) psi||^2 dx, the circular
+convolution of the position weights w = |psi|^2 with g^2, g being the
+diagonal of L(0).  A centre is a site j drawn from w by the inverse CDF
+of ``rng.draw_rows`` (which starts at site 0, so a tie between maxima
+cannot move the site drawn for a given uniform) plus an offset o drawn
+from one cached cumulative table of g^2 per grid, mod M
+(``_draw_centres``).  A grid whose sum g^2 dx, the mass of p, is off 1
+by more than 1e-3 raises GridAdequacyError at its first jump.
 
 Between events the state evolves under the free kinetic Hamiltonian,
 which is circulant on the periodic grid and therefore diagonal in the
@@ -26,16 +32,12 @@ the jump schedules of all its trials first, in batches of
 Blocks of B sorted trials then run in event rounds: in each round every
 row takes its own next event, and a block runs as many rounds as its
 busiest row, so blocks of like trials run fewer rounds.  Rows that jump
-get their jump tables from one batched rfft/irfft circular convolution
-of their position weights with g^2, draw their centres by the inverse
-CDF of ``rng.draw_rows`` (which starts at site 0, so a tie between
-maxima cannot move the centre drawn for a given uniform), and are
-localized and renormalized row by row.  Each row's states go to its
-trial's slot, so the caller sees the trials in its own order.  Every
-draw of a row is addressed by its (seed, trial, index, tag), every
-kernel acts on each row alone and names the output of each binary
-operation, so a row's bits depend neither on B nor on the rows it is
-evolved with.
+draw their centres and are localized and renormalized row by row.  Each
+row's states go to its trial's slot, so the caller sees the trials in
+its own order.  Every draw of a row is addressed by its (seed, trial,
+index, tag), every kernel acts on each row alone and names the output
+of each binary operation, so a row's bits depend neither on B nor on
+the rows it is evolved with.
 
 Three engines run on that one event loop (``_evolve_rows``), and the
 input picks the engine.  With a propagator a block is one complex
@@ -45,24 +47,25 @@ and gathered rows are handled KERNEL_ROWS at a time.  Without one every
 event is a localization, and localizations are diagonal in position and
 commute, so row i's state is psi0 times a real multiplier F_p[i], an
 M-vector, along each localized factor p (``_Multipliers``).  A jump on p
-draws from the table of F_p^2 W_p, where W_p is |psi0|^2 contracted with
-the other factors' F^2 (one fixed M-vector when p is the only localized
-factor), and multiplies F_p by g / ||.||, the norm taken with the same
-weights.  Complex amplitudes are formed only at sample times,
-KERNEL_ROWS rows at a time.  ``block_rows`` sizes a block at 64 rows or
-256 KiB of what a round touches, whichever is more: the (B, d)
-amplitudes, or B rows of M floats per localized factor.
-``evolve_trajectory`` is a one-trial window, and ``jump_density``,
-``apply_jump`` and ``Propagator.advance`` run one row of the amplitude
-kernels.  No kernel calls BLAS: norms and sums are elementwise products,
-``np.sum`` and ``math.fsum``.
+draws its site from the weights F_p^2 W_p, where W_p is |psi0|^2
+contracted with the other factors' F^2 (one fixed M-vector when p is
+the only localized factor), and multiplies F_p by g / ||.||, the norm
+taken with the same weights.  Complex amplitudes are formed only at
+sample times, KERNEL_ROWS rows at a time.  ``block_rows`` sizes a block
+at 64 rows or 256 KiB of what a round touches, whichever is more: the
+(B, d) amplitudes, or B rows of M floats per localized factor.
+``evolve_trajectory`` is a one-trial window, and ``apply_jump`` and
+``Propagator.advance`` run one row of the amplitude kernels.  No kernel
+calls BLAS: norms and sums are elementwise products, ``np.sum`` and
+``math.fsum``.  ``jump_density`` is the reference law that the centre
+draw samples, one dense circular sum, and no run calls it.
 
 The third engine (``_Equivariant``) holds one row whose state updates
 commute bit-exactly with cyclic grid translations, and
 ``evolve_equivariant`` runs one trial on it: norms and inner sums use
 math.fsum (order-independent, correctly rounded), the propagator is
-applied as an fsum circulant matvec on a single grid factor, and jump
-centres come from a cumulative table anchored at its argmax.
+applied as an fsum circulant matvec on a single grid factor, and a jump
+site comes from a cumulative sum of the weights anchored at their argmax.
 Translating the initial state by s sites then reproduces the original
 trajectory translated by s, for the same seed and trial.  It takes the
 same jump times as ``evolve_block``, from the same loop, and has the
@@ -80,7 +83,7 @@ import numpy as np
 from .configs import GRID_POINTS
 from .errors import ConfigError, GridAdequacyError, StepConditionError, ZeroNormError
 from .hilbert import SPECTRAL_TOL, StateVector, SubsystemShape
-from .rng import JUMPS, draw_rows, uniforms
+from .rng import JUMPS, OFFSETS, draw_rows, uniforms
 from .schema import NON_NEGATIVE, POSITIVE, check_fields, checked
 
 TRAJECTORY_NORM_TOL = 1e-9
@@ -101,7 +104,7 @@ ZERO_NORM_FLOOR = 1e-14
 BLOCK_MIN_ROWS = 64
 BLOCK_BYTES = 256 * 2**10
 # Rows per call of a row kernel that allocates complex temporaries (gathers,
-# phases, squares, jump tables; amplitudes formed from multipliers): whatever B
+# phases, squares, position weights; amplitudes formed from multipliers): whatever B
 # is, a block holds its (B, d) amplitudes or (B, M) multipliers, and complex
 # temporaries of at most KERNEL_ROWS rows.
 KERNEL_ROWS = 64
@@ -291,49 +294,31 @@ def window_masses(weights: np.ndarray, grid: Grid, center: float, halfwidth: flo
 # -- jump law ----------------------------------------------------------------
 
 
-def _position_weights(psi: StateVector, particle: int, grid: Grid) -> np.ndarray:
-    k = psi.shape.validate_index(particle)
-    if psi.shape.dims[k] != grid.points:
-        raise ValueError(
-            f"factor {k} has dim {psi.shape.dims[k]}, grid has {grid.points} points"
-        )
-    return marginal_weights(psi.amplitudes[None, :], psi.shape, k)[0]
-
-
 @lru_cache(maxsize=128)
-def _g2_spectrum(points: int, spacing: float, alpha: float) -> np.ndarray:
-    """The real DFT of g^2, each entry twice: it scales the (re, im) pairs of a spectrum."""
-    # g^2 is exactly even, so its DFT is real; the rounding residue is dropped
-    spectrum = np.repeat(np.fft.rfft(_template(points, spacing, alpha) ** 2).real, 2)
-    spectrum.setflags(write=False)
-    return spectrum
-
-
-def _check_jump_mass(total: np.ndarray) -> None:
-    bad = np.abs(np.subtract(total, 1.0)) > JUMP_MASS_HARD_LIMIT
-    if bad.any():
+def _offset_cdf(points: int, spacing: float, alpha: float) -> np.ndarray:
+    """Cumulative sums of g^2 over a jump centre's offsets 0 .. points - 1
+    from its site, after the grid's completeness check: sum g^2 dx, the
+    jump mass of any normalized state, is within JUMP_MASS_HARD_LIMIT of 1."""
+    cdf = np.cumsum(np.square(_template(points, spacing, alpha)))
+    mass = float(cdf[-1]) * spacing
+    if abs(mass - 1.0) > JUMP_MASS_HARD_LIMIT:
         raise GridAdequacyError(
-            f"jump probability mass {total[bad.argmax()]:.6f} deviates from 1 by more than "
+            f"jump probability mass {mass:.6f} deviates from 1 by more than "
             f"{JUMP_MASS_HARD_LIMIT}; grid cannot resolve the localization width"
         )
+    cdf.setflags(write=False)
+    return cdf
 
 
-def _jump_tables(weights: np.ndarray, grid: Grid, params: GrwParams) -> np.ndarray:
-    """Normalized jump tables, one per row of (n, M) position weights: row i
-    is raw[i, k] = sum_q g^2(k - q) weights[i, q] dx over its total.
-
-    The circular convolution is one batched rfft/irfft pair; an entry that
-    rounding leaves below 0 is clipped, so each table is a distribution.
-    """
-    spectrum = np.fft.rfft(weights, axis=1)
-    parts = spectrum.view(np.float64)
-    np.multiply(parts, _g2_spectrum(grid.points, grid.spacing, params.alpha), out=parts)
-    raw = np.fft.irfft(spectrum, n=grid.points, axis=1)
-    np.multiply(raw, grid.spacing, out=raw)
-    np.maximum(raw, 0.0, out=raw)
-    total = np.sum(raw, axis=1)
-    _check_jump_mass(total)
-    return np.divide(raw, total[:, None], out=raw)
+def _draw_centres(weights: np.ndarray, draws: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
+    """The jump centre of each row of (n, M) position weights w, by row i of
+    (n, 2) uniforms ``draws``: a site j drawn from w by its u (``draw_rows``)
+    plus an offset o drawn from g^2 by its v, mod M.  P(j + o = k) =
+    sum_q w[q] g^2(k - q) is the jump law, and no table of it is built."""
+    cdf = _offset_cdf(grid.points, grid.spacing, alpha)
+    offsets = np.searchsorted(cdf, np.multiply(draws[:, 1], cdf[-1]), side="right")
+    sites = draw_rows(weights, draws[:, 0])
+    return np.add(sites, np.minimum(offsets, grid.points - 1)) % grid.points
 
 
 def _localize(
@@ -366,9 +351,14 @@ def _check_norms(norms: np.ndarray, grid: Grid, sites: np.ndarray) -> None:
 
 
 def jump_density(psi: StateVector, particle: int, grid: Grid, params: GrwParams) -> np.ndarray:
-    """Probability table over grid points for the next jump centre."""
-    w = _position_weights(psi, particle, grid)
-    return _jump_tables(w[None, :], grid, params)[0]
+    """Probability table over grid points for the next jump centre, the law
+    that ``_draw_centres`` samples: circulant(g^2) @ w, normalized."""
+    _offset_cdf(grid.points, grid.spacing, params.alpha)  # the grid's completeness check
+    w = marginal_weights(psi.amplitudes[None, :], psi.shape, particle)[0]
+    if w.size != grid.points:
+        raise ValueError(f"factor {particle} has dim {w.size}, grid has {grid.points} points")
+    table = circulant(np.square(gaussian_template(grid, params.alpha))) @ w
+    return table / table.sum()
 
 
 def apply_jump(
@@ -384,16 +374,17 @@ def sample_jump_times(
     rates: Mapping[int, float], horizon: float, seed: int, trials: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Merged per-particle Poisson arrivals of each trial, sorted by time,
-    each with the uniform that draws its centre.
+    each with the two uniforms that draw its centre.
 
     Particle p's arrivals are a Poisson process of rate ``rates[p]``: for
     its k-th arrival, draw 2k of tag ``rng.JUMPS + p`` gives the gap
-    -log1p(-u) / rate before it and draw 2k + 1 its centre uniform.  They
-    are drawn in rounds over the trials still short of the horizon;
-    simultaneous arrivals keep ascending particle order.  Returns the jump
-    counts and (n, max count + 1) arrays of times (+inf after the last),
-    particles (-1 after the last) and centre uniforms, row i for
-    ``trials[i]``.
+    -log1p(-u) / rate before it, draw 2k + 1 the uniform u of its centre's
+    site and draw k of tag ``rng.OFFSETS + p`` the uniform v of the
+    centre's offset (``_draw_centres``).  They are drawn in rounds over the
+    trials still short of the horizon; simultaneous arrivals keep ascending
+    particle order.  Returns the jump counts, (n, max count + 1) arrays of
+    times (+inf after the last) and particles (-1 after the last), and the
+    (n, max count + 1, 2) uniforms (u, v), row i for ``trials[i]``.
     """
     n_jumps, *events = _jump_events(rates, horizon, seed, trials)
     return (n_jumps, *_schedule_rows(n_jumps, np.cumsum(n_jumps) - n_jumps, events))
@@ -403,32 +394,34 @@ def _jump_events(
     rates: Mapping[int, float], horizon: float, seed: int, trials: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The arrivals of ``sample_jump_times`` as the jump counts and, trial
-    after trial and in time order within a trial, each jump's time, particle
-    and centre uniform."""
+    after trial and in time order within a trial, each jump's time,
+    particle and (site, offset) uniforms."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     trials, n = np.asarray(trials), len(trials)
     kind = np.min_scalar_type(-1 - max(rates, default=0))  # holds every particle and -1
-    events = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=kind), np.zeros(0))]
+    events = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=kind), np.zeros((0, 2)))]
     for p in sorted(rates):
         if rates[p] == 0.0:
             continue
         mean = rates[p] * horizon
         # arrivals per round: nearly every trial passes the horizon in the first
         size = 4 * math.ceil(min(mean / 4 + math.sqrt(mean) + 1, 2**10))
-        live, now, start = np.arange(n), np.zeros((n, 1)), 0
+        live, now, first = np.arange(n), np.zeros((n, 1)), 0  # arrivals first .. first + size - 1
         while live.size:
-            u = uniforms(seed, trials[live], JUMPS + p, start + 2 * size, start)
+            u = uniforms(seed, trials[live], JUMPS + p, 2 * (first + size), 2 * first)
+            v = uniforms(seed, trials[live], OFFSETS + p, first + size, first)
             gaps = -np.log1p(-u[:, 0::2])
             # a running sum from each row's last arrival, so rounds do not move its bits
             t = np.cumsum(np.concatenate((now, gaps / rates[p]), axis=1), axis=1)[:, 1:]
             r, c = np.nonzero(t < horizon)
-            events.append((live[r], t[r, c], np.full(r.size, p, dtype=kind), u[r, 2 * c + 1]))
+            draws = np.stack((u[r, 2 * c + 1], v[r, c]), axis=1)
+            events.append((live[r], t[r, c], np.full(r.size, p, dtype=kind), draws))
             short = t[:, -1] < horizon
-            live, now, start = live[short], t[short, -1:], start + 2 * size
-    rows, times, particles, centres = (np.concatenate(x) for x in zip(*events))
+            live, now, first = live[short], t[short, -1:], first + size
+    rows, times, particles, draws = (np.concatenate(x) for x in zip(*events))
     order = np.lexsort((particles, times, rows))
-    return np.bincount(rows, minlength=n), times[order], particles[order], centres[order]
+    return np.bincount(rows, minlength=n), times[order], particles[order], draws[order]
 
 
 def _schedule_rows(
@@ -436,13 +429,13 @@ def _schedule_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The padded schedule of the trials whose ``counts[i]`` jumps are entries
     ``starts[i]`` on of the ``_jump_events`` arrays ``events``: (n, max count
-    + 1) arrays of times (+inf after the last), particles (-1 after the last)
-    and centre uniforms."""
+    + 1) arrays of times (+inf after the last) and particles (-1 after the
+    last), and the (n, max count + 1, 2) centre uniforms."""
     columns = np.arange(int(counts.max(initial=0)) + 1)  # every row ends in an +inf time
     held = columns < counts[:, None]
     index = np.add(starts[:, None], columns)[held]
     tables = (np.full(held.shape, np.inf), np.full(held.shape, -1, dtype=events[1].dtype),
-              np.zeros(held.shape))
+              np.zeros(held.shape + (2,)))
     for table, values in zip(tables, events):
         table[held] = values[index]
     return tables
@@ -629,11 +622,13 @@ def evolve_block(
 
     Random draws: row i is trial ``trials[i]`` of master seed ``seed``
     (``rng``).  For particle p's k-th jump, draw 2k of tag ``rng.JUMPS +
-    p`` gives the gap before it (inverse-CDF exponential) and draw 2k + 1
-    its centre (``sample_jump_times``).  With ``final_only`` only the
-    state at the last sample time is kept.  The states go to a new (kept
-    samples, n, d) array, or to the first n rows of ``out``, a complex
-    (kept samples, >= n, d) array, and ``Block.states`` is that view.
+    p`` gives the gap before it (inverse-CDF exponential), draw 2k + 1 the
+    site of its centre and draw k of tag ``rng.OFFSETS + p`` the centre's
+    offset from that site (``sample_jump_times``).  With ``final_only``
+    only the state at the last sample time is kept.  The states go to a
+    new (kept samples, n, d) array, or to the first n rows of ``out``, a
+    complex (kept samples, >= n, d) array, and ``Block.states`` is that
+    view.
 
     The trials form one window.  Their jump schedules are drawn once, in
     batches of ``block_rows(d)`` trials, and the trials are stably sorted
@@ -662,8 +657,7 @@ def _evolve_window(
     n_jumps, *events = _window_events(rates, horizon, seed, trials, block_rows(dim))
     starts = np.cumsum(n_jumps) - n_jumps
     n = len(n_jumps)
-    # a block copies its rows' centre uniforms first, so each becomes the centre it draws
-    jump_centres = events[2]
+    jump_centres = np.empty_like(events[0])  # every jump's centre is written by its block
     kept = min(1, len(times)) if final_only else len(times)
     if out is None:
         out = np.empty((kept, n, dim), dtype=complex)
@@ -767,13 +761,13 @@ class _Amplitudes:
         _normalize_rows(picked, _row_norms(picked))
         return picked
 
-    def jump(self, p: int, grid: Grid, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Localize particle p of each row at the site its uniform draws; returns the sites."""
+    def jump(self, p: int, grid: Grid, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """Localize particle p of each row at the centre its uniforms draw; returns the sites."""
         sites = np.empty(rows.size, dtype=int)
         for piece in _pieces(rows.size):
             picked = self.amps[rows[piece]]
-            tables = _jump_tables(marginal_weights(picked, self.shape, p), grid, self.params)
-            sites[piece] = draw_rows(tables, u[piece])
+            sites[piece] = _draw_centres(marginal_weights(picked, self.shape, p), draws[piece],
+                                         grid, self.params.alpha)
             _localize(picked, self.shape, p, grid, self.params.alpha, sites[piece])
             self.amps[rows[piece]] = picked
         return sites
@@ -832,13 +826,13 @@ class _Multipliers:
         _normalize_rows(out, _row_norms(out))
         return out
 
-    def jump(self, p: int, grid: Grid, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Localize particle p of each row at the site its uniform draws; returns the sites."""
+    def jump(self, p: int, grid: Grid, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """Localize particle p of each row at the centre its uniforms draw; returns the sites."""
         factor = self.factors[p]
         every = rows.size == len(factor)
         f = factor if every else factor[rows]
         w = self._others(p, rows)
-        sites = draw_rows(_jump_tables(np.multiply(np.square(f), w), grid, self.params), u)
+        sites = _draw_centres(np.multiply(np.square(f), w), draws, grid, self.params.alpha)
         np.multiply(f, _templates_at(grid, self.params.alpha, sites), out=f)
         norms = np.sqrt(np.sum(np.multiply(np.square(f), w), axis=1))
         _check_norms(norms, grid, sites)
@@ -896,9 +890,9 @@ def evolve_equivariant(
     The arguments, draws, jump times and jump particles are those of
     ``evolve_trajectory``.  On several grid factors the propagator is
     ``Propagator.advance``, so with a Hamiltonian only single-factor runs
-    are bit-exact.  A jump centre is drawn by the same uniform from the
-    same law, but from an fsum table summed from its argmax, so it may
-    differ from the one ``evolve_trajectory`` draws.
+    are bit-exact.  A jump centre is drawn by the same uniforms from the
+    same law, but its site from a cumulative sum anchored at the argmax of
+    the weights, so it may differ from the one ``evolve_trajectory`` draws.
     """
     block = _evolve_window(psi0, propagator, params, grid_map, horizon, dt, seed, [trial],
                            sample_times, rate_factors, equivariant=True)
@@ -927,16 +921,20 @@ class _Equivariant:
     def states(self, rows: np.ndarray) -> np.ndarray:
         return (self.amps / _fsum_norm(self.amps))[None, :]
 
-    def jump(self, p: int, grid: Grid, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Localize particle p at the site its uniform draws; returns the site."""
-        table = _fsum_jump_table(marginal_weights(self.amps[None, :], self.shape, p)[0], grid,
-                                 self.params)
-        # a cumulative sum anchored at the argmax commutes with cyclic
-        # translations of the table whenever the maximum is unique
-        anchor = int(np.argmax(table))
-        k = (anchor + int(draw_rows(np.roll(table, -anchor)[None, :], u)[0])) % grid.points
+    def jump(self, p: int, grid: Grid, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """Localize particle p at the centre its uniforms draw; returns the site."""
+        k = int(self.centres(p, grid, draws)[0])
         self.amps = _fsum_localize(self.amps, self.shape, p, grid, self.params.alpha, k)
         return np.array([k])
+
+    def centres(self, p: int, grid: Grid, draws: np.ndarray) -> np.ndarray:
+        """Particle p's centre for each row of (n, 2) uniforms ``draws``, its
+        site's cumulative sum anchored at the argmax of the weights: that
+        commutes with cyclic translations when the maximum is unique."""
+        w = marginal_weights(self.amps[None, :], self.shape, p)[0]
+        anchor = int(np.argmax(w))
+        drawn = _draw_centres(np.roll(w, -anchor)[None, :], draws, grid, self.params.alpha)
+        return np.add(anchor, drawn) % grid.points
 
 
 def _fsum_norm(vec: np.ndarray) -> float:
@@ -956,15 +954,6 @@ def _fsum_advance(propagator: Propagator, vec: np.ndarray, tau: float) -> np.nda
     return out
 
 
-def _fsum_jump_table(weights: np.ndarray, grid: Grid, params: GrwParams) -> np.ndarray:
-    """The jump table of one particle's position weights, every sum an fsum."""
-    g2 = gaussian_template(grid, params.alpha) ** 2
-    raw = np.array([math.fsum(np.roll(g2, k) * weights) for k in range(grid.points)]) * grid.spacing
-    total = math.fsum(raw)
-    _check_jump_mass(np.array([total]))
-    return raw / total
-
-
 def _fsum_localize(
     amps: np.ndarray, shape: SubsystemShape, particle: int, grid: Grid, alpha: float, k: int
 ) -> np.ndarray:
@@ -974,9 +963,7 @@ def _fsum_localize(
     g = np.roll(gaussian_template(grid, alpha), k)
     arr = (amps.reshape(shape.dims) * g.reshape(across)).reshape(-1)
     norm = _fsum_norm(arr)
-    if norm < ZERO_NORM_FLOOR:
-        center = grid.origin + k * grid.spacing
-        raise ZeroNormError(f"jump at {center} hit a zero-probability centre")
+    _check_norms(np.array([norm]), grid, np.array([k]))
     return arr / norm
 
 

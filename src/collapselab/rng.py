@@ -6,8 +6,9 @@ Moraes, Dror and Shaw, SC11 (2011)) keyed by the seed as two 64-bit
 words, at the counter (i, j // 4, tag, 0), mapped to the uniform
 (w >> 11) * 2**-53 in [0, 1).  No draw depends on another, so results
 are bit-reproducible however trials are split into blocks or spread
-over workers.  Tags: ``OUTCOMES`` (measurement outcomes) and ``JUMPS``
-+ p (the jumps of particle p: gaps and centres).
+over workers.  Tags: ``OUTCOMES`` (measurement outcomes), ``JUMPS`` + p
+(the jumps of particle p: gaps and centre sites) and ``OFFSETS`` + p
+(the offsets of particle p's jump centres from their sites).
 """
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-OUTCOMES, JUMPS = 0, 1
+# OFFSETS lies far above JUMPS + p for every factor p a state can have
+OUTCOMES, JUMPS, OFFSETS = 0, 1, 2**32
 _MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # of counter words 0 and 2
 _BUMPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # added to the key after each round
 
@@ -62,7 +64,8 @@ def uniforms(seed: int, trials: Sequence[int], tag: int, stop: int, start: int =
 def draw_rows(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw of an index from each row of non-negative (n, m)
     ``weights`` (any total), with the uniform ``u[i]`` in [0, 1) for row
-    i; the cumulative sum starts at index 0."""
+    i, or from one (1, m) row with every uniform; the cumulative sum starts
+    at index 0."""
     c = np.cumsum(weights, axis=1)
     # on a non-decreasing row, the count of sums <= u * total is searchsorted(side="right")
     below = c <= np.multiply(u, c[:, -1])[:, None]

@@ -5,13 +5,13 @@ Every scenario is driven by a master seed.  Each random draw is a pure
 function of (master seed, trial, index, tag) (``rng``): a singlet
 trial's B and A outcomes are its draws 0 and 1 of tag ``rng.OUTCOMES``,
 an ``epr`` trial's b outcome is its draw 0 of that tag, and trajectories
-draw their jump schedules and centres as ``grw.sample_jump_times``
-says.  Trials run in windows, one pool task each, and each window's draws
-come from array computations over its trials; a pool keeps
-TASKS_PER_WORKER tasks per worker submitted ahead of the consumer.  A
-trajectory window is one ``grw.evolve_block`` call, which sorts its
-trials into blocks of ``grw.block_rows`` rows: a serial
-``oracle-compare`` window fills the mixture buffer
+draw their jump schedules and the two uniforms of each centre as
+``grw.sample_jump_times`` says.  Trials run in windows, one pool task
+each, and each window's draws come from array computations over its
+trials; a pool keeps TASKS_PER_WORKER tasks per worker submitted ahead
+of the consumer.  A trajectory window is one ``grw.evolve_block``
+call, which sorts its trials into blocks of ``grw.block_rows`` rows: a
+serial ``oracle-compare`` window fills the mixture buffer
 (``lindblad.Mixture``), a pooled one a share of it, and an ``epr`` or
 ``grw-run`` window holds WINDOW_BLOCKS * ``block_rows(d)`` trials, the
 trials of WINDOW_BLOCKS blocks of amplitudes.  Without a Hamiltonian
@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from .configs import EprConfig, OracleComparisonConfig
-from .errors import ConfigError, InvariantViolationError
+from .errors import ConfigError, InvariantViolationError, WorkerLostError
 from .grw import (
     Block,
     Grid,
@@ -121,22 +121,27 @@ def _map_indexed(fn: Callable[[Item], T], items: Sequence[Item], workers: int) -
     TASKS_PER_WORKER tasks per worker are submitted ahead of the consumer:
     a worker that finishes early starts its queued task instead of waiting
     for the oldest window to be consumed, and finished windows cannot pile
-    up."""
+    up.  A worker that dies before it returns its task raises
+    WorkerLostError."""
     workers = pool_size(workers, len(items))
     if workers <= 1:
         yield from map(fn, items)
         return
     from collections import deque
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only pools need it
+    from concurrent.futures.process import BrokenProcessPool
 
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        pending: deque = deque()
-        for item in items:
-            if len(pending) == TASKS_PER_WORKER * workers:
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            pending: deque = deque()
+            for item in items:
+                if len(pending) == TASKS_PER_WORKER * workers:
+                    yield pending.popleft().result()
+                pending.append(ex.submit(fn, item))
+            while pending:
                 yield pending.popleft().result()
-            pending.append(ex.submit(fn, item))
-        while pending:
-            yield pending.popleft().result()
+    except BrokenProcessPool as exc:
+        raise WorkerLostError(f"a worker process died before it returned its task: {exc}") from exc
 
 
 def _blocks(n: int, rows: int) -> list[range]:

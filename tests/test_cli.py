@@ -622,6 +622,21 @@ def test_internal_invariant_violation_exit_code(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_lost_worker_exit_code(tmp_path, monkeypatch, capsys):
+    from collapselab import cli
+    from collapselab.errors import WorkerLostError
+
+    def lost(values):
+        raise WorkerLostError("a worker process died before it returned its task")
+
+    monkeypatch.setitem(cli._COMMANDS, "epr", lost)
+    out = tmp_path / "r.json"
+    assert cli.main(["epr", "--seed", "1", "--workers", "2", "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert "worker lost" in err and "internal" not in err
+    assert not out.exists()
+
+
 # -- pinned key lists and report config blocks ------------------------------------
 
 _BASE_KEYS = [("--config", None), ("--seed", "None"), ("--out", "None"),

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -150,11 +151,62 @@ def test_packets_narrower_than_the_spacing_raise_no_numpy_warning():
             gaussian_packet(GRID, center, width)
 
 
-def test_equivariant_and_fast_tables_agree():
+def _lattice_histogram(draw, n, points):
+    """The distribution of the centres ``draw(draws)`` over the n x n
+    midpoint lattice of uniforms (u, v), 64 values of u at a time."""
+    v = (np.arange(n) + 0.5) / n
+    counts = np.zeros(points)
+    for start in range(0, n, 64):
+        u = (np.arange(start, min(n, start + 64)) + 0.5) / n
+        draws = np.stack((np.repeat(u, n), np.tile(v, u.size)), axis=1)
+        counts += np.bincount(draw(draws), minlength=points)
+    return counts / n**2
+
+
+def _law_cases():
+    """Three composed draws, each with the state whose jump law it samples."""
     psi = two_peak_state(GRID, (24.0, 40.0), (0.6, 0.4), 2.0)
-    fast = jump_density(psi, 0, GRID, PARAMS)
-    slow = grw._fsum_jump_table(position_weights(psi)[0], GRID, PARAMS)
-    np.testing.assert_allclose(fast, slow, atol=1e-14)
+
+    def single_draw(draws):
+        return grw._draw_centres(position_weights(psi), draws, GRID, PARAMS.alpha)
+
+    pointer = Grid(32, 1.0)
+    pair = _entangled_packets(pointer, (6.0, 22.0), (10.0, 26.0), 1.5)
+    params = GrwParams(alpha=0.25, lam=1.5)
+    multipliers = grw._Multipliers(pair, params, {0: pointer, 1: pointer}, 1)
+    row = np.array([0])
+    for p, u, v in ((0, 0.3, 0.6), (1, 0.7, 0.2), (0, 0.55, 0.9)):  # localize both factors
+        multipliers.jump(p, pointer, row, np.array([[u, v]]))
+
+    def multiplier_draw(draws):
+        f = multipliers.factors[1][row]
+        weights = np.multiply(np.square(f), multipliers._others(1, row))  # F_1^2 W_1
+        return grw._draw_centres(weights, draws, pointer, params.alpha)
+
+    localized = StateVector(pair.shape, multipliers.states(row)[0])
+    prop = Propagator(free_hamiltonian(GRID, mass=10.0))
+    equivariant = grw._Equivariant(psi, prop, PARAMS, 1)
+    equivariant.advance(np.array([0.7]), np.array([True]))
+    moved = StateVector(psi.shape, equivariant.states(row)[0])
+    return {
+        "single factor": (single_draw, psi, 0, GRID, PARAMS),
+        "multipliers": (multiplier_draw, localized, 1, pointer, params),
+        "equivariant": (partial(equivariant.centres, 0, GRID), moved, 0, GRID, PARAMS),
+    }
+
+
+@pytest.mark.parametrize("case", ["single factor", "multipliers", "equivariant"])
+def test_composed_centres_follow_the_jump_law(case):
+    # on the n x n midpoint lattice the site draw puts within 1/n of each
+    # weight on every site and the offset draw within 1/n of g^2/sum g^2 on
+    # every offset, so the centres' distribution is within (2n + M)/n^2 of
+    # the law everywhere: no sampling error, nothing left to chance
+    draw, psi, particle, grid, params = _law_cases()[case]
+    n = 1024
+    got = _lattice_histogram(draw, n, grid.points)
+    law = jump_density(psi, particle, grid, params)
+    assert np.max(np.abs(got - law)) <= (2 * n + grid.points) / n**2
+    assert np.max(law) > 10 * (2 * n + grid.points) / n**2  # the bound is not vacuous
 
 
 @pytest.mark.parametrize("nudged", [24, 40])
@@ -165,11 +217,14 @@ def test_tied_maxima_nudged_by_an_ulp_draw_the_same_centre(monkeypatch, nudged):
     tied[[24, 40]] = 0.5
     ulp = tied.copy()
     ulp[nudged] = np.nextafter(0.5, 1.0)
+    draw_centres = grw._draw_centres
     centres = []
-    for table in (tied, ulp):
-        # every jumping row of a block draws from this table
-        monkeypatch.setattr(grw, "_jump_tables",
-                            lambda weights, *args, table=table: np.tile(table, (len(weights), 1)))
+    for weights in (tied, ulp):
+        # every jumping row of a block draws its site from these weights, and
+        # v = 0 draws the offset 0, so each centre is its site
+        monkeypatch.setattr(grw, "_draw_centres", lambda w, draws, *args, weights=weights:
+                            draw_centres(np.tile(weights, (len(draws), 1)),
+                                         np.multiply(draws, [1.0, 0.0]), *args))
         block = evolve_block(psi, None, PARAMS, {0: GRID}, 5.0, 0.05, 9, range(8))
         centres.append(block.jump_centres.tolist())
     assert set(centres[0]) == {24.0, 40.0}
@@ -284,8 +339,12 @@ def test_multipliers_raise_on_zero_norm_and_inadequate_grids(monkeypatch):
     one_site = np.zeros(GRID.points, dtype=complex)
     one_site[10] = 1.0
     psi = StateVector(SubsystemShape((GRID.points,)), one_site)
-    # a centre 32 sites from the only occupied site leaves a norm of exp(-128)
-    monkeypatch.setattr(grw, "draw_rows", lambda tables, u: np.full(len(u), 42))
+    # a centre 32 sites from the only occupied site leaves a norm of exp(-128);
+    # every site is drawn from weights on site 42 alone, at offset 0 (v = 0)
+    draw_centres, site = grw._draw_centres, np.eye(GRID.points)[42]
+    monkeypatch.setattr(grw, "_draw_centres", lambda w, draws, *args:
+                        draw_centres(np.tile(site, (len(draws), 1)),
+                                     np.multiply(draws, [1.0, 0.0]), *args))
     with pytest.raises(ZeroNormError, match="42"):
         evolve_block(psi, None, GrwParams(alpha=0.25, lam=1.0), {0: GRID}, 5.0, 0.1, 1, range(4))
     monkeypatch.undo()
@@ -524,20 +583,21 @@ def test_localization_statistics_match_born_weights():
 
 
 def test_seed_matched_translation_covariance_is_exact():
-    psi = two_peak_state(GRID, (24.0, 40.0), (0.6, 0.4), 2.0)
     prop = Propagator(free_hamiltonian(GRID, mass=10.0))
     shift = 9
     times = [0.7, 1.4, 2.0]
-    base = evolve_equivariant(psi, prop, PARAMS, {0: GRID}, 2.0, 0.02, 5, 0,
-                              sample_times=times)
-    translated = evolve_equivariant(translate_state(psi, 0, shift), prop, PARAMS, {0: GRID},
-                                    2.0, 0.02, 5, 0, sample_times=times)
-    assert len(base.jumps) == len(translated.jumps) > 0
-    for j1, j2 in zip(base.jumps, translated.jumps):
-        assert j1.time == j2.time
-        assert (GRID.index_of(j2.center) - GRID.index_of(j1.center)) % GRID.points == shift
-    for s1, s2 in zip(base.states, translated.states):
-        assert np.array_equal(np.roll(s1.amplitudes, shift), s2.amplitudes)
+    for peaks in ((24.0, 40.0), (2.0, 56.0)):  # the second state's weight straddles site 0
+        psi = two_peak_state(GRID, peaks, (0.6, 0.4), 2.0)
+        base = evolve_equivariant(psi, prop, PARAMS, {0: GRID}, 2.0, 0.02, 5, 0,
+                                  sample_times=times)
+        translated = evolve_equivariant(translate_state(psi, 0, shift), prop, PARAMS,
+                                        {0: GRID}, 2.0, 0.02, 5, 0, sample_times=times)
+        assert len(base.jumps) == len(translated.jumps) > 0
+        for j1, j2 in zip(base.jumps, translated.jumps):
+            assert j1.time == j2.time
+            assert (GRID.index_of(j2.center) - GRID.index_of(j1.center)) % GRID.points == shift
+        for s1, s2 in zip(base.states, translated.states):
+            assert np.array_equal(np.roll(s1.amplitudes, shift), s2.amplitudes)
 
 
 @pytest.mark.parametrize("factors", [1, 2])

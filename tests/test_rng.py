@@ -10,8 +10,10 @@ import pytest
 import scipy.stats
 
 import collapselab
+from collapselab.configs import MAX_TOTAL_DIM
 from collapselab.grw import sample_jump_times
-from collapselab.rng import JUMPS, OUTCOMES, philox, uniforms
+from collapselab.hilbert import SubsystemShape
+from collapselab.rng import JUMPS, OFFSETS, OUTCOMES, philox, uniforms
 
 WORD = 2**64 - 1
 
@@ -42,13 +44,23 @@ def test_draws_are_the_words_of_their_counters():
 
 
 def test_a_jump_is_drawn_from_its_particles_counters():
-    # particle p's k-th jump: gap from draw 2k, centre uniform from draw 2k + 1 of JUMPS + p
+    # particle p's k-th jump: gap from draw 2k, site uniform from draw 2k + 1 of
+    # JUMPS + p, offset uniform from draw k of OFFSETS + p
     n_jumps, times, particles, centres = sample_jump_times({3: 2.5}, 4.0, 8, [21])
     u = uniforms(8, [21], JUMPS + 3, 2 * n_jumps[0])[0]
     assert n_jumps[0] > 1 and np.all(particles[0, :n_jumps[0]] == 3)
     assert times[0, 0] == -math.log1p(-u[0]) / 2.5
     assert times[0, 1] == times[0, 0] + -math.log1p(-u[2]) / 2.5
-    assert np.array_equal(centres[0, :n_jumps[0]], u[1::2])
+    assert np.array_equal(centres[0, :n_jumps[0], 0], u[1::2])
+    assert np.array_equal(centres[0, :n_jumps[0], 1],
+                          uniforms(8, [21], OFFSETS + 3, n_jumps[0])[0])
+    # every factor has dimension >= 2, so a space within MAX_TOTAL_DIM has
+    # at most this many factors, and no JUMPS + p reaches OFFSETS
+    factors = MAX_TOTAL_DIM.bit_length() - 1
+    SubsystemShape((2,) * factors)
+    with pytest.raises(ValueError):
+        SubsystemShape((2,) * (factors + 1))
+    assert JUMPS + factors - 1 < OFFSETS
 
 
 def test_uniforms_pass_a_ks_test():

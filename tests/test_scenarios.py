@@ -1,11 +1,12 @@
 import math
 import os
+import signal
 
 import numpy as np
 import pytest
 
 from collapselab import lindblad, report, scenarios
-from collapselab.errors import ConfigError, GridAdequacyError
+from collapselab.errors import ConfigError, GridAdequacyError, WorkerLostError
 from collapselab.lindblad import MIXTURE_CHUNK, LindbladConfig, check_oracle_budget
 from collapselab.report import ExperimentReport, canonical_json, format_float
 from collapselab.scenarios import (
@@ -357,6 +358,20 @@ def test_pool_keeps_a_bounded_window_of_tasks(monkeypatch):
         assert result == i * i
         assert len(submitted) == min(16, i + ahead)
     assert len(submitted) == 16
+
+
+def _die_on_three(item):
+    """The task of item 3 kills the pool worker that runs it."""
+    if item == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return item
+
+
+def test_a_killed_worker_is_a_lost_worker_not_a_bug(monkeypatch):
+    # two cores, so the tasks run in pool workers and never in this process
+    monkeypatch.setattr(scenarios.os, "cpu_count", lambda: 2)
+    with pytest.raises(WorkerLostError, match="died"):
+        list(scenarios._map_indexed(_die_on_three, range(6), 2))
 
 
 def test_pool_size_is_capped_by_cores_and_trials():
