@@ -1,12 +1,12 @@
 """collapselab: a desk-scale laboratory for spontaneous-collapse dynamics,
 spin-1 singlet locality tests, and Kochen-Specker colorability.
 
-The exported names of the engine modules resolve on first use, so
-importing the package (or its command line) loads neither numpy nor any
-engine; each is imported by the first name taken from it.
+The engines are imported from their modules (``collapselab.grw``,
+``collapselab.spin``, ...); the package itself exports only the error
+classes, so importing it (or its command line) loads neither numpy nor
+any engine.
 """
 
-import importlib
 import os
 
 # One OpenBLAS thread unless the user chose a count.  This must run before
@@ -25,46 +25,13 @@ from .errors import (
     InvariantViolationError,
     NumericalError,
     StepConditionError,
+    WorkerLostError,
     ZeroNormError,
 )
 
-_EXPORTS = {
-    "hilbert": (
-        "DensityMatrix", "Operator", "StateVector", "SubsystemShape", "apply_on_subsystem",
-        "hermitian_eig", "partial_trace", "tensor_product",
-    ),
-    "grw": (
-        "Block", "Grid", "GrwParams", "JumpEvent", "Trajectory", "apply_jump", "evolve_block",
-        "evolve_equivariant", "evolve_trajectory", "jump_density", "sample_jump_times",
-    ),
-    "lindblad": (
-        "LindbladConfig", "Mixture", "ensemble_compare", "integrate_with_snapshots",
-        "lindblad_rhs", "trace_distance",
-    ),
-    "spin": (
-        "Direction", "OrthoTriple", "TripleOutcome", "outcome_independence_check",
-        "parameter_independence_check", "singlet_state", "spin_matrices", "squared_spin",
-        "triple_measurement",
-    ),
-    "ks": (
-        "Assignment", "OrthogonalityStructure", "Ray", "RaySet", "SearchCertificate",
-        "build_structure", "check_assignment", "ck_argument_trace", "search_coloring",
-    ),
-}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
 __all__ = [
     "CollapseLabError", "ConfigError", "GridAdequacyError", "InvariantViolationError",
-    "NumericalError", "StepConditionError", "ZeroNormError", *_MODULE_OF,
+    "NumericalError", "StepConditionError", "WorkerLostError", "ZeroNormError",
 ]
-
-
-def __getattr__(name: str):
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
-    globals()[name] = value
-    return value
-
 
 __version__ = "0.1.0"

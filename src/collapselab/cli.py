@@ -16,9 +16,10 @@ Start-up loads only what a run uses.  This module needs no numpy and no
 engine: the keys, ``--help`` and the checks of every value come from
 ``configs`` and ``schema``.  Each handler imports its engine when it
 runs.  ``ks-check``, ``ck-trace``, ``--help`` and a key or config-file
-error never load numpy; the numeric subcommands load it with
-``scenarios``.  ``singlet`` parses its triples with ``spin``, so a
-malformed triple exits after numpy has loaded.
+error never load numpy.  ``singlet`` loads numpy and ``spin``, where its
+run lives, but no trajectory engine; it parses its triples with ``spin``,
+so a malformed triple exits after numpy has loaded.  The trajectory
+subcommands load ``scenarios`` with ``grw`` and ``lindblad``.
 """
 from __future__ import annotations
 
@@ -188,7 +189,7 @@ def _cmd_singlet(values: dict[str, Any]) -> ExperimentReport:
         triple_a = None
     else:
         triple_a = _parse_triple(values["triple_a"], "triple_a")
-    from .scenarios import run_singlet_spacetime
+    from .spin import run_singlet_spacetime
     return run_singlet_spacetime(
         triple_b, triple_a, values["trials"], values["seed"],
         measure_b=values["measure_b"], workers=values["workers"],

@@ -5,8 +5,7 @@
 parameters when built.  This module imports no numpy and no engine, so
 the command line can list its keys, parse them and reject a bad value
 without loading either; ``scenarios`` builds the runs from these
-configs, and ``hilbert``, ``grw`` and ``scenarios`` re-export the names
-defined here.
+configs.
 """
 from __future__ import annotations
 

@@ -65,11 +65,12 @@ commute bit-exactly with cyclic grid translations, and
 ``evolve_equivariant`` runs one trial on it: norms and inner sums use
 math.fsum (order-independent, correctly rounded), the propagator is
 applied as an fsum circulant matvec on a single grid factor, and a jump
-site comes from a cumulative sum of the weights anchored at their argmax.
-Translating the initial state by s sites then reproduces the original
-trajectory translated by s, for the same seed and trial.  It takes the
-same jump times as ``evolve_block``, from the same loop, and has the
-same statistics.
+site comes from a cumulative sum of the weights anchored at a maximum (of
+tied maxima, the one whose rotation of the weights is lexicographically
+greatest).  Unless the weights are periodic, translating the initial
+state by s sites then reproduces the original trajectory translated by s,
+for the same seed and trial.  It takes the same jump times as
+``evolve_block``, from the same loop, and has the same statistics.
 """
 from __future__ import annotations
 
@@ -891,8 +892,9 @@ def evolve_equivariant(
     ``evolve_trajectory``.  On several grid factors the propagator is
     ``Propagator.advance``, so with a Hamiltonian only single-factor runs
     are bit-exact.  A jump centre is drawn by the same uniforms from the
-    same law, but its site from a cumulative sum anchored at the argmax of
-    the weights, so it may differ from the one ``evolve_trajectory`` draws.
+    same law, but its site from a cumulative sum anchored at a maximum of
+    the weights (``_Equivariant.centres``), so it may differ from the one
+    ``evolve_trajectory`` draws.
     """
     block = _evolve_window(psi0, propagator, params, grid_map, horizon, dt, seed, [trial],
                            sample_times, rate_factors, equivariant=True)
@@ -929,10 +931,13 @@ class _Equivariant:
 
     def centres(self, p: int, grid: Grid, draws: np.ndarray) -> np.ndarray:
         """Particle p's centre for each row of (n, 2) uniforms ``draws``, its
-        site's cumulative sum anchored at the argmax of the weights: that
-        commutes with cyclic translations when the maximum is unique."""
+        site's cumulative sum anchored at a maximum of the weights: of tied
+        maxima, the one whose rotation of the weights to the front is
+        lexicographically greatest.  That commutes with cyclic translations
+        unless the weights are periodic."""
         w = marginal_weights(self.amps[None, :], self.shape, p)[0]
-        anchor = int(np.argmax(w))
+        anchor = max(np.flatnonzero(w == w.max()).tolist(),
+                     key=lambda a: np.roll(w, -a).tolist())
         drawn = _draw_centres(np.roll(w, -anchor)[None, :], draws, grid, self.params.alpha)
         return np.add(anchor, drawn) % grid.points
 

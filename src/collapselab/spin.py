@@ -15,15 +15,21 @@ version of the same experiments lives in :mod:`collapselab.scenarios`.
 
 Outcomes are drawn in one place: ``TripleBranches.outcomes`` maps
 uniforms to outcomes by the inverse CDF of ``rng.draw_rows``.  The
-module draws no uniforms itself; the ``singlet`` scenario maps whole
-blocks of ``rng.uniforms`` through it, and ``triple_measurement`` is
-its one-trial case.  Everything else here is exact: probability tables,
-parameter independence and outcome dependence.
+``singlet`` run (``run_singlet_spacetime``) maps whole blocks of
+``rng.uniforms`` through it: a trial's B and A outcomes are its draws 0
+and 1 of tag ``rng.OUTCOMES``, and each block of SINGLET_BLOCK trials is
+one ``pool`` task.  ``triple_measurement`` is its one-trial case.
+Everything else here is exact: probability tables, parameter
+independence and outcome dependence.  The module imports neither
+trajectory engine (``grw``, ``lindblad``), so a ``singlet`` run loads
+neither.
 """
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
 import numpy as np
@@ -36,7 +42,9 @@ from .hilbert import (
     apply_on_subsystem,
     expm_hermitian,
 )
-from .rng import draw_rows
+from .pool import blocks, check_budget, joined, map_indexed
+from .report import ExperimentReport
+from .rng import OUTCOMES, draw_rows, uniforms
 
 _SQ2I = 1.0 / math.sqrt(2.0)
 
@@ -350,3 +358,111 @@ def outcome_independence_check(n: Direction) -> OutcomeIndependenceReport:
     }
     p1, p0 = singlet_b_marginal(n)
     return OutcomeIndependenceReport(joint, conditional, {1: p1, 0: p0})
+
+
+# -- singlet pair with spacelike ordering ------------------------------------
+
+SINGLET_BLOCK = 4096  # trials per block of a singlet run
+
+
+def _triple_as_lists(triple: OrthoTriple | None) -> list[list[float]] | None:
+    if triple is None:
+        return None
+    return [list(d.components) for d in triple.axes]
+
+
+# squared-spin values on a triple's axes, by the axis that holds the 0
+_OUTCOME_VALUES = np.array(
+    ["".join(map(str, TripleOutcome.with_zero_at(k).values)) for k in range(3)], dtype=object)
+
+
+def _present(outcomes: np.ndarray) -> list[int]:
+    """The distinct outcome codes (-1 for none, else the zero's axis) in
+    ``outcomes``, ascending; np.unique would import numpy.ma (~10 ms)."""
+    return (np.flatnonzero(np.bincount(outcomes + 1, minlength=4)) - 1).tolist()
+
+
+def _singlet_block(
+    triple_b: OrthoTriple, triple_a: OrthoTriple | None, measure_b: bool, seed: int,
+    trials: range,
+) -> dict[str, np.ndarray]:
+    """A block's trial columns.  The state and both triples are fixed for
+    the run, so B's outcomes are drawn as one array, then A's, grouped by
+    the B outcome they follow, and each column indexes its field's values
+    by the outcomes.  Each drawn branch is normalized and checked (product
+    fidelity included) as measuring the trial's own copy of the pair
+    would, so a zero-mass branch raises only if drawn."""
+    u = uniforms(seed, trials, OUTCOMES, 2)  # B's draw, then A's
+    b, a = np.full(len(trials), -1), np.full(len(trials), -1)
+    if measure_b:
+        b_measurement = TripleBranches(singlet_state(), 1, triple_b)
+        b = b_measurement.outcomes(u[:, 0])
+    fidelity = np.zeros(3)  # by B outcome
+    for kb in _present(b):
+        psi, rows = singlet_state(), b == kb
+        if kb >= 0:
+            psi = b_measurement.state(kb)
+            expected = np.kron(zero_ket(triple_b.axes[kb]), zero_ket(triple_b.axes[kb]))
+            fidelity[kb] = abs(np.vdot(expected, psi.amplitudes)) ** 2
+            if abs(fidelity[kb] - 1.0) > 1e-12:
+                raise InvariantViolationError(
+                    f"post-measurement state is not the expected product (fid {fidelity[kb]})"
+                )
+        if triple_a is not None:
+            a_measurement = TripleBranches(psi, 0, triple_a)
+            a[rows] = a_measurement.outcomes(u[rows, 1])
+            for ka in _present(a[rows]):
+                a_measurement.state(ka)  # normalizes the drawn branch, as measuring would
+    columns = {"trial": np.arange(trials.start, trials.stop)}
+    if measure_b:
+        columns.update(b_values=_OUTCOME_VALUES[b], b_zero_axis=b, product_fidelity=fidelity[b])
+    if triple_a is not None:
+        columns.update(a_values=_OUTCOME_VALUES[a], a_zero_axis=a)
+        if measure_b:
+            columns["agree_all_axes"] = (a == b).astype(object)
+    return columns
+
+
+def run_singlet_spacetime(
+    triple_b: OrthoTriple,
+    triple_a: OrthoTriple | None,
+    trials: int,
+    seed: int,
+    *,
+    measure_b: bool = True,
+    workers: int = 1,
+) -> ExperimentReport:
+    """B measures first (collapsing the pair to a product of zero kets),
+    then A; with equal triples the outcomes agree axis by axis in every
+    trial.  Disable ``measure_b`` for the no-B control used by the
+    parameter-independence comparison."""
+    t0 = time.perf_counter()
+    check_budget(seed, trials, "trials")
+    columns = joined(map_indexed(
+        partial(_singlet_block, triple_b, triple_a, measure_b, seed),
+        blocks(trials, SINGLET_BLOCK), workers))
+    aggregates: dict = {"trials": trials}
+    if measure_b:
+        b = columns["b_zero_axis"]
+        aggregates["freq_b_zero_axis"] = (np.bincount(b, minlength=3) / trials).tolist()
+    if triple_a is not None:
+        a = columns["a_zero_axis"]
+        aggregates["freq_a_zero_axis"] = (np.bincount(a, minlength=3) / trials).tolist()
+    if triple_a is not None and measure_b:
+        joint = np.bincount(3 * a + b, minlength=9).reshape(3, 3)
+        aggregates["joint_zero_axis_freq"] = (joint / trials).tolist()
+        aggregates["agreement_frequency"] = np.count_nonzero(a == b) / trials
+        aggregates["exact_joint_table"] = joint_probability_table(triple_a, triple_b).tolist()
+    return ExperimentReport(
+        scenario="singlet_spacetime",
+        config={
+            "triple_a": _triple_as_lists(triple_a),
+            "triple_b": _triple_as_lists(triple_b),
+            "measure_b": measure_b,
+            "trials": trials,
+        },
+        master_seed=seed,
+        aggregates=aggregates,
+        trials=columns,
+        wall_time_s=time.perf_counter() - t0,
+    )

@@ -4,6 +4,10 @@ when the benchmark runs."""
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +15,8 @@ import pytest
 from collapselab.grw import Grid, GrwParams, free_hamiltonian, gaussian_packet
 from collapselab.lindblad import LindbladConfig, integrate_with_snapshots
 
-TRACED = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACED = ROOT / "perfbench" / "traced.py"
 
 
 def _traced():
@@ -55,3 +60,24 @@ def test_integrate_observer_reads_a_real_call():
     assert tracer.counts["lindblad.rk4_steps"] == 50
     assert tracer.counts["lindblad.rho_bytes_computed"] == 16 * 32 * 32
     assert tracer.counts["lindblad.rhs_flops_computed"] > 0
+
+
+@pytest.mark.parametrize("args,span", [
+    (["singlet", "--same-triples", "--trials", "50", "--seed", "1"],
+     "scenarios.run_singlet_spacetime"),
+    (["ck-trace", "--rays", "builtin:ks33"], "ks.ck_argument_trace"),
+], ids=["singlet", "ck-trace"])
+def test_traced_run_wraps_the_function_the_command_calls(tmp_path, args, span):
+    # the wrapper must sit on the path the command line takes, whichever
+    # module the command imports its run from
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(TRACED), str(spans), "--", *args, "--out", str(tmp_path / "r.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    recorded = json.loads(spans.read_text())["spans"]
+    assert recorded[span]["calls"] == 1
+    assert recorded["cli.main"]["calls"] == 1

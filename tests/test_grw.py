@@ -600,6 +600,21 @@ def test_seed_matched_translation_covariance_is_exact():
             assert np.array_equal(np.roll(s1.amplitudes, shift), s2.amplitudes)
 
 
+def test_tied_maxima_anchor_the_same_site_after_every_translation():
+    # equal peaks tie the weights' maximum at two sites; the anchor must be
+    # the same one of the two however far the state is translated
+    psi = two_peak_state(GRID, (24.0, 40.0), (0.5, 0.5), 2.0)
+    run = partial(evolve_equivariant, propagator=None, params=PARAMS, grid_map={0: GRID},
+                  horizon=2.0, dt=0.02, seed=5, sample_times=[2.0])
+    for trial in range(4):
+        sites = [GRID.index_of(j.center) for j in run(psi, trial=trial).jumps]
+        assert sites
+        for shift in range(GRID.points):
+            translated = run(translate_state(psi, 0, shift), trial=trial)
+            assert [(GRID.index_of(j.center) - shift) % GRID.points
+                    for j in translated.jumps] == sites, (trial, shift)
+
+
 @pytest.mark.parametrize("factors", [1, 2])
 def test_equivariant_mode_takes_the_block_jump_schedule(factors):
     # the same (seed, trial) gives both engines the same jump times and particles

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collapselab.configs import MAX_TOTAL_DIM
 from collapselab.hilbert import (
     ALGEBRAIC_TOL,
-    MAX_TOTAL_DIM,
     DensityMatrix,
     Operator,
     StateVector,

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from collapselab import lindblad
+from collapselab.configs import OracleComparisonConfig
 from collapselab.errors import ConfigError
 from collapselab.grw import (
     Grid,
@@ -42,7 +43,7 @@ from collapselab.lindblad import (
     taylor_substeps,
     trace_distance,
 )
-from collapselab.scenarios import OracleComparisonConfig, run_oracle_comparison
+from collapselab.scenarios import run_oracle_comparison
 from dense_helpers import embed, localization_operator
 
 GRID = Grid(64, 1.0)

@@ -5,21 +5,21 @@ import signal
 import numpy as np
 import pytest
 
-from collapselab import lindblad, report, scenarios
+from collapselab import lindblad, pool, report, scenarios, spin
+from collapselab.configs import EprConfig, OracleComparisonConfig
 from collapselab.errors import ConfigError, GridAdequacyError, WorkerLostError
 from collapselab.lindblad import MIXTURE_CHUNK, LindbladConfig, check_oracle_budget
+from collapselab.pool import pool_size
 from collapselab.report import ExperimentReport, canonical_json, format_float
-from collapselab.scenarios import (
-    EprConfig,
-    OracleComparisonConfig,
-    pool_size,
-    run_epr_position,
-    run_grw_ensemble,
-    run_oracle_comparison,
-    run_singlet_spacetime,
-)
+from collapselab.scenarios import run_epr_position, run_grw_ensemble, run_oracle_comparison
 from collapselab.rng import OUTCOMES, uniforms
-from collapselab.spin import OrthoTriple, singlet_state, triple_measurement, zero_ket
+from collapselab.spin import (
+    OrthoTriple,
+    run_singlet_spacetime,
+    singlet_state,
+    triple_measurement,
+    zero_ket,
+)
 from dense_helpers import random_triple
 
 AXES = OrthoTriple.from_vectors([1, 0, 0], [0, 1, 0], [0, 0, 1])
@@ -319,8 +319,8 @@ def test_singlet_reports_identical_across_block_sizes_and_workers(monkeypatch, c
     triple_b = random_triple(np.random.default_rng(41))
     triple_a = random_triple(np.random.default_rng(42)) if case == "distinct" else triple_b
     reports = []
-    for block, workers in ((scenarios.SINGLET_BLOCK, 1), (7, 1), (7, 2)):
-        monkeypatch.setattr(scenarios, "SINGLET_BLOCK", block)
+    for block, workers in ((spin.SINGLET_BLOCK, 1), (7, 1), (7, 2)):
+        monkeypatch.setattr(spin, "SINGLET_BLOCK", block)
         reports.append(run_singlet_spacetime(triple_b, triple_a, 300, 43, workers=workers,
                                              measure_b=case != "no_b").to_json())
     assert reports[0] == reports[1] == reports[2]
@@ -350,11 +350,11 @@ def test_pool_keeps_a_bounded_window_of_tasks(monkeypatch):
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Inline)
-    monkeypatch.setattr(scenarios.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(pool.os, "cpu_count", lambda: 2)
     # 16 items over 2 workers: one task per item, and TASKS_PER_WORKER = 2 per
     # worker (one running, one queued) ahead of the consumer
-    ahead = 2 * scenarios.TASKS_PER_WORKER
-    for i, result in enumerate(scenarios._map_indexed(lambda x: x * x, range(16), 2)):
+    ahead = 2 * pool.TASKS_PER_WORKER
+    for i, result in enumerate(pool.map_indexed(lambda x: x * x, range(16), 2)):
         assert result == i * i
         assert len(submitted) == min(16, i + ahead)
     assert len(submitted) == 16
@@ -369,9 +369,9 @@ def _die_on_three(item):
 
 def test_a_killed_worker_is_a_lost_worker_not_a_bug(monkeypatch):
     # two cores, so the tasks run in pool workers and never in this process
-    monkeypatch.setattr(scenarios.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(pool.os, "cpu_count", lambda: 2)
     with pytest.raises(WorkerLostError, match="died"):
-        list(scenarios._map_indexed(_die_on_three, range(6), 2))
+        list(pool.map_indexed(_die_on_three, range(6), 2))
 
 
 def test_pool_size_is_capped_by_cores_and_trials():
