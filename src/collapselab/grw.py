@@ -23,8 +23,9 @@ Between events the state evolves under the free kinetic Hamiltonian,
 which is circulant on the periodic grid and therefore diagonal in the
 discrete Fourier basis.  It is passed around as its first column (M
 floats, from ``free_hamiltonian``), never as a dense matrix.
-``Propagator`` reads its spectrum off the FFT of that column and
-advances a state by one FFT, a phase multiply and one inverse FFT.
+``Propagator`` reads its spectrum E off the FFT of that column, exactly
+even, and computes the phases exp(-i E t / hbar) on its M // 2 + 1
+distinct entries.
 
 Trajectories are evolved in windows (``evolve_block``).  A window draws
 the jump schedules of all its trials first, in batches of
@@ -40,25 +41,30 @@ of each binary operation, so a row's bits depend neither on B nor on
 the rows it is evolved with.
 
 Three engines run on that one event loop (``_evolve_rows``), and the
-input picks the engine.  With a propagator a block is one complex
-(B, d) array of amplitudes (``_Amplitudes``): rows advance by their own
-gaps, with per-row phases and one row-wise FFT pair computed in place,
-and gathered rows are handled KERNEL_ROWS at a time.  Without one every
-event is a localization, and localizations are diagonal in position and
-commute, so row i's state is psi0 times a real multiplier F_p[i], an
-M-vector, along each localized factor p (``_Multipliers``).  A jump on p
-draws its site from the weights F_p^2 W_p, where W_p is |psi0|^2
-contracted with the other factors' F^2 (one fixed M-vector when p is
-the only localized factor), and multiplies F_p by g / ||.||, the norm
-taken with the same weights.  Complex amplitudes are formed only at
-sample times, KERNEL_ROWS rows at a time.  ``block_rows`` sizes a block
-at 64 rows or 256 KiB of what a round touches, whichever is more: the
-(B, d) amplitudes, or B rows of M floats per localized factor.
-``evolve_trajectory`` is a one-trial window, and ``apply_jump`` and
-``Propagator.advance`` run one row of the amplitude kernels.  No kernel
-calls BLAS: norms and sums are elementwise products, ``np.sum`` and
-``math.fsum``.  ``jump_density`` is the reference law that the centre
-draw samples, one dense circular sum, and no run calls it.
+input picks the engine.  With a propagator a block is held in the
+interaction picture (``_Amplitudes``): row i is the complex d-vector
+exp(+i H t_i / hbar) FFT(psi_i(t_i)), which free evolution leaves
+unchanged, so a row moves only at its events.  A sample forms
+IFFT(P(t) row) with the phases P(t) = exp(-i E t / hbar) of its sample
+time, computed once per block; a jump forms it with the row's own
+phases, localizes, and goes back by FFT and conj(P(t)).  The kernels
+write into work arrays allocated once per window.  Without a propagator
+every event is a localization, and localizations are diagonal in
+position and commute, so row i's state is psi0 times a real multiplier
+F_p[i], an M-vector, along each localized factor p (``_Multipliers``).
+A jump on p draws its site from the weights F_p^2 W_p, where W_p is
+|psi0|^2 contracted with the other factors' F^2 (one fixed M-vector when
+p is the only localized factor), and multiplies F_p by g / ||.||, the
+norm taken with the same weights.  Complex amplitudes are formed only
+at sample times, KERNEL_ROWS rows at a time.  ``block_rows`` sizes a
+block at 64 rows or 256 KiB of what a round touches, whichever is more:
+the (B, d) amplitudes, or B rows of M floats per localized factor.
+``evolve_trajectory`` is a one-trial window, ``apply_jump`` localizes
+one state as a jumping row is localized, and ``Propagator.advance``
+evolves one state in the Schrodinger picture.  No kernel calls BLAS:
+norms and sums are elementwise products, ``np.sum`` and ``math.fsum``.
+``jump_density`` is the reference law that the centre draw samples, a
+circular sum, and no run calls it.
 
 The third engine (``_Equivariant``) holds one row whose state updates
 commute bit-exactly with cyclic grid translations, and
@@ -104,10 +110,8 @@ ZERO_NORM_FLOOR = 1e-14
 # to the caller's array); 512 KiB blocks of amplitudes would raise it by 0.4 MB.
 BLOCK_MIN_ROWS = 64
 BLOCK_BYTES = 256 * 2**10
-# Rows per call of a row kernel that allocates complex temporaries (gathers,
-# phases, squares, position weights; amplitudes formed from multipliers): whatever B
-# is, a block holds its (B, d) amplitudes or (B, M) multipliers, and complex
-# temporaries of at most KERNEL_ROWS rows.
+# Rows per call of the kernels that allocate complex temporaries: amplitudes
+# formed from multipliers, and the squares of ``factor_marginals``.
 KERNEL_ROWS = 64
 
 
@@ -246,9 +250,10 @@ def _abs2_rows(rows: np.ndarray) -> np.ndarray:
     return np.add(squares[:, 0::2], squares[:, 1::2])
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
+def _row_norms(rows: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
+    """The norm of each row; the squares go to ``squares``, a real (n, 2d) array, if given."""
     flat = rows.view(np.float64)
-    return np.sqrt(np.sum(np.multiply(flat, flat), axis=1))
+    return np.sqrt(np.sum(np.multiply(flat, flat, out=squares), axis=1))
 
 
 def _normalize_rows(rows: np.ndarray, norms: np.ndarray) -> None:
@@ -311,29 +316,34 @@ def _offset_cdf(points: int, spacing: float, alpha: float) -> np.ndarray:
     return cdf
 
 
-def _draw_centres(weights: np.ndarray, draws: np.ndarray, grid: Grid, alpha: float) -> np.ndarray:
+def _draw_centres(
+    weights: np.ndarray, draws: np.ndarray, grid: Grid, alpha: float,
+    sums: np.ndarray | None = None,
+) -> np.ndarray:
     """The jump centre of each row of (n, M) position weights w, by row i of
-    (n, 2) uniforms ``draws``: a site j drawn from w by its u (``draw_rows``)
-    plus an offset o drawn from g^2 by its v, mod M.  P(j + o = k) =
-    sum_q w[q] g^2(k - q) is the jump law, and no table of it is built."""
+    (n, 2) uniforms ``draws``: a site j drawn from w by its u (``draw_rows``,
+    its cumulative sums written to ``sums`` if given) plus an offset o drawn
+    from g^2 by its v, mod M.  P(j + o = k) = sum_q w[q] g^2(k - q) is the
+    jump law, and no table of it is built."""
     cdf = _offset_cdf(grid.points, grid.spacing, alpha)
     offsets = np.searchsorted(cdf, np.multiply(draws[:, 1], cdf[-1]), side="right")
-    sites = draw_rows(weights, draws[:, 0])
+    sites = draw_rows(weights, draws[:, 0], sums)
     return np.add(sites, np.minimum(offsets, grid.points - 1)) % grid.points
 
 
 def _localize(
     rows: np.ndarray, shape: SubsystemShape, particle: int, grid: Grid, alpha: float,
-    sites: np.ndarray,
+    sites: np.ndarray, squares: np.ndarray | None = None,
 ) -> None:
-    """L(x_sites[i]) on ``particle`` of row i, then renormalize, in place."""
+    """L(x_sites[i]) on ``particle`` of row i, then renormalize, in place;
+    the squares of the norms go to ``squares`` (``_row_norms``) if given."""
     g = _templates_at(grid, alpha, sites)
     axis = shape.validate_index(particle) + 1
     across = [len(rows)] + [1] * (len(shape.dims) + 1)
     across[axis] = grid.points
     parts = rows.view(np.float64).reshape((len(rows),) + shape.dims + (2,))
     np.multiply(parts, g.reshape(across), out=parts)
-    norms = _row_norms(rows)
+    norms = _row_norms(rows, squares)
     _check_norms(norms, grid, sites)
     _normalize_rows(rows, norms)
 
@@ -353,12 +363,16 @@ def _check_norms(norms: np.ndarray, grid: Grid, sites: np.ndarray) -> None:
 
 def jump_density(psi: StateVector, particle: int, grid: Grid, params: GrwParams) -> np.ndarray:
     """Probability table over grid points for the next jump centre, the law
-    that ``_draw_centres`` samples: circulant(g^2) @ w, normalized."""
+    that ``_draw_centres`` samples: circulant(g^2) @ w, normalized.
+
+    g^2 is even, so entry k is sum_o g^2[o] w[(k + o) mod M], summed over a
+    sliding view of w repeated twice: O(M) memory, no M x M matrix."""
     _offset_cdf(grid.points, grid.spacing, params.alpha)  # the grid's completeness check
     w = marginal_weights(psi.amplitudes[None, :], psi.shape, particle)[0]
     if w.size != grid.points:
         raise ValueError(f"factor {particle} has dim {w.size}, grid has {grid.points} points")
-    table = circulant(np.square(gaussian_template(grid, params.alpha))) @ w
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((w, w)), w.size)[:w.size]
+    table = np.einsum("ko,o->k", windows, np.square(gaussian_template(grid, params.alpha)))
     return table / table.sum()
 
 
@@ -406,8 +420,10 @@ def _jump_events(
         if rates[p] == 0.0:
             continue
         mean = rates[p] * horizon
-        # arrivals per round: nearly every trial passes the horizon in the first
-        size = 4 * math.ceil(min(mean / 4 + math.sqrt(mean) + 1, 2**10))
+        # arrivals per round: mean + 2 sqrt(mean) + 1 rounded up to a multiple of
+        # 4, 12 at a mean of 5 and 36 at 25, so 99.5% and 97.8% of trials pass
+        # the horizon in the first round; later rounds draw only for the rest
+        size = 4 * math.ceil(min(mean + 2 * math.sqrt(mean) + 1, 2**12) / 4)
         live, now, first = np.arange(n), np.zeros((n, 1)), 0  # arrivals first .. first + size - 1
         while live.size:
             u = uniforms(seed, trials[live], JUMPS + p, 2 * (first + size), 2 * first)
@@ -460,16 +476,17 @@ def free_hamiltonian(grid: Grid, mass: float, hbar: float = 1.0) -> np.ndarray:
 
 
 class Propagator:
-    """Exact unitary advance exp(-i H tau / hbar) for the real symmetric
+    """Exact unitary evolution exp(-i H t / hbar) for the real symmetric
     circulant H with first column ``col``.
 
-    H is diagonal in the discrete Fourier basis: its eigenvalues are the
-    FFT of ``col``, so each advance is ``ifft(phases * fft(psi))`` in
-    O(M log M), and the propagator keeps only the M real eigenvalues (in
-    FFT order, not sorted).  ``advance_rows`` advances each row of an
-    (n, d) array by its own time; ``advance`` is its one-row case.
-    Raises ConfigError for anything but a real 1-D column that is even,
-    the condition for H to be symmetric.
+    H is diagonal in the discrete Fourier basis: its eigenvalues E are the
+    FFT of ``col`` in FFT order, made exactly even (E[k] = E[-k mod M])
+    by ``even_part``, as the FFT leaves them only to rounding.  ``phases``
+    computes exp(-i E t / hbar) on the M // 2 + 1 distinct entries and
+    ``mirror`` spreads them over all M; ``advance`` is
+    ``ifft(fft(psi) * phases)`` for one state.  Raises ConfigError for
+    anything but a real 1-D column that is even, the condition for H to be
+    symmetric.
     """
 
     def __init__(self, col: np.ndarray, hbar: float = 1.0):
@@ -482,30 +499,34 @@ class Propagator:
             raise ConfigError(f"the Hamiltonian column is not even, so its circulant is not "
                               f"symmetric (defect {defect:.3e})")
         self.hbar = hbar
-        self.eigenvalues = np.fft.fft(col).real
+        self.eigenvalues = even_part(np.fft.fft(col).real)
         self.max_energy = float(np.max(np.abs(self.eigenvalues)))
 
-    def advance_rows(
-        self, rows: np.ndarray, taus: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Row i of a complex (n, d) array advanced by ``taus[i]``, written to
-        ``out`` (which may be ``rows`` itself, for an advance in place) or to a
-        new array.  The transforms write their output in place and the phases
-        are applied KERNEL_ROWS rows at a time, so the only temporary is a
-        (KERNEL_ROWS, d) array of phases."""
-        spectrum = np.fft.fft(rows, axis=1, out=out)
-        for piece in _pieces(len(spectrum)):
-            part = spectrum[piece]
-            # exp(0 + i theta) with theta = -(tau / hbar) E
-            phases = np.zeros(part.shape, dtype=complex)
-            np.multiply(np.negative(np.divide(taus[piece], self.hbar))[:, None],
-                        self.eigenvalues, out=phases.imag)
-            np.exp(phases, out=phases)
-            np.multiply(phases, part, out=part)
-        return np.fft.ifft(spectrum, axis=1, out=spectrum)
+    def phases(self, times: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """exp(-i E[k] times[i] / hbar) for k = 0 .. M // 2 as row i of a
+        complex (n, M // 2 + 1) array, written to ``out`` if given."""
+        if out is None:
+            out = np.empty((len(times), self.eigenvalues.size // 2 + 1), dtype=complex)
+        # cos theta + i sin theta with theta = -(t / hbar) E, theta held in the real part
+        theta = np.multiply(np.divide(times, -self.hbar)[:, None],
+                            self.eigenvalues[:out.shape[1]], out=out.real)
+        np.sin(theta, out=out.imag)
+        np.cos(theta, out=theta)
+        return out
+
+    @staticmethod
+    def mirror(half: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Row i of ``half`` (or its one row) spread over row i of the
+        complex (n, M) array ``out``: column j > M // 2 is column M - j."""
+        h, m = half.shape[1], out.shape[1]
+        out[:, :h] = half
+        out[:, h:] = half[:, m - h:0:-1]
+        return out
 
     def advance(self, amplitudes: np.ndarray, tau: float) -> np.ndarray:
-        return self.advance_rows(np.asarray(amplitudes)[None, :], np.array([tau]))[0]
+        spectrum = np.fft.fft(np.asarray(amplitudes)[None, :], axis=1)
+        phases = self.mirror(self.phases(np.array([tau])), np.empty_like(spectrum))
+        return np.fft.ifft(np.multiply(spectrum, phases, out=spectrum), axis=1, out=spectrum)[0]
 
 
 def validate_step(dt: float, propagator: Propagator | None) -> None:
@@ -636,9 +657,10 @@ def evolve_block(
     by event count (every trial has the same samples, so by jump count).
     Each run of B sorted trials is one block, evolved by ``_evolve_rows``
     into its trials' slots.  The input picks the engine (module
-    docstring): with a propagator a block is complex (B, d) amplitudes and
-    B = ``block_rows(d)``; without one it is real multipliers, B rows of
-    M floats per localized factor, and B = ``block_rows`` of those floats.
+    docstring): with a propagator a block is complex (B, d) rows in the
+    interaction picture and B = ``block_rows(d)``; without one it is real
+    multipliers, B rows of M floats per localized factor, and B =
+    ``block_rows`` of those floats.
     """
     return _evolve_window(psi0, propagator, params, grid_map, horizon, dt, seed, trials,
                           sample_times, rate_factors, final_only, out)
@@ -673,7 +695,8 @@ def _evolve_window(
         engine = partial(_Multipliers, psi0, params, grid_map)
     else:
         rows = block_rows(dim)
-        engine = partial(_Amplitudes, psi0, propagator, params)
+        engine = partial(_Amplitudes, psi0, propagator, params, times[len(times) - kept:],
+                         _Work(min(rows, n), dim))
     rounds = 0
     for start in range(0, n, rows):
         slots = order[start:start + rows]
@@ -717,8 +740,8 @@ def _evolve_rows(
         kept = next_sample[rows] - first_kept
         next_sample[rows] += 1
         rows, kept = rows[kept >= 0], kept[kept >= 0]
-        for piece in _pieces(rows.size):
-            states[kept[piece], slots[rows[piece]]] = engine.states(rows[piece])
+        if rows.size:
+            engine.sample(rows, kept, states, slots[rows])
 
         jumping = np.flatnonzero(live & ~sampling)
         columns = next_jump[jumping]
@@ -732,45 +755,94 @@ def _evolve_rows(
                 jump_centres[starts[rows] + cols] = grid.origin + sites * grid.spacing
 
 
-class _Amplitudes:
-    """A block's rows as one complex (n, d) array of amplitudes, advanced
-    by a propagator and localized in place.  Gathered rows are handled
-    KERNEL_ROWS at a time."""
+class _Work:
+    """Work arrays of the amplitude engine for up to ``n`` rows of ``d``
+    amplitudes, allocated once per window and viewed at each call's shape,
+    so that no event round allocates an array of the block's size."""
 
-    def __init__(self, psi0: StateVector, propagator: Propagator, params: GrwParams, n: int):
-        self.shape, self.propagator, self.params = psi0.shape, propagator, params
-        self.amps = np.repeat(np.array(psi0.amplitudes)[None, :], n, axis=0)
+    def __init__(self, n: int, d: int):
+        # one allocation, so that the next window's reuses its pages
+        parts = np.empty(n * (3 * d + d // 2 + 1), dtype=complex)
+        self.spectra = parts[:n * d].reshape(n, d)  # a block's rows
+        self.amps = parts[n * d:2 * n * d].reshape(n, d)  # gathered rows
+        # all phases, or position weights and their cumulative sums, or squares
+        self._reals = parts[2 * n * d:3 * n * d].view(np.float64)
+        self.phases = parts[3 * n * d:].reshape(n, d // 2 + 1)  # distinct phases
+
+    def reals(self, n: int, width: int, start: int = 0) -> np.ndarray:
+        """An (n, width) view of the real work array from entry ``start``."""
+        return self._reals[start:start + n * width].reshape(n, width)
+
+    def all_phases(self, n: int) -> np.ndarray:
+        """The real work array as complex (n, d) phases."""
+        return self._reals.view(complex)[:n * self.spectra.shape[1]].reshape(n, -1)
+
+
+class _Amplitudes:
+    """A block's rows in the interaction picture: row i holds
+    exp(+i H t_i / hbar) FFT(psi_i(t_i)) at its time t_i, a complex (n, d)
+    array that free evolution leaves unchanged, so advancing a row only
+    records its time.  An event forms psi_i(t_i) = IFFT(P(t_i) row i), with
+    P(t) = exp(-i E t / hbar) (``Propagator.phases``), taken from a table
+    for the kept sample times and computed for each jumping row; a jump
+    then puts the localized state back as conj(P(t_i)) FFT(psi_i).  Every
+    kernel writes into the window's ``_Work``."""
+
+    def __init__(self, psi0: StateVector, propagator: Propagator, params: GrwParams,
+                 kept_times: Sequence[float], work: _Work, n: int):
+        self.shape, self.propagator, self.params, self.work = psi0.shape, propagator, params, work
+        self.spectra = work.spectra[:n]
+        self.spectra[:] = np.fft.fft(psi0.amplitudes)  # every row at t = 0
         self.now = np.zeros(n)
+        self.sample_phases = propagator.mirror(
+            propagator.phases(np.array(kept_times, dtype=float)),
+            np.empty((len(kept_times), self.spectra.shape[1]), dtype=complex))
 
     def advance(self, t: np.ndarray, live: np.ndarray) -> None:
-        """Every live row to its time ``t``: in place when every row moves,
-        otherwise the moving rows are gathered."""
-        gap = np.subtract(t, self.now)
-        moving = live & (gap > 0)
-        if moving.all():
-            self.propagator.advance_rows(self.amps, gap, out=self.amps)
-        else:
-            moved = np.flatnonzero(moving)
-            for piece in _pieces(moved.size):
-                rows = moved[piece]
-                picked = self.amps[rows]
-                self.amps[rows] = self.propagator.advance_rows(picked, gap[rows], out=picked)
+        """Every live row to its time ``t``."""
         np.copyto(self.now, t, where=live)
 
-    def states(self, rows: np.ndarray) -> np.ndarray:
-        picked = self.amps[rows]
-        _normalize_rows(picked, _row_norms(picked))
-        return picked
+    def _states(self, rows: np.ndarray, phases: np.ndarray) -> np.ndarray:
+        """IFFT(P spectra) of ``rows`` with their (n, d) ``phases``, in the
+        work array of gathered rows."""
+        # mode="clip" (the rows are in range) writes to out without a buffer
+        picked = np.take(self.spectra, rows, axis=0, out=self.work.amps[:rows.size], mode="clip")
+        return np.fft.ifft(np.multiply(picked, phases, out=picked), axis=1, out=picked)
+
+    def sample(self, rows: np.ndarray, kept: np.ndarray, states: np.ndarray,
+               targets: np.ndarray) -> None:
+        """The normalized state of each of ``rows`` to ``states[kept, targets]``."""
+        n, d = rows.size, self.spectra.shape[1]
+        phases = np.take(self.sample_phases, kept, axis=0, out=self.work.all_phases(n),
+                         mode="clip")
+        picked = self._states(rows, phases)
+        _normalize_rows(picked, _row_norms(picked, self.work.reals(n, 2 * d)))
+        states[kept, targets] = picked
 
     def jump(self, p: int, grid: Grid, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """Localize particle p of each row at the centre its uniforms draw; returns the sites."""
-        sites = np.empty(rows.size, dtype=int)
-        for piece in _pieces(rows.size):
-            picked = self.amps[rows[piece]]
-            sites[piece] = _draw_centres(marginal_weights(picked, self.shape, p), draws[piece],
-                                         grid, self.params.alpha)
-            _localize(picked, self.shape, p, grid, self.params.alpha, sites[piece])
-            self.amps[rows[piece]] = picked
+        n, work, alpha = rows.size, self.work, self.params.alpha
+        half = self.propagator.phases(self.now[rows], work.phases[:n])
+        picked = self._states(rows, self.propagator.mirror(half, work.all_phases(n)))
+        # position weights and their cumulative sums, n M floats each, in the
+        # real work array: the sums after the weights, or before them on
+        # several factors, whose weights are summed from there
+        d, m = picked.shape[1], grid.points
+        re2, im2 = work.reals(n, d), work.reals(n, d, n * d)
+        np.multiply(picked.real, picked.real, out=re2)
+        np.multiply(picked.imag, picked.imag, out=im2)
+        if len(self.shape.dims) == 1:
+            weights, sums = np.add(re2, im2, out=re2), im2
+        else:
+            axes = tuple(i + 1 for i in range(len(self.shape.dims)) if i != p)
+            squares = np.add(re2, im2, out=re2).reshape((n,) + self.shape.dims)
+            weights = np.sum(squares, axis=axes, out=work.reals(n, m, n * d))
+            sums = work.reals(n, m)
+        sites = _draw_centres(weights, draws, grid, alpha, sums)
+        _localize(picked, self.shape, p, grid, alpha, sites, work.reals(n, 2 * d))
+        phases = self.propagator.mirror(np.conjugate(half, out=half), work.all_phases(n))
+        self.spectra[rows] = np.multiply(np.fft.fft(picked, axis=1, out=picked), phases,
+                                         out=picked)
         return sites
 
 
@@ -814,6 +886,13 @@ class _Multipliers:
             if q != p:
                 t = np.multiply(t, np.square(f[rows]).reshape(self._across(rows.size, q)))
         return np.sum(t, axis=tuple(i + 1 for i in range(t.ndim - 1) if i != p))
+
+    def sample(self, rows: np.ndarray, kept: np.ndarray, states: np.ndarray,
+               targets: np.ndarray) -> None:
+        """The normalized state of each of ``rows`` to ``states[kept, targets]``,
+        formed KERNEL_ROWS rows at a time."""
+        for piece in _pieces(rows.size):
+            states[kept[piece], targets[piece]] = self.states(rows[piece])
 
     def states(self, rows: np.ndarray) -> np.ndarray:
         scale = np.ones([rows.size] + [1] * len(self.psi0.shape.dims))
@@ -919,6 +998,10 @@ class _Equivariant:
             else:
                 self.amps = self.propagator.advance(self.amps, gap)
         self.now = t[0]
+
+    def sample(self, rows: np.ndarray, kept: np.ndarray, states: np.ndarray,
+               targets: np.ndarray) -> None:
+        states[kept, targets] = self.states(rows)
 
     def states(self, rows: np.ndarray) -> np.ndarray:
         return (self.amps / _fsum_norm(self.amps))[None, :]

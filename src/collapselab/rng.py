@@ -61,12 +61,12 @@ def uniforms(seed: int, trials: Sequence[int], tag: int, stop: int, start: int =
     return (draws >> np.uint64(11)) * 2.0**-53
 
 
-def draw_rows(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+def draw_rows(weights: np.ndarray, u: np.ndarray, sums: np.ndarray | None = None) -> np.ndarray:
     """Inverse-CDF draw of an index from each row of non-negative (n, m)
     ``weights`` (any total), with the uniform ``u[i]`` in [0, 1) for row
     i, or from one (1, m) row with every uniform; the cumulative sum starts
-    at index 0."""
-    c = np.cumsum(weights, axis=1)
+    at index 0 and is written to ``sums``, a real (n, m) array, if given."""
+    c = np.cumsum(weights, axis=1, out=sums)
     # on a non-decreasing row, the count of sums <= u * total is searchsorted(side="right")
     below = c <= np.multiply(u, c[:, -1])[:, None]
     return np.minimum(np.count_nonzero(below, axis=1), weights.shape[1] - 1)

@@ -1,4 +1,5 @@
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -34,6 +35,11 @@ from dense_helpers import localization_operator
 
 GRID = Grid(64, 1.0)
 PARAMS = GrwParams(alpha=0.0625, lam=1.0, mass=10.0)  # localization width 4 spacings
+
+# minor page faults of a second 2048-trial free-H window at M = 64 (Linux,
+# glibc): about 200 with work arrays allocated once per window, about 3000 when
+# each jump and sample allocates its own
+PAGE_FAULT_BOUND = 1000
 
 WIDE_GRID = Grid(128, 1.0)
 WIDE_PARAMS = GrwParams(alpha=0.01, lam=1.0)  # localization width 10 spacings
@@ -132,6 +138,19 @@ def test_jump_mass_close_to_one_on_adequate_grid():
                               @ psi.amplitudes) ** 2 for k in range(GRID.points)) * GRID.spacing
     assert abs(mass - 1.0) <= 1e-6
     jump_density(psi, 0, GRID, PARAMS)  # and the table's own mass check passes
+
+
+@pytest.mark.parametrize("m", [32, 64, 128])
+def test_jump_density_matches_the_dense_circulant(m):
+    grid = Grid(m, 1.0)
+    params = GrwParams(alpha=0.1, lam=1.0)
+    rng = np.random.default_rng(m)
+    amps = rng.normal(size=m) + 1j * rng.normal(size=m)
+    psi = StateVector(SubsystemShape((m,)), amps).normalize()
+    w = position_weights(psi)[0]
+    dense = circulant(np.square(gaussian_template(grid, params.alpha))) @ w
+    np.testing.assert_allclose(jump_density(psi, 0, grid, params), dense / dense.sum(),
+                               rtol=1e-15, atol=0)
 
 
 def test_jump_density_inadequate_grid_rejected():
@@ -279,6 +298,63 @@ def test_permuted_trials_give_the_same_rows(monkeypatch):
             assert got.jumps(row) == ref.jumps(trial)
 
 
+@pytest.mark.parametrize("factors", [1, 2])
+def test_block_rows_match_a_schrodinger_picture_reference(factors):
+    # evolve_block keeps each row in the interaction picture; the reference
+    # advances the state with Propagator.advance between events and applies
+    # each jump with apply_jump at the centre _draw_centres draws from the
+    # same uniforms
+    if factors == 1:
+        psi = two_peak_state(GRID, (24.0, 40.0), (0.6, 0.4), 2.0)
+        grids, params, rates = {0: GRID}, PARAMS, {0: PARAMS.lam}
+    else:
+        small = Grid(16, 1.0)
+        psi = _entangled_packets(small, (4.0, 12.0), (6.0, 14.0), 1.5)
+        grids, params = {0: small, 1: small}, GrwParams(alpha=0.25, lam=1.0)
+        rates = {0: 1.0, 1: 1.0}
+    prop = Propagator(free_hamiltonian(Grid(psi.shape.total_dim, 1.0), mass=10.0))
+    times, trials = [0.5, 1.0, 2.0], range(6)
+    block = evolve_block(psi, prop, params, grids, 2.0, 0.02, 29, trials, sample_times=times)
+    n_jumps, jump_times, jump_particles, draws = sample_jump_times(rates, 2.0, 29, trials)
+    assert n_jumps.sum() >= 10
+    for i in trials:
+        jumps = [(jump_times[i, k], 1, k) for k in range(n_jumps[i])]
+        state, now, centres, states = psi, 0.0, [], []
+        for t, is_jump, k in sorted([(t, 0, s) for s, t in enumerate(times)] + jumps):
+            state = StateVector(psi.shape, prop.advance(state.amplitudes, t - now))
+            now = t
+            if not is_jump:
+                states.append(state.amplitudes / state.norm())
+                continue
+            p = int(jump_particles[i, k])
+            grid = grids[p]
+            weights = marginal_weights(state.amplitudes[None, :], psi.shape, p)
+            site = int(grw._draw_centres(weights, draws[i, k][None, :], grid, params.alpha)[0])
+            centres.append((float(t), p, grid.origin + site * grid.spacing))
+            state = apply_jump(state, p, centres[-1][2], grid, params)
+        assert [(j.time, j.particle, j.center) for j in block.jumps(i)] == centres
+        assert np.max(np.abs(block.states[:, i] - np.array(states))) <= 1e-12
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults as Linux reports them")
+def test_a_window_takes_few_page_faults():
+    # the amplitude engine's work arrays are allocated once per window; arrays
+    # allocated and freed in every event round made a 10^4-trial M = 64 run take
+    # tens of thousands of minor page faults instead of a few hundred
+    import resource
+
+    psi = two_peak_state(GRID, (24.0, 40.0), (0.6, 0.4), 2.0)
+    prop = Propagator(free_hamiltonian(GRID, mass=10.0))
+    out = np.empty((4, 2048, GRID.points), dtype=complex)
+    run = partial(evolve_block, psi, prop, PARAMS, {0: GRID}, 5.0, 0.01, 1, range(2048),
+                  sample_times=[1.25, 2.5, 3.75, 5.0], out=out)
+    run()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run()
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < PAGE_FAULT_BOUND
+
+
 def test_a_window_runs_its_sorted_blocks_rounds():
     # each round every live row takes one event, so a block runs as many rounds
     # as its busiest row has events, and the window's blocks are its trials
@@ -353,23 +429,30 @@ def test_multipliers_raise_on_zero_norm_and_inadequate_grids(monkeypatch):
         evolve_block(psi, None, GrwParams(alpha=4.0, lam=1.0), {0: GRID}, 5.0, 0.1, 1, range(4))
 
 
-def test_in_place_advance_matches_advance_rows_bit_for_bit():
-    prop = Propagator(free_hamiltonian(GRID, mass=10.0), hbar=0.7)
+@pytest.mark.parametrize("m", [9, 16, 64])
+def test_half_spectrum_phases_mirror_to_the_full_exponential(m):
+    # the spectrum is exactly even, so the phases of its M // 2 + 1 distinct
+    # entries, mirrored, are exp(-i E t / hbar) bit for bit
+    prop = Propagator(free_hamiltonian(Grid(m, 1.0), mass=10.0), hbar=0.7)
+    e = prop.eigenvalues
+    assert np.array_equal(e, np.roll(e[::-1], 1))
     rng = np.random.default_rng(4)
-    rows = rng.normal(size=(200, 64)) + 1j * rng.normal(size=(200, 64))
+    rows = rng.normal(size=(200, m)) + 1j * rng.normal(size=(200, m))
     taus = rng.random(200)
-    # one phase array for all rows and out-of-place transforms
-    phases = np.zeros(rows.shape, dtype=complex)
-    phases.imag = np.negative(taus / 0.7)[:, None] * prop.eigenvalues
-    reference = np.fft.ifft(np.exp(phases) * np.fft.fft(rows, axis=1), axis=1)
-    copied = prop.advance_rows(rows, taus)
-    assert np.array_equal(copied.view(float), reference.view(float))
-    in_place = rows.copy()
-    assert prop.advance_rows(in_place, taus, out=in_place) is in_place
-    assert np.array_equal(in_place.view(float), reference.view(float))
+    theta = np.zeros(rows.shape, dtype=complex)
+    theta.imag = np.negative(taus / 0.7)[:, None] * e
+    half = prop.phases(taus)
+    assert half.shape == (200, m // 2 + 1)
+    out = np.empty_like(half)
+    assert prop.phases(taus, out) is out and np.array_equal(out, half)
+    full = np.empty_like(rows)
+    assert Propagator.mirror(half, full) is full and np.array_equal(full, np.exp(theta))
+    assert np.array_equal(Propagator.mirror(half[3:4], full), np.tile(np.exp(theta[3]), (200, 1)))
+    # spectrum times phases, in that order: numpy's complex product need not commute bitwise
+    advanced = np.fft.ifft(np.fft.fft(rows, axis=1) * np.exp(theta), axis=1)
     for i in range(0, 200, 37):
         assert np.array_equal(prop.advance(rows[i], taus[i]).view(float),
-                              reference[i].view(float))
+                              advanced[i].view(float))
 
 
 # -- applying jumps ---------------------------------------------------------------
